@@ -7,14 +7,19 @@
 //! same layout as their std counterparts and every method compiles to the
 //! single underlying instruction.
 //!
-//! Under the `stress` feature each operation additionally reports itself
-//! to an injectable hook table ([`stress::set_hooks`]) carrying its
-//! address, access class, and [`Ordering`]. The hooks are registered by
-//! `cds-core`'s stress scheduler at install time; inside a weak-memory
-//! explore window they turn every atomic access into a tagged yield point
-//! and may *rewrite the value returned by a load* so the explorer can
-//! enumerate C11-ordering-visible behaviors (stale reads permitted by
+//! Under the `stress` feature the crate also holds the scheduler that
+//! drives those atomics ([`stress`]: PCT sampling, systematic exploration
+//! and the weak-memory machine — loom's shape). Inside a weak-memory
+//! explore window every operation of a registered worker calls it
+//! directly with its address, access class, and [`Ordering`]: the access
+//! becomes a tagged yield point, and the machine may *rewrite the value
+//! returned by a load* so the explorer can enumerate
+//! C11-ordering-visible behaviors (stale reads permitted by
 //! `Relaxed`/`Acquire` annotations), not just thread interleavings.
+//! Everywhere else — other threads, PCT rounds, SC explore windows — a
+//! stress-build operation is the plain `std` op. Without the feature
+//! [`stress`] keeps its inert API (`install`, `register`, `yield_point`,
+//! seed streams) so callers need no `cfg`.
 //!
 //! Two invariants keep the instrumented world coherent:
 //!
@@ -23,7 +28,7 @@
 //!   virtualized; RMWs (which C11 requires to read the latest write)
 //!   always observe real memory, so the model and the machine agree on
 //!   every CAS outcome.
-//! - Values cross the hook boundary as `u64`, which every wrapped
+//! - Values cross into the model as `u64`, which every wrapped
 //!   primitive round-trips through losslessly on 64-bit targets.
 //!
 //! Infrastructure that must *not* be modeled (the scheduler itself,
@@ -43,11 +48,10 @@ pub mod raw {
     pub use std::sync::atomic::*;
 }
 
-#[cfg(feature = "stress")]
 pub mod stress;
 
 #[cfg(feature = "stress")]
-use stress::hook_table as hooks;
+use stress::explore::{weak_active, weak_fence, weak_load, weak_pre, weak_rmw, weak_store};
 
 macro_rules! int_atomic {
     ($(#[$attr:meta])* $name:ident, $raw:ident, $prim:ty) => {
@@ -85,10 +89,10 @@ macro_rules! int_atomic {
             #[inline(always)]
             pub fn load(&self, order: Ordering) -> $prim {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), false, order);
+                if weak_active() {
+                    weak_pre(self.addr(), false);
                     let cur = self.inner.load(order);
-                    return (h.load)(self.addr(), order, cur as u64) as $prim;
+                    return weak_load(self.addr(), order, cur as u64) as $prim;
                 }
                 self.inner.load(order)
             }
@@ -96,8 +100,8 @@ macro_rules! int_atomic {
             #[inline(always)]
             pub fn store(&self, val: $prim, order: Ordering) {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), true, order);
+                if weak_active() {
+                    weak_pre(self.addr(), true);
                     let prev = match order {
                         Ordering::Release | Ordering::Relaxed => {
                             // The model needs the superseded value for
@@ -107,7 +111,7 @@ macro_rules! int_atomic {
                         }
                         _ => self.inner.swap(val, Ordering::SeqCst),
                     };
-                    (h.store)(self.addr(), order, prev as u64, val as u64);
+                    weak_store(self.addr(), order, prev as u64, val as u64);
                     return;
                 }
                 self.inner.store(val, order)
@@ -116,10 +120,10 @@ macro_rules! int_atomic {
             #[inline(always)]
             pub fn swap(&self, val: $prim, order: Ordering) -> $prim {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), true, order);
+                if weak_active() {
+                    weak_pre(self.addr(), true);
                     let prev = self.inner.swap(val, order);
-                    (h.rmw)(self.addr(), order, prev as u64, Some(val as u64));
+                    weak_rmw(self.addr(), order, prev as u64, Some(val as u64));
                     return prev;
                 }
                 self.inner.swap(val, order)
@@ -134,15 +138,15 @@ macro_rules! int_atomic {
                 failure: Ordering,
             ) -> Result<$prim, $prim> {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), true, success);
+                if weak_active() {
+                    weak_pre(self.addr(), true);
                     return match self.inner.compare_exchange(current, new, success, failure) {
                         Ok(prev) => {
-                            (h.rmw)(self.addr(), success, prev as u64, Some(new as u64));
+                            weak_rmw(self.addr(), success, prev as u64, Some(new as u64));
                             Ok(prev)
                         }
                         Err(prev) => {
-                            (h.rmw)(self.addr(), failure, prev as u64, None);
+                            weak_rmw(self.addr(), failure, prev as u64, None);
                             Err(prev)
                         }
                     };
@@ -159,15 +163,15 @@ macro_rules! int_atomic {
                 failure: Ordering,
             ) -> Result<$prim, $prim> {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), true, success);
+                if weak_active() {
+                    weak_pre(self.addr(), true);
                     return match self.inner.compare_exchange_weak(current, new, success, failure) {
                         Ok(prev) => {
-                            (h.rmw)(self.addr(), success, prev as u64, Some(new as u64));
+                            weak_rmw(self.addr(), success, prev as u64, Some(new as u64));
                             Ok(prev)
                         }
                         Err(prev) => {
-                            (h.rmw)(self.addr(), failure, prev as u64, None);
+                            weak_rmw(self.addr(), failure, prev as u64, None);
                             Err(prev)
                         }
                     };
@@ -181,10 +185,10 @@ macro_rules! int_atomic {
             #[inline(always)]
             pub fn fetch_and(&self, val: $prim, order: Ordering) -> $prim {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), true, order);
+                if weak_active() {
+                    weak_pre(self.addr(), true);
                     let prev = self.inner.fetch_and(val, order);
-                    (h.rmw)(self.addr(), order, prev as u64, Some((prev & val) as u64));
+                    weak_rmw(self.addr(), order, prev as u64, Some((prev & val) as u64));
                     return prev;
                 }
                 self.inner.fetch_and(val, order)
@@ -193,10 +197,10 @@ macro_rules! int_atomic {
             #[inline(always)]
             pub fn fetch_or(&self, val: $prim, order: Ordering) -> $prim {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), true, order);
+                if weak_active() {
+                    weak_pre(self.addr(), true);
                     let prev = self.inner.fetch_or(val, order);
-                    (h.rmw)(self.addr(), order, prev as u64, Some((prev | val) as u64));
+                    weak_rmw(self.addr(), order, prev as u64, Some((prev | val) as u64));
                     return prev;
                 }
                 self.inner.fetch_or(val, order)
@@ -205,11 +209,11 @@ macro_rules! int_atomic {
             #[inline(always)]
             pub fn fetch_max(&self, val: $prim, order: Ordering) -> $prim {
                 #[cfg(feature = "stress")]
-                if let Some(h) = hooks() {
-                    (h.pre)(self.addr(), true, order);
+                if weak_active() {
+                    weak_pre(self.addr(), true);
                     let prev = self.inner.fetch_max(val, order);
                     let new = if val > prev { val } else { prev };
-                    (h.rmw)(self.addr(), order, prev as u64, Some(new as u64));
+                    weak_rmw(self.addr(), order, prev as u64, Some(new as u64));
                     return prev;
                 }
                 self.inner.fetch_max(val, order)
@@ -235,10 +239,10 @@ macro_rules! int_atomic {
         #[inline(always)]
         pub fn $method(&self, val: $prim, order: Ordering) -> $prim {
             #[cfg(feature = "stress")]
-            if let Some(h) = hooks() {
-                (h.pre)(self.addr(), true, order);
+            if weak_active() {
+                weak_pre(self.addr(), true);
                 let prev = self.inner.$method(val, order);
-                (h.rmw)(self.addr(), order, prev as u64, Some(prev.$combine(val) as u64));
+                weak_rmw(self.addr(), order, prev as u64, Some(prev.$combine(val) as u64));
                 return prev;
             }
             self.inner.$method(val, order)
@@ -271,8 +275,8 @@ int_atomic!(
     AtomicU8, AtomicU8, u8
 );
 
-/// Instrumented [`std::sync::atomic::AtomicBool`]. Values cross the hook
-/// boundary as `0`/`1`.
+/// Instrumented [`std::sync::atomic::AtomicBool`]. Values cross into the
+/// model as `0`/`1`.
 #[repr(transparent)]
 #[derive(Default)]
 pub struct AtomicBool {
@@ -306,10 +310,10 @@ impl AtomicBool {
     #[inline(always)]
     pub fn load(&self, order: Ordering) -> bool {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), false, order);
+        if weak_active() {
+            weak_pre(self.addr(), false);
             let cur = self.inner.load(order);
-            return (h.load)(self.addr(), order, cur as u64) != 0;
+            return weak_load(self.addr(), order, cur as u64) != 0;
         }
         self.inner.load(order)
     }
@@ -317,13 +321,13 @@ impl AtomicBool {
     #[inline(always)]
     pub fn store(&self, val: bool, order: Ordering) {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, order);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             let prev = match order {
                 Ordering::Release | Ordering::Relaxed => self.inner.swap(val, order),
                 _ => self.inner.swap(val, Ordering::SeqCst),
             };
-            (h.store)(self.addr(), order, prev as u64, val as u64);
+            weak_store(self.addr(), order, prev as u64, val as u64);
             return;
         }
         self.inner.store(val, order)
@@ -332,10 +336,10 @@ impl AtomicBool {
     #[inline(always)]
     pub fn swap(&self, val: bool, order: Ordering) -> bool {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, order);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             let prev = self.inner.swap(val, order);
-            (h.rmw)(self.addr(), order, prev as u64, Some(val as u64));
+            weak_rmw(self.addr(), order, prev as u64, Some(val as u64));
             return prev;
         }
         self.inner.swap(val, order)
@@ -350,15 +354,15 @@ impl AtomicBool {
         failure: Ordering,
     ) -> Result<bool, bool> {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, success);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             return match self.inner.compare_exchange(current, new, success, failure) {
                 Ok(prev) => {
-                    (h.rmw)(self.addr(), success, prev as u64, Some(new as u64));
+                    weak_rmw(self.addr(), success, prev as u64, Some(new as u64));
                     Ok(prev)
                 }
                 Err(prev) => {
-                    (h.rmw)(self.addr(), failure, prev as u64, None);
+                    weak_rmw(self.addr(), failure, prev as u64, None);
                     Err(prev)
                 }
             };
@@ -369,10 +373,10 @@ impl AtomicBool {
     #[inline(always)]
     pub fn fetch_and(&self, val: bool, order: Ordering) -> bool {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, order);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             let prev = self.inner.fetch_and(val, order);
-            (h.rmw)(self.addr(), order, prev as u64, Some((prev & val) as u64));
+            weak_rmw(self.addr(), order, prev as u64, Some((prev & val) as u64));
             return prev;
         }
         self.inner.fetch_and(val, order)
@@ -381,10 +385,10 @@ impl AtomicBool {
     #[inline(always)]
     pub fn fetch_or(&self, val: bool, order: Ordering) -> bool {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, order);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             let prev = self.inner.fetch_or(val, order);
-            (h.rmw)(self.addr(), order, prev as u64, Some((prev | val) as u64));
+            weak_rmw(self.addr(), order, prev as u64, Some((prev | val) as u64));
             return prev;
         }
         self.inner.fetch_or(val, order)
@@ -404,8 +408,8 @@ impl From<bool> for AtomicBool {
     }
 }
 
-/// Instrumented [`std::sync::atomic::AtomicPtr`]. Pointers cross the hook
-/// boundary as their address bits.
+/// Instrumented [`std::sync::atomic::AtomicPtr`]. Pointers cross into the
+/// model as their address bits.
 #[repr(transparent)]
 pub struct AtomicPtr<T> {
     inner: std::sync::atomic::AtomicPtr<T>,
@@ -438,10 +442,10 @@ impl<T> AtomicPtr<T> {
     #[inline(always)]
     pub fn load(&self, order: Ordering) -> *mut T {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), false, order);
+        if weak_active() {
+            weak_pre(self.addr(), false);
             let cur = self.inner.load(order);
-            return (h.load)(self.addr(), order, cur as usize as u64) as usize as *mut T;
+            return weak_load(self.addr(), order, cur as usize as u64) as usize as *mut T;
         }
         self.inner.load(order)
     }
@@ -449,13 +453,13 @@ impl<T> AtomicPtr<T> {
     #[inline(always)]
     pub fn store(&self, val: *mut T, order: Ordering) {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, order);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             let prev = match order {
                 Ordering::Release | Ordering::Relaxed => self.inner.swap(val, order),
                 _ => self.inner.swap(val, Ordering::SeqCst),
             };
-            (h.store)(
+            weak_store(
                 self.addr(),
                 order,
                 prev as usize as u64,
@@ -469,10 +473,10 @@ impl<T> AtomicPtr<T> {
     #[inline(always)]
     pub fn swap(&self, val: *mut T, order: Ordering) -> *mut T {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, order);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             let prev = self.inner.swap(val, order);
-            (h.rmw)(
+            weak_rmw(
                 self.addr(),
                 order,
                 prev as usize as u64,
@@ -492,11 +496,11 @@ impl<T> AtomicPtr<T> {
         failure: Ordering,
     ) -> Result<*mut T, *mut T> {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, success);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             return match self.inner.compare_exchange(current, new, success, failure) {
                 Ok(prev) => {
-                    (h.rmw)(
+                    weak_rmw(
                         self.addr(),
                         success,
                         prev as usize as u64,
@@ -505,7 +509,7 @@ impl<T> AtomicPtr<T> {
                     Ok(prev)
                 }
                 Err(prev) => {
-                    (h.rmw)(self.addr(), failure, prev as usize as u64, None);
+                    weak_rmw(self.addr(), failure, prev as usize as u64, None);
                     Err(prev)
                 }
             };
@@ -522,14 +526,14 @@ impl<T> AtomicPtr<T> {
         failure: Ordering,
     ) -> Result<*mut T, *mut T> {
         #[cfg(feature = "stress")]
-        if let Some(h) = hooks() {
-            (h.pre)(self.addr(), true, success);
+        if weak_active() {
+            weak_pre(self.addr(), true);
             return match self
                 .inner
                 .compare_exchange_weak(current, new, success, failure)
             {
                 Ok(prev) => {
-                    (h.rmw)(
+                    weak_rmw(
                         self.addr(),
                         success,
                         prev as usize as u64,
@@ -538,7 +542,7 @@ impl<T> AtomicPtr<T> {
                     Ok(prev)
                 }
                 Err(prev) => {
-                    (h.rmw)(self.addr(), failure, prev as usize as u64, None);
+                    weak_rmw(self.addr(), failure, prev as usize as u64, None);
                     Err(prev)
                 }
             };
@@ -565,10 +569,10 @@ impl<T> std::fmt::Debug for AtomicPtr<T> {
 #[inline(always)]
 pub fn fence(order: Ordering) {
     #[cfg(feature = "stress")]
-    if let Some(h) = stress::hook_table() {
-        (h.pre)(0, false, order);
+    if weak_active() {
+        weak_pre(0, false);
         std::sync::atomic::fence(order);
-        (h.fence)(order);
+        weak_fence(order);
         return;
     }
     std::sync::atomic::fence(order)

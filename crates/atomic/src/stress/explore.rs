@@ -67,11 +67,11 @@
 //! [`begin_replay`] re-executes verbatim, which is what the lincheck
 //! trace format v2 stores.
 
-use cds_atomic::raw::{AtomicBool, AtomicUsize, Ordering};
+use crate::raw::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, Once};
 
 use super::weak::WeakState;
-use super::{YieldTag, ACTIVE, MAX_THREADS, RUN_LOCK};
+use super::{lock_round, RoundLock, YieldTag, ACTIVE, MAX_THREADS};
 
 /// `GRANT` value meaning "no thread may step".
 const IDLE: usize = usize::MAX;
@@ -102,9 +102,9 @@ pub struct ExploreBounds {
     /// the newest stores to its location (the staleness search bound).
     pub weak_window: usize,
     /// With `weak_memory`: loom-style publication/race checking of
-    /// non-atomic node payloads (`cds-reclaim` region hooks). A
-    /// detected race panics the worker deterministically instead of
-    /// producing a linearizability verdict.
+    /// non-atomic node payloads (`cds-reclaim` calls [`publish_region`]
+    /// and [`check_region`]). A detected race panics the worker
+    /// deterministically instead of producing a linearizability verdict.
     pub detect_races: bool,
 }
 
@@ -429,11 +429,15 @@ impl ExpState {
         order: Ordering,
         current: u64,
     ) -> Option<u64> {
-        let weak = self.weak.as_mut().expect("weak_load without weak state");
-        let count = weak.load_candidates(slot, addr, order, current);
+        let count = self.weak().load_candidates(slot, addr, order, current);
         let chosen = self.choose_read(count)?;
-        let weak = self.weak.as_mut().expect("weak state vanished");
-        Some(weak.load_commit(slot, addr, order, count, chosen))
+        Some(self.weak().load_commit(slot, addr, order, count, chosen))
+    }
+
+    /// The weak machine of a weak window (callers come through
+    /// [`with_weak`], which checks there is one).
+    fn weak(&mut self) -> &mut WeakState {
+        self.weak.as_mut().expect("weak machine missing")
     }
 }
 
@@ -546,41 +550,34 @@ pub(super) fn on_yield(slot: usize, tag: YieldTag) {
     }
 }
 
-/// Fast-path gate for the atomic hooks: true only while an installed
-/// explore round carries a weak-memory machine. Keeps instrumented
-/// atomics inert (no extra yields, no value rewrites) for PCT rounds
-/// and for non-weak explore windows, so their schedules and baseline
-/// counts are untouched by the instrumentation.
+/// True only while an installed explore round carries a weak-memory
+/// machine. Keeps instrumented atomics plain `std` ops (no extra yields,
+/// no value rewrites) for PCT rounds and for non-weak explore windows, so
+/// their schedules and baseline counts are untouched by the facade.
 static WEAK_ON: AtomicBool = AtomicBool::new(false);
 
-/// Hook table handed to `cds-atomic` (once per process; the gate above
-/// keeps it inert between weak windows).
-static ATOMIC_HOOKS: cds_atomic::stress::AtomicHooks = cds_atomic::stress::AtomicHooks {
-    pre: atomic_pre,
-    load: atomic_load,
-    store: atomic_store,
-    rmw: atomic_rmw,
-    fence: atomic_fence,
-    publish: atomic_publish,
-    check: atomic_check,
-};
+// The facade's entry points. Inside a weak window every instrumented
+// atomic operation calls `weak_pre` *before* the real operation — the
+// tagged yield point, which may park the thread while the explorer
+// schedules someone else — and one of the value functions *after* it,
+// while the thread still holds the scheduler's grant. The real `std`
+// atomic always executes, so real memory holds the latest value in
+// modification order; only what a load *returns* is virtualized.
 
-/// The registered slot of the calling thread, when a weak window is
-/// active. `None` short-circuits every hook for unregistered threads
-/// (the driver doing setup/teardown runs at real-memory semantics,
-/// which is correct: real memory always holds the latest value).
+/// The facade's gate: whether the calling thread is a registered worker
+/// of an active weak window. `false` for every other thread and mode —
+/// the driver doing setup/teardown runs at real-memory semantics, which
+/// is correct: real memory always holds the latest value.
 #[inline]
-fn weak_slot() -> Option<usize> {
-    if !WEAK_ON.load(Ordering::Acquire) {
-        return None;
-    }
-    super::current_slot()
+pub(crate) fn weak_active() -> bool {
+    WEAK_ON.load(Ordering::Acquire) && super::current_slot().is_some()
 }
 
-fn atomic_pre(addr: usize, is_write: bool, _order: cds_atomic::Ordering) {
-    if weak_slot().is_none() {
+/// Yield point before an instrumented access; `addr` is 0 for fences.
+pub(crate) fn weak_pre(addr: usize, is_write: bool) {
+    let Some(slot) = super::current_slot() else {
         return;
-    }
+    };
     let tag = if addr == 0 {
         // Fences have no location; conservatively dependent on all.
         YieldTag::None
@@ -589,70 +586,55 @@ fn atomic_pre(addr: usize, is_write: bool, _order: cds_atomic::Ordering) {
     } else {
         YieldTag::Read(addr)
     };
-    super::yield_point_tagged(tag);
+    on_yield(slot, tag);
 }
 
-fn atomic_load(addr: usize, order: cds_atomic::Ordering, current: u64) -> u64 {
-    let Some(slot) = weak_slot() else {
-        return current;
-    };
+/// Runs `f` on the explore state and the calling worker's slot, if that
+/// worker is still live in a weak window.
+fn with_weak<R>(f: impl FnOnce(&mut ExpState, usize) -> R) -> Option<R> {
+    let slot = super::current_slot()?;
     let mut guard = exp_lock();
-    let Some(st) = guard.as_mut() else {
-        return current;
-    };
+    let st = guard.as_mut()?;
     let bit = 1u64 << slot;
     if st.weak.is_none() || st.registered & bit == 0 || st.finished & bit != 0 {
-        return current;
+        return None;
     }
-    match st.weak_load(slot, addr, order, current) {
-        Some(v) => v,
-        None => {
-            drop(guard);
-            abort_panic()
-        }
+    Some(f(st, slot))
+}
+
+/// A load observed `current` (the latest value); returns the value the
+/// caller must observe instead, which may be any C11-permitted stale
+/// write.
+pub(crate) fn weak_load(addr: usize, order: Ordering, current: u64) -> u64 {
+    match with_weak(|st, slot| st.weak_load(slot, addr, order, current)) {
+        None => current,
+        Some(Some(v)) => v,
+        // The read plan diverged; the state lock is released by now.
+        Some(None) => abort_panic(),
     }
 }
 
-fn atomic_store(addr: usize, order: cds_atomic::Ordering, prev: u64, new: u64) {
-    let Some(slot) = weak_slot() else { return };
-    let mut guard = exp_lock();
-    let Some(st) = guard.as_mut() else { return };
-    let bit = 1u64 << slot;
-    if st.registered & bit == 0 || st.finished & bit != 0 {
-        return;
-    }
-    if let Some(w) = st.weak.as_mut() {
-        w.store(slot, addr, order, prev, new);
-    }
+/// A plain store replaced `prev` with `new`.
+pub(crate) fn weak_store(addr: usize, order: Ordering, prev: u64, new: u64) {
+    with_weak(|st, slot| st.weak().store(slot, addr, order, prev, new));
 }
 
-fn atomic_rmw(addr: usize, order: cds_atomic::Ordering, prev: u64, new: Option<u64>) {
-    let Some(slot) = weak_slot() else { return };
-    let mut guard = exp_lock();
-    let Some(st) = guard.as_mut() else { return };
-    let bit = 1u64 << slot;
-    if st.registered & bit == 0 || st.finished & bit != 0 {
-        return;
-    }
-    if let Some(w) = st.weak.as_mut() {
-        w.rmw(slot, addr, order, prev, new);
-    }
+/// A read-modify-write observed `prev`; `new` is `Some` for the written
+/// value, or `None` for a failed compare-exchange (which C11 treats as a
+/// load of the latest value with the failure ordering).
+pub(crate) fn weak_rmw(addr: usize, order: Ordering, prev: u64, new: Option<u64>) {
+    with_weak(|st, slot| st.weak().rmw(slot, addr, order, prev, new));
 }
 
-fn atomic_fence(order: cds_atomic::Ordering) {
-    let Some(slot) = weak_slot() else { return };
-    let mut guard = exp_lock();
-    let Some(st) = guard.as_mut() else { return };
-    let bit = 1u64 << slot;
-    if st.registered & bit == 0 || st.finished & bit != 0 {
-        return;
-    }
-    if let Some(w) = st.weak.as_mut() {
-        w.fence(slot, order);
-    }
+/// A fence with the given ordering (called after the real fence).
+pub(crate) fn weak_fence(order: Ordering) {
+    with_weak(|st, slot| st.weak().fence(slot, order));
 }
 
-fn atomic_publish(base: usize, len: usize) {
+/// Reports that the heap region `[base, base + len)` was made reachable
+/// from shared memory (e.g. a node linked into a structure). No-op
+/// outside weak windows.
+pub fn publish_region(base: usize, len: usize) {
     if !WEAK_ON.load(Ordering::Acquire) {
         return;
     }
@@ -666,17 +648,15 @@ fn atomic_publish(base: usize, len: usize) {
     }
 }
 
-fn atomic_check(addr: usize, len: usize) {
-    let Some(slot) = weak_slot() else { return };
-    let mut guard = exp_lock();
-    let Some(st) = guard.as_mut() else { return };
-    let bit = 1u64 << slot;
-    if st.registered & bit == 0 || st.finished & bit != 0 {
+/// Checks that the current thread is synchronized with the publication
+/// of `[addr, addr + len)` before a non-atomic access. No-op outside weak
+/// windows; panics deterministically on a detected race inside one with
+/// race detection enabled.
+pub fn check_region(addr: usize, len: usize) {
+    if !WEAK_ON.load(Ordering::Acquire) {
         return;
     }
-    let Some(w) = st.weak.as_ref() else { return };
-    if let Err(race) = w.check(slot, addr, len) {
-        drop(guard);
+    if let Some(Err(race)) = with_weak(|st, slot| st.weak().check(slot, addr, len)) {
         // Deterministic message (no raw addresses, which ASLR would
         // perturb): replays of the same trace panic byte-identically.
         panic!(
@@ -709,7 +689,7 @@ pub(super) fn op_boundary(slot: usize) {
 /// [`Explorer::begin`] / [`begin_replay`] and consumed by
 /// [`Explorer::finish`] / [`finish_replay`] after the workers joined.
 pub struct ExploreRun {
-    _exclusive: MutexGuard<'static, ()>,
+    _exclusive: RoundLock,
 }
 
 impl std::fmt::Debug for ExploreRun {
@@ -730,18 +710,7 @@ impl Drop for ExploreRun {
 
 fn install_run(state: ExpState) -> ExploreRun {
     install_quiet_hook();
-    let exclusive = RUN_LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
-    // Route `cds-sync` backoff yields into the tagged entry point, same
-    // as a PCT install — and answer the `cds_sync::Parker`'s "is a
-    // schedule driving?" question, so parked threads spin through
-    // explorable yield points instead of a native condvar the driver
-    // could never preempt.
-    cds_sync::stress::set_yield_hook(super::yield_point_tagged);
-    cds_sync::stress::set_active_hook(super::is_active);
-    // Same inversion one layer lower: `cds-atomic` reaches the weak
-    // machine through its hook table. Registered once; the WEAK_ON
-    // gate keeps the hooks inert outside weak windows.
-    cds_atomic::stress::set_hooks(&ATOMIC_HOOKS);
+    let exclusive = lock_round();
     WEAK_ON.store(state.weak.is_some(), Ordering::Release);
     *exp_lock() = Some(state);
     GRANT.store(IDLE, Ordering::Release);

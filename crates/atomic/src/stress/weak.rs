@@ -51,7 +51,7 @@
 //! Ordering bugs whose only symptom is a data race on *non-atomic*
 //! payload (e.g. a node's value fields published by a demoted-release
 //! link CAS) never surface through atomic load values. For those,
-//! publication sites ([`cds_atomic::stress::publish_region`], called by
+//! publication sites ([`publish_region`](super::publish_region), called by
 //! `cds-reclaim`'s `Owned::into_shared`) register the node's byte range
 //! stamped with the publisher's next event, and every `Shared::deref`
 //! checks the accessor has synchronized with that stamp — loom's
@@ -60,7 +60,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use cds_atomic::Ordering;
+use crate::Ordering;
 
 /// Pseudo-writer for records that predate the window (initial values,
 /// setup-thread stores): known to every thread.

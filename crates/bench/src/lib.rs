@@ -4,12 +4,11 @@
 //! E1–E10) and emits the machine-readable `BENCH_experiments.json`
 //! measurement file: workload generators, a thread-sweep driver with
 //! per-thread latency histograms, warmup with steady-state detection, and
-//! helpers shared by the Criterion benches (`benches/`) and the
-//! [`experiments`](../src/bin/experiments.rs) binary:
+//! the per-family run helpers the
+//! [`experiments`](../src/bin/experiments.rs) binary drives:
 //!
 //! ```text
 //! cargo run -p cds-bench --release --bin experiments -- all --quick --json BENCH_experiments.json
-//! cargo bench -p cds-bench --bench lists
 //! ```
 //!
 //! Methodology (standard for the literature): prefill the structure with
@@ -75,7 +74,7 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// A small default suitable for Criterion iterations.
+    /// A small default for quick runs and unit tests.
     pub fn small(threads: usize) -> Self {
         Workload {
             threads,
@@ -252,7 +251,7 @@ impl Warmup {
         }
     }
 
-    /// No warmup at all (Criterion benches do their own).
+    /// No warmup at all.
     pub fn none() -> Self {
         Warmup {
             max_iters: 0,

@@ -86,41 +86,12 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cds_core::stress;
+use cds_core::stress::{self, armed, Fault};
 use cds_core::ConcurrentQueue;
 use cds_obs::Event;
 use cds_queue::{BoundedQueue, MsQueue};
 use cds_reclaim::{Ebr, Reclaimer};
 use cds_sync::Parker;
-
-/// Planted wake-before-publish regression for the exploration suite:
-/// when set, a receiver that saw (empty, closed, `inflight == 0`) trusts
-/// the close wake and skips the final drain dequeue — re-introducing the
-/// race the close protocol exists to prevent. `tests/explore.rs` turns
-/// this on to prove the harness finds, shrinks, and replays the bug.
-#[cfg(feature = "stress")]
-static CLOSE_SKIPS_FINAL_DRAIN: AtomicBool = AtomicBool::new(false);
-
-/// Enables/disables the planted close-path regression; returns the
-/// previous setting. Test-only: library `cfg(test)` items are invisible
-/// to integration tests, hence the hidden public toggle.
-#[cfg(feature = "stress")]
-#[doc(hidden)]
-pub fn set_close_skips_final_drain(on: bool) -> bool {
-    CLOSE_SKIPS_FINAL_DRAIN.swap(on, Ordering::SeqCst)
-}
-
-#[inline]
-fn close_skips_final_drain() -> bool {
-    #[cfg(feature = "stress")]
-    {
-        CLOSE_SKIPS_FINAL_DRAIN.load(Ordering::SeqCst)
-    }
-    #[cfg(not(feature = "stress"))]
-    {
-        false
-    }
-}
 
 /// Error returned by [`Channel::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,7 +310,7 @@ impl<T: Send + 'static, R: Reclaimer> Inner<T, R> {
                 std::hint::spin_loop();
                 continue;
             }
-            if close_skips_final_drain() {
+            if armed(Fault::CloseSkipsFinalDrain) {
                 // Planted bug: trusting (empty, closed, inflight == 0)
                 // without the final dequeue loses a message published
                 // between the first dequeue and the inflight read.

@@ -39,7 +39,10 @@
 #![warn(missing_docs)]
 
 mod bound;
-pub mod stress;
+
+/// The stress scheduler (re-export of [`cds_atomic::stress`], where it
+/// lives beside the atomics it drives).
+pub use cds_atomic::stress;
 
 /// Contention telemetry (re-export of [`cds_obs`]): allocation-free event
 /// counters compiled in by the `telemetry` feature, no-ops otherwise.

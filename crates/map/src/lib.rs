@@ -49,9 +49,6 @@ mod striped;
 
 pub use bucketed::BucketedHashSet;
 pub use coarse::CoarseMap;
-#[cfg(feature = "stress")]
-#[doc(hidden)]
-pub use resizing::set_migration_gap;
 pub use resizing::ResizingMap;
 pub use split_ordered::SplitOrderedHashMap;
 pub use striped::StripedHashMap;

@@ -2,6 +2,7 @@ use cds_atomic::{AtomicUsize, Ordering};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 
+use cds_core::stress::{armed, Fault};
 use cds_core::ConcurrentMap;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
@@ -21,29 +22,6 @@ const MAX_LOAD_FACTOR: usize = 4;
 /// bucket its own key needs. Small so no single operation stalls; nonzero
 /// so the migration finishes even if the triggering thread dies.
 const HELP_BATCH: usize = 2;
-
-/// Planted-regression toggle (stress builds only): when set,
-/// `migrate_bucket` publishes the source bucket's `migrated` flag and
-/// releases its lock *before* the drained entries reach the destination
-/// buckets, with a yield point in the gap. During that gap the moved
-/// entries exist in **neither** table, so a concurrent lookup observes an
-/// inserted key as missing — the migration-gap race fixed in an earlier
-/// revision, re-armed as a known-answer target for the
-/// systematic-exploration suite. Ordinary builds and ordinary stress runs
-/// (toggle off) are unaffected.
-///
-/// Ideally this would be `#[cfg(test)]`, but the exploration suite lives
-/// in the workspace integration tests, which cannot see a library's
-/// `cfg(test)` items — `stress` + `#[doc(hidden)]` is the nearest gate.
-#[cfg(feature = "stress")]
-static MIGRATION_GAP: cds_atomic::raw::AtomicBool = cds_atomic::raw::AtomicBool::new(false);
-
-/// See [`MIGRATION_GAP`]. Returns the previous setting.
-#[cfg(feature = "stress")]
-#[doc(hidden)]
-pub fn set_migration_gap(on: bool) -> bool {
-    MIGRATION_GAP.swap(on, Ordering::SeqCst)
-}
 
 /// One bucket: a small open-addressing-free chain of entries plus the
 /// migration flag that makes bucket moves idempotent.
@@ -335,12 +313,8 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
                 high.push((k, v));
             }
         }
-        #[cfg(feature = "stress")]
-        let gap = MIGRATION_GAP.load(Ordering::Relaxed);
-        #[cfg(not(feature = "stress"))]
-        let gap = false;
-        if gap {
-            // Planted regression (see [`MIGRATION_GAP`]): mark the source
+        if armed(Fault::MigrationGap) {
+            // Planted regression: mark the source
             // migrated and release it before the destinations are filled.
             // A lookup that lands in the gap restarts into the new table
             // and finds the entries in neither place.

@@ -3,6 +3,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
 
+use cds_core::stress::{armed, Fault};
 use cds_core::ConcurrentQueue;
 use cds_sync::{Backoff, CachePadded};
 
@@ -48,34 +49,11 @@ pub struct BoundedQueue<T> {
 unsafe impl<T: Send> Send for BoundedQueue<T> {}
 unsafe impl<T: Send> Sync for BoundedQueue<T> {}
 
-/// Planted-regression toggle (stress builds only): when set, the
-/// claim→publish windows of [`BoundedQueue::try_enqueue`] /
-/// [`BoundedQueue::try_dequeue`] contain an extra yield point, so a
-/// schedule can preempt a thread *between* claiming a position and
-/// touching the slot's value. Combined with
-/// [`BoundedQueue::with_capacity_unchecked`] this re-arms the capacity-1
-/// overwrite bug fixed in an earlier revision, as a known-answer target
-/// for the systematic-exploration suite. Ordinary builds and ordinary
-/// stress runs (toggle off) are unaffected; the extra yields would
-/// otherwise perturb every pinned-seed schedule.
-///
-/// Ideally this would be `#[cfg(test)]`, but the exploration suite lives
-/// in the workspace integration tests, which cannot see a library's
-/// `cfg(test)` items — `stress` + `#[doc(hidden)]` is the nearest gate.
-#[cfg(feature = "stress")]
-static CLAIM_WINDOW_YIELDS: cds_atomic::raw::AtomicBool = cds_atomic::raw::AtomicBool::new(false);
-
-/// See [`CLAIM_WINDOW_YIELDS`]. Returns the previous setting.
-#[cfg(feature = "stress")]
-#[doc(hidden)]
-pub fn set_claim_window_yields(on: bool) -> bool {
-    CLAIM_WINDOW_YIELDS.swap(on, Ordering::SeqCst)
-}
-
+/// Extra yield point inside the claim→publish windows while the planted
+/// regression ([`Fault::ClaimWindowYields`]) is armed.
 #[inline]
 fn claim_window_yield() {
-    #[cfg(feature = "stress")]
-    if CLAIM_WINDOW_YIELDS.load(Ordering::Relaxed) {
+    if armed(Fault::ClaimWindowYields) {
         cds_core::stress::yield_point();
     }
 }

@@ -41,15 +41,10 @@ mod ms;
 mod spsc;
 mod two_lock;
 
-#[cfg(feature = "stress")]
-#[doc(hidden)]
-pub use bounded::set_claim_window_yields;
 pub use bounded::BoundedQueue;
 pub use chase_lev::{ChaseLevDeque, Steal, Stealer, Worker, MAX_BATCH};
 pub use coarse::CoarseQueue;
 pub use fc::FcQueue;
-#[cfg(feature = "stress")]
-pub use ms::set_relaxed_link;
 pub use ms::MsQueue;
 pub use spsc::{spsc_ring_buffer, SpscConsumer, SpscProducer, SpscRingBuffer};
 pub use two_lock::TwoLockQueue;

@@ -3,44 +3,22 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
+use cds_core::stress::{armed, Fault};
 use cds_core::ConcurrentQueue;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
 use cds_sync::Backoff;
 
-/// Stress-only planted ordering bug: demotes the tail-link CAS in
-/// `enqueue_internal` from `Release` to `Relaxed`. The link CAS is the
-/// enqueue's publication point: demoted, a dequeuer can observe the new
-/// node through `head.next` without synchronizing with the enqueuer and
-/// dereference a payload whose initialization it has no
-/// happens-before edge to. The stale read happens through a *plain*
-/// field (`value`), invisible to the atomics model — which is exactly
-/// what the published-region race detector exists to catch, and what the
-/// weak-memory explorer's known-answer test proves. Reads of the toggle
-/// go through `raw` so the flag itself is never a modeled location.
-///
-/// Ideally this would be `#[cfg(test)]`, but the exploration suite lives
-/// in the workspace integration tests, which cannot see a library's
-/// `cfg(test)` items — `stress` + `#[doc(hidden)]` is the nearest gate.
-#[cfg(feature = "stress")]
-static RELAXED_LINK: cds_atomic::raw::AtomicBool = cds_atomic::raw::AtomicBool::new(false);
-
-/// See [`RELAXED_LINK`]. Returns the previous setting.
-#[cfg(feature = "stress")]
-#[doc(hidden)]
-pub fn set_relaxed_link(on: bool) -> bool {
-    RELAXED_LINK.swap(on, cds_atomic::raw::Ordering::SeqCst)
-}
-
-/// The ordering of the enqueue link CAS: `Release`, unless the planted
-/// demotion is armed.
+/// The ordering of the enqueue link CAS, the enqueue's publication
+/// point: `Release`, unless the planted demotion ([`Fault::RelaxedLink`])
+/// is armed.
 #[inline]
 fn link_ordering() -> Ordering {
-    #[cfg(feature = "stress")]
-    if RELAXED_LINK.load(cds_atomic::raw::Ordering::Relaxed) {
-        return Ordering::Relaxed;
+    if armed(Fault::RelaxedLink) {
+        Ordering::Relaxed
+    } else {
+        Ordering::Release
     }
-    Ordering::Release
 }
 
 struct Node<T> {

@@ -19,7 +19,8 @@
 //!   thread stalls, at the price of a store + fence per protected pointer.
 //!
 //! The trade-off between the two is measured head-to-head by experiment
-//! E10 of the benchmark suite (`cargo bench -p cds-bench --bench reclaim`).
+//! E10 of the benchmark suite
+//! (`cargo run -p cds-bench --release --bin experiments -- E10`).
 //!
 //! # The backend-generic interface
 //!

@@ -45,8 +45,6 @@ mod treiber;
 pub use coarse::CoarseStack;
 pub use elimination::{EliminationArray, EliminationBackoffStack};
 pub use fc::FcStack;
-#[cfg(feature = "stress")]
-pub use treiber::set_relaxed_publish;
 pub use treiber::TreiberStack;
 
 #[cfg(test)]

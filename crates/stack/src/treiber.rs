@@ -4,42 +4,21 @@ use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::ptr;
 
+use cds_core::stress::{armed, Fault};
 use cds_core::ConcurrentStack;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
 use cds_sync::Backoff;
 
-/// Stress-only planted ordering bug: demotes the publishing CAS in
-/// `push_node` from `Release` to `Relaxed`. Under weak-memory exploration
-/// a popper can then observe the new head without synchronizing with the
-/// pusher, read the node's `next` field as its stale pre-link value
-/// (null), and truncate the stack — the canonical "relaxed publish"
-/// mistake, kept re-armable so the weak-memory explorer's known-answer
-/// test proves it would be caught. Reads of the toggle go through `raw`
-/// so the flag itself is never a modeled location.
-///
-/// Ideally this would be `#[cfg(test)]`, but the exploration suite lives
-/// in the workspace integration tests, which cannot see a library's
-/// `cfg(test)` items — `stress` + `#[doc(hidden)]` is the nearest gate.
-#[cfg(feature = "stress")]
-static RELAXED_PUBLISH: cds_atomic::raw::AtomicBool = cds_atomic::raw::AtomicBool::new(false);
-
-/// See [`RELAXED_PUBLISH`]. Returns the previous setting.
-#[cfg(feature = "stress")]
-#[doc(hidden)]
-pub fn set_relaxed_publish(on: bool) -> bool {
-    RELAXED_PUBLISH.swap(on, cds_atomic::raw::Ordering::SeqCst)
-}
-
-/// The ordering that publishes a newly linked node: `Release`, unless the
-/// planted demotion is armed.
+/// The ordering that publishes a newly linked node: `Release`, unless
+/// the planted demotion ([`Fault::RelaxedPublish`]) is armed.
 #[inline]
 fn publish_ordering() -> Ordering {
-    #[cfg(feature = "stress")]
-    if RELAXED_PUBLISH.load(cds_atomic::raw::Ordering::Relaxed) {
-        return Ordering::Relaxed;
+    if armed(Fault::RelaxedPublish) {
+        Ordering::Relaxed
+    } else {
+        Ordering::Release
     }
-    Ordering::Release
 }
 
 struct Node<T> {

@@ -18,7 +18,7 @@ use std::fmt;
 ///   this escalates to `thread::yield_now`.
 ///
 /// Under the `stress` feature, every backoff step is also a scheduler
-/// yield point (see [`crate::stress`]), so retry loops that back off —
+/// yield point (see [`cds_atomic::stress`]), so retry loops that back off —
 /// e.g. an operation waiting out a bucket migration in a resizing map —
 /// are preemption points the deterministic stress seeds can exploit.
 ///
@@ -68,16 +68,16 @@ impl Backoff {
     /// so the pause stays bounded.
     #[inline]
     pub fn spin(&self) {
-        self.spin_tagged(crate::stress::YieldTag::None);
+        self.spin_tagged(cds_atomic::stress::YieldTag::None);
     }
 
     /// [`spin`](Backoff::spin) with an explicit access tag on the
-    /// embedded yield point (see [`crate::stress::YieldTag`]). A retry
+    /// embedded yield point (see [`cds_atomic::stress::YieldTag`]). A retry
     /// after a lost CAS on location `a` should pass
     /// `YieldTag::Write(a)`.
     #[inline]
-    pub fn spin_tagged(&self, tag: crate::stress::YieldTag) {
-        crate::stress::yield_point_tagged(tag);
+    pub fn spin_tagged(&self, tag: cds_atomic::stress::YieldTag) {
+        cds_atomic::stress::yield_point_tagged(tag);
         cds_obs::count(cds_obs::Event::BackoffRound);
         let step = self.step.get().min(SPIN_LIMIT);
         for _ in 0..(1u32 << step) {
@@ -96,7 +96,7 @@ impl Backoff {
     /// spin budget is exhausted.
     #[inline]
     pub fn snooze(&self) {
-        self.snooze_tagged(crate::stress::YieldTag::None);
+        self.snooze_tagged(cds_atomic::stress::YieldTag::None);
     }
 
     /// [`snooze`](Backoff::snooze) with an explicit access tag on the
@@ -104,8 +104,8 @@ impl Backoff {
     /// (e.g. waiting for a lock word to clear) should pass
     /// `YieldTag::Blocked(a)`.
     #[inline]
-    pub fn snooze_tagged(&self, tag: crate::stress::YieldTag) {
-        crate::stress::yield_point_tagged(tag);
+    pub fn snooze_tagged(&self, tag: cds_atomic::stress::YieldTag) {
+        cds_atomic::stress::yield_point_tagged(tag);
         cds_obs::count(cds_obs::Event::BackoffRound);
         let step = self.step.get();
         if step <= SPIN_LIMIT {

@@ -91,7 +91,7 @@ impl RawLock for ClhLock {
             while (*pred).locked.load(Ordering::Acquire) {
                 cds_obs::count(cds_obs::Event::ClhSpin);
                 // Pure recheck of the predecessor's release flag.
-                backoff.snooze_tagged(crate::stress::YieldTag::Blocked(
+                backoff.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(
                     self as *const Self as usize,
                 ));
             }

@@ -31,7 +31,7 @@
 //!
 //! Every spin loop in this crate reaches a stress yield point on **every
 //! iteration** — either through [`Backoff::spin`]/[`Backoff::snooze`]
-//! (both open with the injected `stress::yield_point` hook) or, for the
+//! (both open with a `cds_atomic::stress` yield point) or, for the
 //! deliberately naive [`TasLock`], a direct call. Bounded bare
 //! `spin_loop` bursts (e.g. the ticket lock's proportional pause) are
 //! permitted only when the same iteration ends in a yield point. A spin
@@ -77,7 +77,6 @@ mod parker;
 mod raw;
 mod rwlock;
 mod seqlock;
-pub mod stress;
 mod tas;
 mod ticket;
 mod ttas;

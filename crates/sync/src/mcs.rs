@@ -91,7 +91,7 @@ impl RawLock for McsLock {
                 while (*me).locked.load(Ordering::Acquire) {
                     cds_obs::count(cds_obs::Event::McsSpin);
                     // Pure recheck of our node's hand-off flag.
-                    backoff.snooze_tagged(crate::stress::YieldTag::Blocked(
+                    backoff.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(
                         self as *const Self as usize,
                     ));
                 }
@@ -149,7 +149,7 @@ impl RawLock for McsLock {
                         break;
                     }
                     // Pure recheck of the successor's `next` link.
-                    backoff.spin_tagged(crate::stress::YieldTag::Blocked(
+                    backoff.spin_tagged(cds_atomic::stress::YieldTag::Blocked(
                         self as *const Self as usize,
                     ));
                 }

@@ -24,8 +24,8 @@ use std::fmt;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use crate::stress;
-use crate::stress::YieldTag;
+use cds_atomic::stress;
+use cds_atomic::stress::YieldTag;
 
 /// Bound on the deterministic yield-spin a [`Parker::park_timeout`]
 /// performs in place of a kernel timed wait while a stress schedule is
@@ -83,7 +83,7 @@ impl Parker {
     /// nothing may block in the kernel while a deterministic schedule is
     /// running.
     pub fn park(&self, ticket: u64) {
-        if stress::stress_active() {
+        if stress::is_active() {
             while self.epoch.load(Ordering::SeqCst) == ticket {
                 // A pure recheck of the epoch word until an unpark bumps
                 // it; lets the systematic explorer park this thread until
@@ -112,7 +112,7 @@ impl Parker {
     /// ([`STRESS_TIMEOUT_YIELDS`] scheduling opportunities), keeping
     /// seeded schedules free of wall-clock dependence.
     pub fn park_timeout(&self, ticket: u64, timeout: Duration) -> bool {
-        let woken = if stress::stress_active() {
+        let woken = if stress::is_active() {
             let mut woken = false;
             for _ in 0..STRESS_TIMEOUT_YIELDS {
                 if self.epoch.load(Ordering::SeqCst) != ticket {

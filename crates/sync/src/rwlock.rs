@@ -74,7 +74,9 @@ impl<T> RwSpinLock<T> {
             cds_obs::count(cds_obs::Event::RwSpin);
             // Not `Blocked`: the CAS above may fail spuriously, so a
             // retry can succeed with no other thread stepping.
-            backoff.snooze_tagged(crate::stress::YieldTag::Write(self as *const Self as usize));
+            backoff.snooze_tagged(cds_atomic::stress::YieldTag::Write(
+                self as *const Self as usize,
+            ));
         }
     }
 
@@ -113,13 +115,15 @@ impl<T> RwSpinLock<T> {
             }
             cds_obs::count(cds_obs::Event::RwSpin);
             // Not `Blocked`: the CAS above may fail spuriously.
-            backoff.snooze_tagged(crate::stress::YieldTag::Write(self as *const Self as usize));
+            backoff.snooze_tagged(cds_atomic::stress::YieldTag::Write(
+                self as *const Self as usize,
+            ));
         }
         // Phase 2: wait for readers to drain — a pure recheck.
         backoff.reset();
         while self.state.load(Ordering::Acquire) != WRITER {
             cds_obs::count(cds_obs::Event::RwSpin);
-            backoff.snooze_tagged(crate::stress::YieldTag::Blocked(
+            backoff.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(
                 self as *const Self as usize,
             ));
         }

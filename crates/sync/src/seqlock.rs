@@ -70,7 +70,7 @@ impl<T: Copy> SeqLock<T> {
             }
             cds_obs::count(cds_obs::Event::SeqlockReadRetry);
             // Pure recheck: a retried optimistic read changes nothing.
-            backoff.snooze_tagged(crate::stress::YieldTag::Blocked(
+            backoff.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(
                 self as *const Self as usize,
             ));
         }
@@ -117,7 +117,9 @@ impl<T: Copy> SeqLock<T> {
             }
             // Not `Blocked`: `compare_exchange_weak` may fail spuriously,
             // so a retry can succeed with no other thread stepping.
-            backoff.snooze_tagged(crate::stress::YieldTag::Write(self as *const Self as usize));
+            backoff.snooze_tagged(cds_atomic::stress::YieldTag::Write(
+                self as *const Self as usize,
+            ));
         };
         cds_obs::count(cds_obs::Event::SeqlockWrite);
         // SAFETY: the odd sequence value excludes other writers; readers

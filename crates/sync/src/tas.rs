@@ -55,7 +55,7 @@ impl RawLock for TasLock {
             // bound here. Keep the naive TAS spin (the point of this
             // lock) but give the scheduler a preemption hook. The next
             // step is another swap attempt on the flag, hence `Write`.
-            crate::stress::yield_point_tagged(crate::stress::YieldTag::Write(
+            cds_atomic::stress::yield_point_tagged(cds_atomic::stress::YieldTag::Write(
                 self as *const Self as usize,
             ));
             cds_obs::count(cds_obs::Event::TasSpin);

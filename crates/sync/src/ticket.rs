@@ -75,7 +75,7 @@ impl RawLock for TicketLock {
                 core::hint::spin_loop();
             }
             // Pure recheck of now-serving until it reaches our ticket.
-            backoff.snooze_tagged(crate::stress::YieldTag::Blocked(
+            backoff.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(
                 self as *const Self as usize,
             ));
         }

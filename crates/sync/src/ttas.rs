@@ -60,7 +60,7 @@ impl RawLock for TtasLock {
             // explorer park this thread until someone else runs.
             while self.locked.load(Ordering::Relaxed) {
                 cds_obs::count(cds_obs::Event::TtasSpin);
-                backoff.snooze_tagged(crate::stress::YieldTag::Blocked(addr));
+                backoff.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(addr));
             }
             // Test-and-set: race for it.
             if !self.locked.swap(true, Ordering::Acquire) {
@@ -68,7 +68,7 @@ impl RawLock for TtasLock {
                 return;
             }
             cds_obs::count(cds_obs::Event::TtasSpin);
-            backoff.spin_tagged(crate::stress::YieldTag::Write(addr));
+            backoff.spin_tagged(cds_atomic::stress::YieldTag::Write(addr));
         }
     }
 

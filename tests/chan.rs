@@ -15,26 +15,21 @@
 //!   messages in send order (the MPMC guarantee: the global order is
 //!   up for grabs, each producer's lane is not).
 //!
-//! The counters are global, so every test takes the [`serial`] lock and
-//! measures through baseline/delta snapshot pairs.
+//! The counters are global, so every test takes the [`serial`] lock
+//! (scheduler installs must not overlap, and one test's scheduled run
+//! must not land inside another's baseline/delta window) and measures
+//! through snapshot pairs.
+
+mod common;
 
 use cds_atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::Barrier;
 
 use cds_chan::{bounded, unbounded, Select};
 use cds_core::stress as sched;
 use cds_core::stress::StressConfig;
 use cds_obs::{Event, Snapshot};
-
-/// Serializes the tests in this binary: scheduler installs must not
-/// overlap and one test's scheduled run must not land inside another's
-/// baseline/delta window.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use common::serial;
 
 fn install(seed: u64) -> sched::StressRun {
     sched::install(StressConfig {

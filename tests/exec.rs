@@ -14,27 +14,22 @@
 //!    *before* `shutdown` (joining blocks in the kernel), then drop the
 //!    run.
 //!
-//! The counters are global, so every test takes the [`serial`] lock and
-//! measures through baseline/delta snapshot pairs.
+//! The counters are global and the driver registers a fixed scheduler
+//! index, so every test takes the [`serial`] lock (installs must not
+//! overlap, and one test's scheduled run must not land inside another's
+//! baseline/delta window) and measures through snapshot pairs.
+
+mod common;
 
 use cds_atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 use cds_core::stress as sched;
 use cds_core::stress::StressConfig;
 use cds_exec::{ExecConfig, Executor};
 use cds_obs::{Event, Snapshot};
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-
-/// Serializes the tests in this binary: scheduler installs must not
-/// overlap (the driver registers a fixed index) and one test's scheduled
-/// run must not land inside another's baseline/delta window.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use common::serial;
 
 const THREADS: usize = 3;
 
@@ -165,11 +160,13 @@ fn scheduled_same_seed_gives_identical_steal_deltas() {
         }
     }
 
-    let (d1, s1, e1) = run_scheduled::<Ebr>(0xdece1, 4, workload);
-    let (d2, s2, e2) = run_scheduled::<Ebr>(0xdece1, 4, workload);
+    const SEED: u64 = 0xdece1;
+    let (d1, s1, e1) = run_scheduled::<Ebr>(SEED, 4, workload);
+    let (d2, s2, e2) = run_scheduled::<Ebr>(SEED, 4, workload);
     assert_eq!((s1, e1), (s2, e2));
-    if cds_obs::enabled() {
-        for event in [
+    common::assert_same_counts(
+        SEED,
+        &[
             Event::ExecTasksSpawned,
             Event::ExecTasksExecuted,
             Event::ExecStealHit,
@@ -178,12 +175,8 @@ fn scheduled_same_seed_gives_identical_steal_deltas() {
             Event::ExecInjectorOverflow,
             Event::DequeStealBatchElems,
             Event::DequeStealBatchMax,
-        ] {
-            assert_eq!(
-                d1.get(event),
-                d2.get(event),
-                "{event:?} diverged across identical seeds"
-            );
-        }
-    }
+        ],
+        &d1,
+        &d2,
+    );
 }

@@ -29,6 +29,7 @@ use cds_atomic::{AtomicBool, Ordering};
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
 
+use cds_core::stress::{arm, Fault};
 use cds_core::{ConcurrentQueue, ConcurrentStack};
 use cds_lincheck::explore::{
     explore, replay_schedule, ExploreError, ExploreOptions, ExploreReport, OnStuck,
@@ -379,8 +380,7 @@ fn explore_bounded_queue_window_and_cap1_regression() {
     // and the claim→publish windows made preemptible, a producer can claim
     // the slot a dequeuer is still reading and overwrite the undelivered
     // value. `explore` must find it with zero randomness.
-    let prev = cds_queue::set_claim_window_yields(true);
-    assert!(!prev, "claim-window toggle unexpectedly already set");
+    let _plant = arm(Fault::ClaimWindowYields);
     let ops = [
         vec![TryQueueOp::Enq(1), TryQueueOp::Enq(2)],
         vec![TryQueueOp::Deq, TryQueueOp::Deq],
@@ -425,8 +425,6 @@ fn explore_bounded_queue_window_and_cap1_regression() {
     let replayed = replay_schedule(&ops, &steps, &[], &opts(), setup, exec_try_queue)
         .expect("replay of the failing schedule diverged");
     assert_eq!(replayed, history, "replay was not byte-identical");
-    let prev = cds_queue::set_claim_window_yields(false);
-    assert!(prev);
 }
 
 #[test]
@@ -616,8 +614,7 @@ fn weak_treiber_window_and_relaxed_publish_plant() {
     // and read the node's `next` as its stale pre-link value (null),
     // truncating the stack. Races off so the stale-value demo reaches the
     // linearizability checker instead of the region detector.
-    let prev = cds_stack::set_relaxed_publish(true);
-    assert!(!prev, "relaxed-publish toggle unexpectedly already set");
+    let _plant = arm(Fault::RelaxedPublish);
     let ops = [
         vec![StackOp::Push(1), StackOp::Push(2)],
         vec![StackOp::Pop, StackOp::Pop],
@@ -662,8 +659,6 @@ fn weak_treiber_window_and_relaxed_publish_plant() {
     let replayed = replay_schedule(&ops, &steps, &reads, &weak_opts(false), setup, exec_stack)
         .expect("replay of the failing weak execution diverged");
     assert_eq!(replayed, history, "weak replay was not byte-identical");
-    let prev = cds_stack::set_relaxed_publish(false);
-    assert!(prev);
 }
 
 fn exec_queue<Q: cds_core::ConcurrentQueue<u64>>(q: &Q, op: &QueueOp<u64>) -> QueueRes<u64> {
@@ -699,8 +694,7 @@ fn weak_ms_queue_window_and_relaxed_link_plant() {
     // it never synchronized with — a stale read through a *plain* field,
     // invisible to the atomics model, which is exactly what the
     // published-region race detector exists to catch.
-    let prev = cds_queue::set_relaxed_link(true);
-    assert!(!prev, "relaxed-link toggle unexpectedly already set");
+    let _plant = arm(Fault::RelaxedLink);
     let ops = [vec![QueueOp::Enqueue(1)], vec![QueueOp::Dequeue]];
     let result = explore(
         QueueSpec::<u64>::default(),
@@ -757,8 +751,6 @@ fn weak_ms_queue_window_and_relaxed_link_plant() {
         }
         other => panic!("expected the replay to reproduce the race, got {other:?}"),
     }
-    let prev = cds_queue::set_relaxed_link(false);
-    assert!(prev);
 }
 
 #[test]
@@ -892,8 +884,7 @@ fn explore_resizing_map_migration_and_gap_regression() {
     // The planted regression: the migrating thread publishes `migrated`
     // and drops the source lock before the entries reach the destination
     // buckets, so a lookup in the gap finds the key in *neither* table.
-    let prev = cds_map::set_migration_gap(true);
-    assert!(!prev, "migration-gap toggle unexpectedly already set");
+    let _plant = arm(Fault::MigrationGap);
     let ops = [vec![MapOp::Get(0)], vec![MapOp::Get(0)]];
     let spec = prefilled_spec();
     let result = explore(spec.clone(), &opts(), &ops, map_mid_migration, exec_map);
@@ -921,8 +912,6 @@ fn explore_resizing_map_migration_and_gap_regression() {
     let replayed = replay_schedule(&ops, &steps, &[], &opts(), map_mid_migration, exec_map)
         .expect("replay of the failing schedule diverged");
     assert_eq!(replayed, history, "replay was not byte-identical");
-    let prev = cds_map::set_migration_gap(false);
-    assert!(prev);
 }
 
 // ---------------------------------------------------------------------
@@ -1006,8 +995,7 @@ fn explore_channel_recv_close_window() {
 /// replay its schedule byte-identically.
 #[test]
 fn explore_channel_planted_close_skips_final_drain() {
-    let prev = cds_chan::set_close_skips_final_drain(true);
-    assert!(!prev, "close-path toggle unexpectedly already set");
+    let _plant = arm(Fault::CloseSkipsFinalDrain);
     let ops = [vec![ChanOp::Send(1)], vec![ChanOp::Close, ChanOp::TryRecv]];
     let spec = ChannelSpec::unbounded();
     let result = explore(
@@ -1055,8 +1043,6 @@ fn explore_channel_planted_close_skips_final_drain() {
     )
     .expect("replay of the failing schedule diverged");
     assert_eq!(replayed, history, "replay was not byte-identical");
-    let prev = cds_chan::set_close_skips_final_drain(false);
-    assert!(prev);
 }
 
 // ---------------------------------------------------------------------

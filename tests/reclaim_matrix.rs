@@ -17,6 +17,12 @@
 //! PCT-style preemption point; failures print a round seed that
 //! `cds_lincheck::stress::replay` (or `CDS_STRESS_SEED=<seed>`)
 //! reproduces deterministically.
+//!
+//! `DebugReclaim`'s quarantine is process-wide, so its cells take the
+//! [`serial`] lock: the bucket-array test's `retired_backlog() == 0` audit
+//! would otherwise count a sibling cell's not-yet-collected nodes.
+
+mod common;
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
@@ -29,6 +35,7 @@ use cds_lincheck::specs::{
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_queue::Steal;
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
+use common::serial;
 
 /// Per-cell pinned-seed options, unless `CDS_STRESS_SEED` overrides (the
 /// replay knob, same convention as `tests/schedules.rs`).
@@ -344,6 +351,7 @@ fn treiber_stack_under_every_backend() {
     stress_stack_on::<Ebr>(0x3a7a1c0);
     stress_stack_on::<Hazard>(0x3a7a1c0);
     stress_stack_on::<Leak>(0x3a7a1c0);
+    let _g = serial();
     stress_stack_on::<DebugReclaim>(0x3a7a1c0);
 }
 
@@ -352,6 +360,7 @@ fn ms_queue_under_every_backend() {
     stress_queue_on::<Ebr>(0x3a7a1c1);
     stress_queue_on::<Hazard>(0x3a7a1c1);
     stress_queue_on::<Leak>(0x3a7a1c1);
+    let _g = serial();
     stress_queue_on::<DebugReclaim>(0x3a7a1c1);
 }
 
@@ -367,6 +376,7 @@ fn harris_michael_list_under_every_backend() {
     one::<Ebr>();
     one::<Hazard>();
     one::<Leak>();
+    let _g = serial();
     one::<DebugReclaim>();
 }
 
@@ -375,6 +385,7 @@ fn split_ordered_map_under_every_backend() {
     stress_map_on::<Ebr>(0x3a7a1c3);
     stress_map_on::<Hazard>(0x3a7a1c3);
     stress_map_on::<Leak>(0x3a7a1c3);
+    let _g = serial();
     stress_map_on::<DebugReclaim>(0x3a7a1c3);
 }
 
@@ -390,6 +401,7 @@ fn lock_free_skiplist_under_every_backend() {
     one::<Ebr>();
     one::<Hazard>();
     one::<Leak>();
+    let _g = serial();
     one::<DebugReclaim>();
 }
 
@@ -405,6 +417,7 @@ fn ellen_bst_under_every_backend() {
     one::<Ebr>();
     one::<Hazard>();
     one::<Leak>();
+    let _g = serial();
     one::<DebugReclaim>();
 }
 
@@ -413,6 +426,7 @@ fn chase_lev_deque_under_every_backend() {
     chase_lev_on::<Ebr>(0x3a7a1c6);
     chase_lev_on::<Hazard>(0x3a7a1c6);
     chase_lev_on::<Leak>(0x3a7a1c6);
+    let _g = serial();
     chase_lev_on::<DebugReclaim>(0x3a7a1c6);
 }
 
@@ -421,6 +435,7 @@ fn resizing_map_under_every_backend() {
     stress_resizing_map_on::<Ebr>(0x3a7a1c7);
     stress_resizing_map_on::<Hazard>(0x3a7a1c7);
     stress_resizing_map_on::<Leak>(0x3a7a1c7);
+    let _g = serial();
     stress_resizing_map_on::<DebugReclaim>(0x3a7a1c7);
 }
 
@@ -429,6 +444,7 @@ fn bounded_channel_under_every_backend() {
     stress_chan_bounded_on::<Ebr>(0x3a7a1c8);
     stress_chan_bounded_on::<Hazard>(0x3a7a1c8);
     stress_chan_bounded_on::<Leak>(0x3a7a1c8);
+    let _g = serial();
     stress_chan_bounded_on::<DebugReclaim>(0x3a7a1c8);
 }
 
@@ -437,6 +453,7 @@ fn unbounded_channel_under_every_backend() {
     stress_chan_unbounded_on::<Ebr>(0x3a7a1c9);
     stress_chan_unbounded_on::<Hazard>(0x3a7a1c9);
     stress_chan_unbounded_on::<Leak>(0x3a7a1c9);
+    let _g = serial();
     stress_chan_unbounded_on::<DebugReclaim>(0x3a7a1c9);
 }
 
@@ -456,6 +473,8 @@ fn debug_reclaim_catches_use_after_retire_of_old_bucket_array() {
     use cds_reclaim::epoch::{Atomic, Owned, Shared};
     use cds_reclaim::{DebugGuard, ReclaimGuard};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let _g = serial();
 
     #[derive(Debug, Clone, Copy)]
     enum Op {

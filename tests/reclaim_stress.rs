@@ -7,11 +7,18 @@
 //! dies (and, for epoch-managed structures, after the default collector
 //! quiesces) the counter must equal the number of payloads created —
 //! exactly once each.
+//!
+//! The reclaimers are process-wide: while a sibling test's threads are
+//! pinned the shared epoch cannot advance, and its deferred drops would
+//! read as leaks here. Every test therefore takes the [`serial`] lock.
+
+mod common;
 
 use cds_atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cds_core::{ConcurrentQueue, ConcurrentSet, ConcurrentStack};
+use common::serial;
 
 /// A payload that counts its drops. Panics (via the test harness) if the
 /// total ever exceeds the created count — a double free turns into a
@@ -182,6 +189,7 @@ fn set_churn<S: ConcurrentSet<Tracked> + Default + 'static>() {
 
 #[test]
 fn stacks_account_for_every_payload() {
+    let _g = serial();
     stack_churn::<cds_stack::CoarseStack<Tracked>>();
     stack_churn::<cds_stack::TreiberStack<Tracked>>();
     stack_churn::<cds_stack::TreiberStack<Tracked, cds_reclaim::Hazard>>();
@@ -192,6 +200,7 @@ fn stacks_account_for_every_payload() {
 
 #[test]
 fn queues_account_for_every_payload() {
+    let _g = serial();
     queue_churn::<cds_queue::CoarseQueue<Tracked>>();
     queue_churn::<cds_queue::TwoLockQueue<Tracked>>();
     queue_churn::<cds_queue::MsQueue<Tracked>>();
@@ -200,6 +209,7 @@ fn queues_account_for_every_payload() {
 
 #[test]
 fn list_sets_account_for_every_payload() {
+    let _g = serial();
     set_churn::<cds_list::CoarseList<Tracked>>();
     set_churn::<cds_list::FineList<Tracked>>();
     set_churn::<cds_list::OptimisticList<Tracked>>();
@@ -209,6 +219,7 @@ fn list_sets_account_for_every_payload() {
 
 #[test]
 fn ordered_sets_account_for_every_payload() {
+    let _g = serial();
     set_churn::<cds_skiplist::CoarseSkipList<Tracked>>();
     set_churn::<cds_skiplist::LazySkipList<Tracked>>();
     set_churn::<cds_skiplist::LockFreeSkipList<Tracked>>();
@@ -217,6 +228,7 @@ fn ordered_sets_account_for_every_payload() {
 
 #[test]
 fn epoch_collector_eventually_reclaims_churn() {
+    let _g = serial();
     // Hammer one epoch-managed structure and verify the default collector's
     // backlog does not grow without bound.
     let drops = Arc::new(AtomicUsize::new(0));

@@ -12,22 +12,14 @@
 //! lock and measures through baseline/delta snapshot pairs; assertions
 //! about absolute totals use the monotonic snapshot directly.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+mod common;
 
 use cds_core::{ConcurrentMap, ConcurrentStack};
 use cds_lincheck::specs::{MapOp, MapRes, MapSpec, StackOp, StackRes, StackSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_obs::{Event, Snapshot};
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-
-/// Serializes the tests in this binary so one test's scheduled run never
-/// lands inside another's baseline/delta window.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use common::serial;
 
 /// Pinned-seed options: unlike `tests/schedules.rs` these do not honor
 /// `CDS_STRESS_SEED` — conservation must hold for any schedule, and the
@@ -245,6 +237,7 @@ fn frees_never_exceed_retires() {
 /// counts.
 #[test]
 fn same_seed_runs_produce_identical_snapshots() {
+    const SEED: u64 = 0xde7e0;
     let _g = serial();
     let run = || {
         let base = Snapshot::take();
@@ -252,7 +245,7 @@ fn same_seed_runs_produce_identical_snapshots() {
             threads: 2,
             ops_per_thread: 4,
             rounds: 2,
-            ..opts(0xde7e0)
+            ..opts(SEED)
         };
         stress(
             StackSpec::<u64>::default(),
@@ -262,15 +255,14 @@ fn same_seed_runs_produce_identical_snapshots() {
             exec_stack,
         )
         .unwrap_or_else(|f| panic!("treiber/leak not linearizable: {f:?}"));
-        let d = Snapshot::take().delta(&base);
-        d.iter().map(|(e, v)| (e.name(), v)).collect::<Vec<_>>()
+        Snapshot::take().delta(&base)
     };
     let first = run();
     let second = run();
-    assert_eq!(first, second, "same seed, different telemetry");
+    common::assert_same_counts(SEED, &Event::ALL, &first, &second);
     if cds_obs::enabled() {
         assert!(
-            first.iter().any(|&(_, v)| v > 0),
+            first.iter().any(|(_, v)| v > 0),
             "deterministic runs recorded nothing at all"
         );
     }

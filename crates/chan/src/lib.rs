@@ -3,8 +3,8 @@
 //! repository already audits: [`cds_queue::BoundedQueue`] (Vyukov ring)
 //! or [`cds_queue::MsQueue`] (Michael–Scott, generic over the
 //! reclamation backend) as the buffer, and the [`cds_sync::Parker`]
-//! eventcount — the same prepare / re-check / commit protocol the
-//! work-stealing executor parks on — for blocking `send`/`recv`.
+//! eventcount the work-stealing executor also parks on for blocking
+//! `send`/`recv`.
 //!
 //! # Close protocol (two-phase)
 //!
@@ -37,14 +37,11 @@
 //!
 //! # Wait/wake pairing
 //!
-//! Every blocking path follows the eventcount discipline: `prepare`
-//! (announce + draw ticket), re-run the failed operation as the
-//! re-check, then commit-park. Every wake path makes its state change
-//! visible, issues a `SeqCst` fence, and unparks — see
-//! [`cds_sync::Parker`] for the lost-wakeup argument. Under an active
-//! stress scheduler parked threads spin through tagged yield points, so
-//! the PCT and exploration schedulers drive park/wake decisions
-//! deterministically.
+//! Every blocking path is a [`Parker::wait_until`] or
+//! [`Parker::park_unless`] round with the failed operation re-run as the
+//! re-check, and every wake path is a [`Parker::notify`] after its state
+//! change; the protocol and its lost-wakeup argument are described
+//! once, in the module docs of `crates/sync/src/parker.rs`.
 //!
 //! # Select
 //!
@@ -91,7 +88,7 @@ use cds_core::ConcurrentQueue;
 use cds_obs::Event;
 use cds_queue::{BoundedQueue, MsQueue};
 use cds_reclaim::{Ebr, Reclaimer};
-use cds_sync::Parker;
+use cds_sync::{Parked, Parker};
 
 /// Error returned by [`Channel::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,10 +256,7 @@ impl<T: Send + 'static, R: Reclaimer> Inner<T, R> {
                 cds_obs::count(Event::ChanSends);
                 self.inflight.fetch_sub(1, Ordering::SeqCst);
                 stress::yield_point();
-                // Publish-then-wake: the fence pairs with a preparing
-                // receiver's waiter increment (see Parker::prepare).
-                fence(Ordering::SeqCst);
-                self.recv_parker.unpark_all();
+                self.recv_parker.notify();
                 self.notify_select();
                 Ok(())
             }
@@ -332,10 +326,7 @@ impl<T: Send + 'static, R: Reclaimer> Inner<T, R> {
         self.received.fetch_add(1, Ordering::SeqCst);
         cds_obs::count(Event::ChanRecvs);
         stress::yield_point();
-        // A freed ring slot must be visible before a parked bounded
-        // sender is woken (same fence/waiter pairing as the send side).
-        fence(Ordering::SeqCst);
-        self.send_parker.unpark_all();
+        self.send_parker.notify();
     }
 
     /// Elect and wake at most one registered select waiter (the
@@ -455,34 +446,37 @@ impl<T: Send + 'static, R: Reclaimer> Channel<T, R> {
     /// Unbounded sends never block. Returns the message if the channel
     /// is (or becomes) closed.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        stress::yield_point();
-        let mut value = value;
-        loop {
-            match self.inner.try_send_inner(value) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(v)) => return Err(SendError::Disconnected(v)),
-                Err(TrySendError::Full(v)) => {
-                    let ticket = self.inner.send_parker.prepare();
-                    // Re-run the op as the re-check: either it succeeds
-                    // now, or no slot freed since prepare and we park.
-                    match self.inner.try_send_inner(v) {
-                        Ok(()) => {
-                            self.inner.send_parker.cancel();
-                            return Ok(());
-                        }
-                        Err(TrySendError::Disconnected(v)) => {
-                            self.inner.send_parker.cancel();
-                            return Err(SendError::Disconnected(v));
-                        }
-                        Err(TrySendError::Full(v)) => {
-                            cds_obs::count(Event::ChanParksSend);
-                            self.inner.send_parker.park(ticket);
-                            value = v;
-                        }
-                    }
-                }
-            }
+        match self.send_until(value, None) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Disconnected(v)) => Err(SendError::Disconnected(v)),
+            Err(TrySendError::Full(_)) => unreachable!("a send without a deadline cannot time out"),
         }
+    }
+
+    /// The one blocking send loop: `Full` means `deadline` passed with
+    /// the ring still full.
+    fn send_until(&self, value: T, deadline: Option<Instant>) -> Result<(), TrySendError<T>> {
+        stress::yield_point();
+        // The message rides in and out of every failed attempt.
+        let mut unsent = Some(value);
+        let done = self
+            .inner
+            .send_parker
+            .wait_until(deadline, Event::ChanParksSend, || {
+                let value = unsent.take().expect("a full ring hands the message back");
+                match self.inner.try_send_inner(value) {
+                    Err(TrySendError::Full(v)) => {
+                        unsent = Some(v);
+                        None
+                    }
+                    done => Some(done),
+                }
+            });
+        done.unwrap_or_else(|| {
+            Err(TrySendError::Full(
+                unsent.expect("a full ring hands the message back"),
+            ))
+        })
     }
 
     /// Non-blocking send: fails with [`TrySendError::Full`] instead of
@@ -497,72 +491,39 @@ impl<T: Send + 'static, R: Reclaimer> Channel<T, R> {
     }
 
     /// [`send`](Self::send) with a deadline: gives up (returning the
-    /// message) once `timeout` elapses with the channel still full.
+    /// message) once `timeout` elapses with the channel still full. A
+    /// `timeout` too large to add to the clock means no deadline.
     pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        stress::yield_point();
-        let deadline = Instant::now() + timeout;
-        let mut value = value;
-        loop {
-            match self.inner.try_send_inner(value) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(v)) => {
-                    return Err(SendTimeoutError::Disconnected(v))
-                }
-                Err(TrySendError::Full(v)) => {
-                    let ticket = self.inner.send_parker.prepare();
-                    match self.inner.try_send_inner(v) {
-                        Ok(()) => {
-                            self.inner.send_parker.cancel();
-                            return Ok(());
-                        }
-                        Err(TrySendError::Disconnected(v)) => {
-                            self.inner.send_parker.cancel();
-                            return Err(SendTimeoutError::Disconnected(v));
-                        }
-                        Err(TrySendError::Full(v)) => {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                self.inner.send_parker.cancel();
-                                return Err(SendTimeoutError::Timeout(v));
-                            }
-                            cds_obs::count(Event::ChanParksSend);
-                            self.inner.send_parker.park_timeout(ticket, deadline - now);
-                            value = v;
-                        }
-                    }
-                }
-            }
-        }
+        self.send_until(value, Instant::now().checked_add(timeout))
+            .map_err(|e| match e {
+                TrySendError::Full(v) => SendTimeoutError::Timeout(v),
+                TrySendError::Disconnected(v) => SendTimeoutError::Disconnected(v),
+            })
     }
 
     /// Receives a message, parking while the channel is open and empty.
     /// Returns [`RecvError::Closed`] only once the channel is closed
     /// **and** drained — residual messages are always delivered first.
     pub fn recv(&self) -> Result<T, RecvError> {
+        self.recv_until(None).map_err(|e| match e {
+            TryRecvError::Closed => RecvError::Closed,
+            TryRecvError::Empty => unreachable!("a recv without a deadline cannot time out"),
+        })
+    }
+
+    /// The one blocking receive loop: `Empty` means `deadline` passed
+    /// with no message.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, TryRecvError> {
         stress::yield_point();
-        loop {
-            match self.inner.try_recv_inner() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Closed) => return Err(RecvError::Closed),
-                Err(TryRecvError::Empty) => {
-                    let ticket = self.inner.recv_parker.prepare();
-                    match self.inner.try_recv_inner() {
-                        Ok(v) => {
-                            self.inner.recv_parker.cancel();
-                            return Ok(v);
-                        }
-                        Err(TryRecvError::Closed) => {
-                            self.inner.recv_parker.cancel();
-                            return Err(RecvError::Closed);
-                        }
-                        Err(TryRecvError::Empty) => {
-                            cds_obs::count(Event::ChanParksRecv);
-                            self.inner.recv_parker.park(ticket);
-                        }
-                    }
+        self.inner
+            .recv_parker
+            .wait_until(deadline, Event::ChanParksRecv, || {
+                match self.inner.try_recv_inner() {
+                    Err(TryRecvError::Empty) => None,
+                    done => Some(done),
                 }
-            }
-        }
+            })
+            .unwrap_or(Err(TryRecvError::Empty))
     }
 
     /// Non-blocking receive: reports [`TryRecvError::Empty`] instead of
@@ -577,38 +538,14 @@ impl<T: Send + 'static, R: Reclaimer> Channel<T, R> {
     }
 
     /// [`recv`](Self::recv) with a deadline: gives up once `timeout`
-    /// elapses with no message.
+    /// elapses with no message. A `timeout` too large to add to the
+    /// clock means no deadline.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        stress::yield_point();
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.inner.try_recv_inner() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Closed) => return Err(RecvTimeoutError::Closed),
-                Err(TryRecvError::Empty) => {
-                    let ticket = self.inner.recv_parker.prepare();
-                    match self.inner.try_recv_inner() {
-                        Ok(v) => {
-                            self.inner.recv_parker.cancel();
-                            return Ok(v);
-                        }
-                        Err(TryRecvError::Closed) => {
-                            self.inner.recv_parker.cancel();
-                            return Err(RecvTimeoutError::Closed);
-                        }
-                        Err(TryRecvError::Empty) => {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                self.inner.recv_parker.cancel();
-                                return Err(RecvTimeoutError::Timeout);
-                            }
-                            cds_obs::count(Event::ChanParksRecv);
-                            self.inner.recv_parker.park_timeout(ticket, deadline - now);
-                        }
-                    }
-                }
-            }
-        }
+        self.recv_until(Instant::now().checked_add(timeout))
+            .map_err(|e| match e {
+                TryRecvError::Empty => RecvTimeoutError::Timeout,
+                TryRecvError::Closed => RecvTimeoutError::Closed,
+            })
     }
 
     /// Closes the channel (idempotent; returns whether this call did the
@@ -733,45 +670,34 @@ impl<'a, T: Send + 'static, R: Reclaimer> Select<'a, T, R> {
     pub fn recv(&mut self) -> Result<(usize, T), RecvError> {
         stress::yield_point();
         loop {
-            match self.poll() {
-                Poll::Ready(i, v) => return Ok((i, v)),
-                Poll::AllClosed => return Err(RecvError::Closed),
-                Poll::Pending => {}
+            if let Some(done) = self.poll() {
+                return done;
             }
             self.ensure_registered();
-            // Re-open our commit slot, then prepare-park; the post-prepare
-            // re-poll closes the publish/park race exactly as in `recv`.
+            // Re-open our commit slot, then park unless the post-prepare
+            // re-poll finds something — exactly as in `Channel::recv`.
             self.waiter.committed.store(SELECT_OPEN, Ordering::SeqCst);
-            let ticket = self.waiter.parker.prepare();
-            match self.poll() {
-                Poll::Ready(i, v) => {
-                    self.waiter.parker.cancel();
-                    return Ok((i, v));
-                }
-                Poll::AllClosed => {
-                    self.waiter.parker.cancel();
-                    return Err(RecvError::Closed);
-                }
-                Poll::Pending => self.waiter.parker.park(ticket),
+            let parker = &self.waiter.parker;
+            if let Parked::Ready(done) =
+                parker.park_unless(None, Event::ChanParksRecv, || self.poll())
+            {
+                return done;
             }
         }
     }
 
-    /// One pass over the channel set.
-    fn poll(&self) -> Poll<T> {
+    /// One pass over the channel set; `None` while some channel is
+    /// still open and nothing is ready.
+    fn poll(&self) -> Option<Result<(usize, T), RecvError>> {
         let mut all_closed = true;
         for (i, ch) in self.channels.iter().enumerate() {
             match ch.inner.try_recv_inner() {
-                Ok(v) => return Poll::Ready(i, v),
+                Ok(v) => return Some(Ok((i, v))),
                 Err(TryRecvError::Closed) => {}
                 Err(TryRecvError::Empty) => all_closed = false,
             }
         }
-        if all_closed {
-            Poll::AllClosed
-        } else {
-            Poll::Pending
-        }
+        all_closed.then_some(Err(RecvError::Closed))
     }
 
     /// First-block registration with every channel. The `SeqCst`
@@ -794,12 +720,6 @@ impl<'a, T: Send + 'static, R: Reclaimer> Select<'a, T, R> {
         fence(Ordering::SeqCst);
         self.registered = true;
     }
-}
-
-enum Poll<T> {
-    Ready(usize, T),
-    AllClosed,
-    Pending,
 }
 
 impl<T: Send + 'static, R: Reclaimer> Drop for Select<'_, T, R> {
@@ -936,6 +856,15 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_timeout_means_no_deadline() {
+        // `Instant::now() + Duration::MAX` panics; with `checked_add` an
+        // unrepresentable deadline is simply no deadline.
+        let ch = bounded::<u32>(2);
+        ch.send_timeout(1, Duration::MAX).unwrap();
+        assert_eq!(ch.recv_timeout(Duration::MAX), Ok(1));
+    }
+
+    #[test]
     fn mpmc_conservation() {
         let ch = bounded::<u64>(8);
         let producers: Vec<_> = (0..4)
@@ -996,14 +925,28 @@ mod tests {
     fn select_wakes_on_send() {
         let a = bounded::<u32>(2);
         let b = bounded::<u32>(2);
+        let parks = || cds_obs::Snapshot::take().get(Event::ChanParksRecv);
+        let parks_before = parks();
         let tx = b.clone();
         let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(10));
+            if cds_obs::enabled() {
+                // The park count is the signal that the select committed.
+                let patience = Instant::now() + Duration::from_secs(5);
+                while parks() == parks_before && Instant::now() < patience {
+                    thread::yield_now();
+                }
+            } else {
+                thread::sleep(Duration::from_millis(10));
+            }
             tx.send(42).unwrap();
         });
         let mut sel = Select::new(&[&a, &b]);
         assert_eq!(sel.recv(), Ok((1, 42)));
         h.join().unwrap();
+        if cds_obs::enabled() {
+            // A select park is a receiver park like any other.
+            assert!(parks() > parks_before, "select park was not counted");
+        }
     }
 
     #[test]

@@ -14,33 +14,15 @@
 //! * Idle workers probe victims in seeded-random order with
 //!   [`cds_queue::Stealer::steal_batch_and_pop`] (up to half the victim's
 //!   tasks, amortizing the probe), escalate through
-//!   [`cds_sync::Backoff`], and finally **park** on an eventcount whose
-//!   prepare / re-check / commit protocol is lost-wakeup-free (see
-//!   [`Parker` protocol](#parker-protocol) below).
+//!   [`cds_sync::Backoff`], and finally **park**: one
+//!   [`Parker::park_unless`] round on the shared [`cds_sync::Parker`]
+//!   eventcount, whose re-check is the shutdown flag plus every task
+//!   source. A spawner makes its task visible and calls
+//!   [`Parker::notify`]. (The protocol and its lost-wakeup argument are
+//!   described once, in the module docs of `crates/sync/src/parker.rs`.)
 //! * The whole pool is generic over `R:`[`Reclaimer`] like the structures
 //!   it composes, so the deque buffers and overflow nodes are managed by
 //!   whichever backend the application standardized on.
-//!
-//! # Parker protocol
-//!
-//! Parking uses an *eventcount* (`epoch` counter + mutex/condvar):
-//!
-//! 1. **prepare**: the worker increments the parked-waiter count and
-//!    reads the current epoch as its ticket;
-//! 2. **re-check**: it re-examines every task source (injector, overflow,
-//!    every stealer) *after* the prepare — if anything is visible it
-//!    cancels and rescans;
-//! 3. **commit**: it blocks until the epoch moves past its ticket.
-//!
-//! A spawner makes its task visible, then (behind a `SeqCst` fence)
-//! checks the waiter count and bumps the epoch. The two orders close both
-//! races: an unpark *after* a worker's prepare changes the epoch so the
-//! commit falls through; an unpark *before* the prepare implies the task
-//! was already visible to the worker's re-check. Under an active
-//! [`cds_core::stress`] scheduler the commit spins through yield points
-//! instead of blocking in the kernel (the harness determinism rule), so
-//! the PCT scheduler can interleave park/unpark decisions
-//! deterministically.
 //!
 //! # Termination detection
 //!
@@ -73,7 +55,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use cds_atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use cds_atomic::{AtomicBool, AtomicU64, Ordering};
 use std::cell::Cell;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -115,11 +97,7 @@ impl Default for ExecConfig {
 }
 
 /// The eventcount the workers park on — the shared
-/// [`cds_sync::Parker`], re-exported so the protocol has one audited
-/// home (PR-9 moved it down to `cds-sync`, where `cds-chan` reuses it
-/// for blocking channel sends/receives). See the crate docs for the
-/// prepare / re-check / commit pairing with `Shared::spawn_task`'s
-/// fence, and the `cds_sync` parker docs for the lost-wakeup argument.
+/// [`cds_sync::Parker`], which `cds-chan` also blocks on.
 ///
 /// Public so the lincheck suite can model-check the protocol directly
 /// (an eventcount spec runs it under both the PCT and the systematic
@@ -167,11 +145,7 @@ impl<R: Reclaimer> Shared<R> {
                 self.overflow.enqueue(t);
             }
         }
-        // Pairs with the waiter increment in `Parker::prepare`: the task
-        // made visible above is ordered before the waiter-count read
-        // inside `unpark_all`.
-        fence(Ordering::SeqCst);
-        self.parker.unpark_all();
+        self.parker.notify();
     }
 
     /// Whether any task source is visibly non-empty. Used by the park
@@ -345,17 +319,13 @@ fn worker_loop<R: Reclaimer>(
                     backoff.snooze();
                     continue;
                 }
-                // Backoff exhausted: prepare-park, re-check every task
-                // source (and the shutdown flag), then commit.
+                // Backoff exhausted: park unless the post-prepare re-check
+                // sees shutdown or work in any task source.
                 stress::yield_point();
-                let ticket = shared.parker.prepare();
-                if shared.shutdown.load(Ordering::SeqCst) || shared.has_visible_work(index) {
-                    shared.parker.cancel();
-                    backoff.reset();
-                    continue;
-                }
-                cds_obs::count(Event::ExecParks);
-                shared.parker.park(ticket);
+                shared.parker.park_unless(None, Event::ExecParks, || {
+                    (shared.shutdown.load(Ordering::SeqCst) || shared.has_visible_work(index))
+                        .then_some(())
+                });
                 backoff.reset();
             }
         }

@@ -2,44 +2,34 @@ use cds_atomic::Ordering;
 use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 
+use crate::hm::{self, MARK};
 use cds_core::ConcurrentSet;
-use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
-use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
-use cds_sync::Backoff;
-
-/// Tag bit marking a node as logically deleted (stored in the low bit of
-/// the node's *own* `next` pointer, so a delete and a competing insert
-/// after the same node cannot both succeed).
-const MARK: usize = 1;
+use cds_reclaim::epoch::{Atomic, Owned};
+use cds_reclaim::{Ebr, Reclaimer};
 
 struct Node<T> {
     key: T,
     next: Atomic<Node<T>>,
 }
 
+impl<T> hm::Node for Node<T> {
+    fn next(&self) -> &Atomic<Self> {
+        &self.next
+    }
+}
+
 /// The **lock-free** sorted list (Harris 2001, with Michael's 2002
 /// hazard-pointer-compatible `find`).
 ///
-/// The top rung of the list ladder: no locks anywhere. The logical-deletion
-/// mark lives in the low *tag bit* of the victim's `next` pointer
-/// ([`Atomic::fetch_or`]), so marking and pointing are one atomic word —
-/// the trick that replaces the Java `AtomicMarkableReference` indirection
-/// (design decision #2 in DESIGN.md). Deletion is two steps:
-///
-/// 1. CAS the victim's `next` from untagged to tagged — the linearization
-///    point; after this no one can insert after the victim.
-/// 2. CAS the predecessor's pointer past the victim — *any* traversal that
-///    encounters a marked node performs this unlinking on the original
-///    deleter's behalf (helping), which is what makes the algorithm
-///    lock-free.
+/// The top rung of the list ladder: no locks anywhere. The protocol —
+/// the logical-deletion mark in the low *tag bit* of the victim's `next`
+/// pointer (design decision #2 in DESIGN.md), mark-then-unlink deletion,
+/// helping traversals — is [`crate::hm`], run here on nodes ordered by
+/// `T: Ord`.
 ///
 /// The list is generic over its reclamation backend `R`
 /// ([`cds_reclaim::Reclaimer`], default [`Ebr`]) and uses the **blanket**
-/// protection mode ([`Reclaimer::enter_blanket`]): traversals restart
-/// through chains of marked nodes whose predecessors are not frozen, so
-/// no fixed set of per-location hazards can cover them — epoch pins and
-/// hazard *eras* can, because a retired node is unreachable to operations
-/// that begin after the retire.
+/// protection mode ([`Reclaimer::enter_blanket`]) that `hm` requires.
 ///
 /// # Example
 ///
@@ -77,61 +67,6 @@ impl<T: Ord, R: Reclaimer> HarrisMichaelList<T, R> {
             _reclaimer: std::marker::PhantomData,
         }
     }
-
-    /// Michael's `find`: positions at the first node with `key >= target`,
-    /// unlinking every marked node it passes. Returns
-    /// `(found, prev, curr)` where `prev` is the atomic that points at
-    /// `curr` and `curr` is untagged (possibly null = end of list).
-    fn find<'g, G: ReclaimGuard>(
-        &'g self,
-        key: &T,
-        guard: &'g G,
-    ) -> (bool, &'g Atomic<Node<T>>, Shared<'g, Node<T>>) {
-        'retry: loop {
-            cds_core::stress::yield_point();
-            let mut prev = &self.head;
-            let mut curr = prev.load(Ordering::Acquire, guard);
-            loop {
-                cds_core::stress::yield_point();
-                let curr_ref = match unsafe { curr.as_ref() } {
-                    None => return (false, prev, curr),
-                    Some(c) => c,
-                };
-                let next = curr_ref.next.load(Ordering::Acquire, guard);
-                if next.tag() == MARK {
-                    // `curr` is logically deleted: help unlink it.
-                    let unlinked = prev
-                        .compare_exchange(
-                            curr.with_tag(0),
-                            next.with_tag(0),
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                            guard,
-                        )
-                        .is_ok();
-                    cds_obs::cas_outcome(unlinked);
-                    if unlinked {
-                        // SAFETY: we unlinked it; readers may linger.
-                        unsafe { guard.retire(curr) };
-                        curr = next.with_tag(0);
-                    } else {
-                        // Someone changed prev under us; start over.
-                        cds_obs::count(cds_obs::Event::HarrisMichaelRetry);
-                        continue 'retry;
-                    }
-                } else {
-                    match curr_ref.key.cmp(key) {
-                        CmpOrdering::Less => {
-                            prev = &curr_ref.next;
-                            curr = next;
-                        }
-                        CmpOrdering::Equal => return (true, prev, curr),
-                        CmpOrdering::Greater => return (false, prev, curr),
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl<T: Ord, R: Reclaimer> Default for HarrisMichaelList<T, R> {
@@ -145,99 +80,18 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for HarrisMichaelList<
 
     fn insert(&self, value: T) -> bool {
         let guard = R::enter_blanket();
-        let backoff = Backoff::new();
-        let mut node = Owned::new(Node {
+        let node = Owned::new(Node {
             key: value,
             next: Atomic::null(),
         });
-        loop {
-            cds_core::stress::yield_point();
-            let (found, prev, curr) = self.find(&node.key, &guard);
-            if found {
-                // Key present; the staged node dies here (it was never
-                // published, so plain drop is fine).
-                drop(node);
-                return false;
-            }
-            node.next.store(curr, Ordering::Relaxed);
-            let node_shared = node.into_shared(&guard);
-            match prev.compare_exchange(
-                curr,
-                node_shared,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-                &guard,
-            ) {
-                Ok(_) => {
-                    cds_obs::cas_outcome(true);
-                    return true;
-                }
-                Err(_) => {
-                    cds_obs::cas_outcome(false);
-                    cds_obs::count(cds_obs::Event::HarrisMichaelRetry);
-                    // SAFETY: publish failed, the node is still ours.
-                    node = unsafe { node_shared.into_owned() };
-                    backoff.spin();
-                }
-            }
-        }
+        // SAFETY: every call on this chain passes `R`'s blanket guard.
+        unsafe { hm::insert(&self.head, node, |c, n| c.key.cmp(&n.key), &guard) }.is_ok()
     }
 
     fn remove(&self, value: &T) -> bool {
         let guard = R::enter_blanket();
-        let backoff = Backoff::new();
-        loop {
-            cds_core::stress::yield_point();
-            let (found, prev, curr) = self.find(value, &guard);
-            if !found {
-                return false;
-            }
-            // SAFETY: `find` returned it unmarked and pinned.
-            let curr_ref = unsafe { curr.deref() };
-            let next = curr_ref.next.load(Ordering::Acquire, &guard);
-            if next.tag() == MARK {
-                // Someone else is deleting it right now.
-                cds_obs::count(cds_obs::Event::HarrisMichaelRetry);
-                backoff.spin();
-                continue;
-            }
-            // Step 1: logical delete (linearization point).
-            let marked = curr_ref
-                .next
-                .compare_exchange(
-                    next.with_tag(0),
-                    next.with_tag(MARK),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                    &guard,
-                )
-                .is_ok();
-            cds_obs::cas_outcome(marked);
-            if !marked {
-                cds_obs::count(cds_obs::Event::HarrisMichaelRetry);
-                backoff.spin();
-                continue;
-            }
-            // Step 2: physical unlink (best-effort; find() will help).
-            let unlinked = prev
-                .compare_exchange(
-                    curr.with_tag(0),
-                    next.with_tag(0),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                    &guard,
-                )
-                .is_ok();
-            cds_obs::cas_outcome(unlinked);
-            if unlinked {
-                // SAFETY: unlinked by us exactly once.
-                unsafe { guard.retire(curr) }
-            } else {
-                // A helper will (or did) unlink and defer it.
-                let _ = self.find(value, &guard);
-            }
-            return true;
-        }
+        // SAFETY: every call on this chain passes `R`'s blanket guard.
+        unsafe { hm::remove(&self.head, |c| c.key.cmp(value), &guard) }
     }
 
     fn contains(&self, value: &T) -> bool {
@@ -276,19 +130,8 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for HarrisMichaelList<
 
 impl<T, R: Reclaimer> Drop for HarrisMichaelList<T, R> {
     fn drop(&mut self) {
-        // SAFETY: unique access; the unprotected guard is a pure load
-        // witness on every backend. Already-retired nodes are unreachable
-        // from `head` and are freed by the backend, not here.
-        let guard = unsafe { Guard::unprotected() };
-        let mut cur = self.head.load(Ordering::Relaxed, &guard);
-        while !cur.is_null() {
-            // SAFETY: unique ownership of the chain (including any nodes
-            // that are marked but not yet unlinked).
-            unsafe {
-                let boxed = cur.with_tag(0).into_owned().into_box();
-                cur = boxed.next.load(Ordering::Relaxed, &guard).with_tag(0);
-            }
-        }
+        // SAFETY: `&mut self` is unique access to the whole chain.
+        unsafe { hm::drop_chain(&self.head) }
     }
 }
 

@@ -18,7 +18,8 @@
 //! 5. [`HarrisMichaelList`] (Harris 2001; Michael 2002) — fully lock-free:
 //!    the mark lives in the low bit of the `next` pointer
 //!    ([`cds_reclaim::epoch`] tagged pointers), and traversals help unlink
-//!    marked nodes with CAS.
+//!    marked nodes with CAS. The protocol itself is the node-generic
+//!    [`hm`] module, which `cds-map`'s split-ordered table also runs.
 //!
 //! All five have O(n) operations — the point is not asymptotics but the
 //! synchronization structure; experiment E4 sweeps them across read ratios.
@@ -43,6 +44,7 @@
 mod coarse;
 mod fine;
 mod harris_michael;
+pub mod hm;
 mod lazy;
 mod optimistic;
 

@@ -1,14 +1,12 @@
-use cds_atomic::{AtomicUsize, Ordering};
+use cds_atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 
 use cds_core::ConcurrentMap;
+use cds_list::hm;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
-use cds_sync::Backoff;
-
-/// Logical-deletion mark (low tag bit of a node's own `next` pointer).
-const MARK: usize = 1;
 
 /// The bucket directory is a fixed array of lazily-allocated segments, so
 /// growing the table never relocates existing bucket pointers.
@@ -27,6 +25,30 @@ struct Node<K, V> {
     next: Atomic<Node<K, V>>,
 }
 
+impl<K, V> hm::Node for Node<K, V> {
+    fn next(&self) -> &Atomic<Self> {
+        &self.next
+    }
+}
+
+impl<K: Eq, V> Node<K, V> {
+    /// `None` for a bucket's dummy.
+    fn key(&self) -> Option<&K> {
+        self.kv.as_ref().map(|(k, _)| k)
+    }
+
+    /// The `hm` comparator: where this node stands relative to the node
+    /// `(so_key, key)`. A node with the same `so_key` but a different key
+    /// (a hash collision) or of the other kind answers `Less`, so a
+    /// search walks through the whole equal-`so_key` run before giving up.
+    fn position(&self, so_key: u64, key: Option<&K>) -> CmpOrdering {
+        match self.so_key.cmp(&so_key) {
+            CmpOrdering::Equal if self.key() != key => CmpOrdering::Less,
+            order => order,
+        }
+    }
+}
+
 /// Bit-reverse a hash and set the dropped top bit so regular keys are odd.
 fn regular_key(hash: u64) -> u64 {
     (hash | 0x8000_0000_0000_0000).reverse_bits()
@@ -42,22 +64,21 @@ fn dummy_key(bucket: u64) -> u64 {
 ///
 /// The construction inverts the usual design: instead of a table of
 /// independent chains, *all* items live in **one** lock-free sorted list
-/// (the Harris–Michael list of `cds-list`, re-derived here for
-/// hash-ordered, possibly-duplicate keys). The list is ordered by
-/// **bit-reversed hash**: in this order, the items of bucket `b` under a
-/// table of size `2^k` form one contiguous run, and doubling the table
-/// merely *splits* each run in two. The "table" is a directory of shortcut
-/// pointers to per-bucket **dummy nodes**; a new bucket is initialized
-/// lazily by inserting its dummy after its *parent* bucket (the index with
-/// the top bit cleared), recursively.
+/// (the Harris–Michael protocol of [`cds_list::hm`], run here with a
+/// comparator for hash-ordered, possibly-colliding keys). The list is
+/// ordered by **bit-reversed hash**: in this order, the items of bucket
+/// `b` under a table of size `2^k` form one contiguous run, and doubling
+/// the table merely *splits* each run in two. The "table" is a directory
+/// of shortcut pointers to per-bucket **dummy nodes**; a new bucket is
+/// initialized lazily by inserting its dummy after its *parent* bucket
+/// (the index with the top bit cleared), recursively.
 ///
 /// All operations are lock-free; `len` is O(1) (a shared counter,
-/// quiescently consistent). The map is generic over its reclamation
-/// backend `R` ([`cds_reclaim::Reclaimer`], default [`Ebr`]) and uses the
-/// **blanket** protection mode ([`Reclaimer::enter_blanket`]): like the
-/// Harris–Michael list it is built on, traversals restart through marked
-/// chains that per-location hazards cannot cover, so protection comes
-/// from epoch pins or hazard eras.
+/// quiescently consistent, never above the true size by more than the
+/// removes in flight or below it by more than the inserts in flight).
+/// The map is generic over its reclamation backend `R`
+/// ([`cds_reclaim::Reclaimer`], default [`Ebr`]) and uses the **blanket**
+/// protection mode ([`Reclaimer::enter_blanket`]) that `hm` requires.
 ///
 /// # Example
 ///
@@ -78,7 +99,10 @@ pub struct SplitOrderedHashMap<K, V, S = RandomState, R: Reclaimer = Ebr> {
     segments: Box<[Atomic<Segment<K, V>>]>,
     /// Current number of logical buckets (a power of two).
     bucket_count: AtomicUsize,
-    size: AtomicUsize,
+    /// Inserts counted minus removes counted. An insert counts *after*
+    /// it links, so a remove of the fresh node can count first and take
+    /// this transiently below zero — hence signed, and clamped by `len`.
+    size: AtomicIsize,
     hasher: S,
     _reclaimer: std::marker::PhantomData<R>,
 }
@@ -120,15 +144,13 @@ impl<K: Hash + Eq, V> Default for SplitOrderedHashMap<K, V, RandomState> {
     }
 }
 
-type FindResult<'g, K, V> = (bool, &'g Atomic<Node<K, V>>, Shared<'g, Node<K, V>>);
-
 impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> SplitOrderedHashMap<K, V, S, R> {
     /// Creates an empty map with a caller-supplied hasher.
     pub fn with_hasher(hasher: S) -> Self {
         let map = SplitOrderedHashMap {
             segments: (0..MAX_SEGMENTS).map(|_| Atomic::null()).collect(),
             bucket_count: AtomicUsize::new(2),
-            size: AtomicUsize::new(0),
+            size: AtomicIsize::new(0),
             hasher,
             _reclaimer: std::marker::PhantomData,
         };
@@ -201,30 +223,19 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> SplitOrderedHashMap<K, V, S,
         let parent = bucket & !(1 << (usize::BITS - 1 - bucket.leading_zeros()));
         let parent_dummy = self.initialize_bucket(parent, guard);
 
-        // Insert this bucket's dummy into the list, starting at the parent.
+        // Insert this bucket's dummy into the list, starting at the parent;
+        // if another thread got there first, ours dies unpublished.
         let key = dummy_key(bucket as u64);
-        let mut dummy = Owned::new(Node {
+        let dummy = Owned::new(Node {
             so_key: key,
             kv: None,
             next: Atomic::null(),
         });
-        let dummy_shared = loop {
-            cds_core::stress::yield_point();
-            let (found, prev, curr) = self.find_from(parent_dummy, key, None, guard);
-            if found {
-                // Another thread inserted the dummy; ours dies unpublished.
-                drop(dummy);
-                break curr;
-            }
-            dummy.next.store(curr, Ordering::Relaxed);
-            let staged = dummy.into_shared(guard);
-            match prev.compare_exchange(curr, staged, Ordering::AcqRel, Ordering::Relaxed, guard) {
-                Ok(_) => break staged,
-                Err(_) => {
-                    // SAFETY: unpublished after a failed CAS.
-                    dummy = unsafe { staged.into_owned() };
-                }
-            }
+        // SAFETY: `R`'s blanket guard, as on every call on this chain;
+        // dummies are never removed, so the parent is alive.
+        let (Ok(dummy_shared) | Err(dummy_shared)) = unsafe {
+            let start = &parent_dummy.deref().next;
+            hm::insert(start, dummy, |c, _| c.position(key, None), guard)
         };
         // Publish the shortcut (racers may publish the same node — benign).
         let _ = slot.compare_exchange(
@@ -237,80 +248,12 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> SplitOrderedHashMap<K, V, S,
         slot.load(Ordering::Acquire, guard)
     }
 
-    /// Harris–Michael `find` specialized for split-order keys: positions at
-    /// the first node with `so_key > key`, or at the node matching
-    /// `(key, k)` exactly. Nodes with equal `so_key` but different `K`
-    /// (hash collisions) are scanned through.
-    fn find_from<'g, G: ReclaimGuard>(
-        &'g self,
-        start: Shared<'g, Node<K, V>>,
-        key: u64,
-        k: Option<&K>,
-        guard: &'g G,
-    ) -> FindResult<'g, K, V> {
-        'retry: loop {
-            cds_core::stress::yield_point();
-            // SAFETY: dummies are never removed, so `start` is alive.
-            let start_ref = unsafe { start.deref() };
-            let mut prev = &start_ref.next;
-            let mut curr = prev.load(Ordering::Acquire, guard);
-            loop {
-                cds_core::stress::yield_point();
-                let curr_ref = match unsafe { curr.as_ref() } {
-                    None => return (false, prev, curr),
-                    Some(c) => c,
-                };
-                let next = curr_ref.next.load(Ordering::Acquire, guard);
-                if next.tag() == MARK {
-                    match prev.compare_exchange(
-                        curr.with_tag(0),
-                        next.with_tag(0),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                        guard,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: unlinked by this CAS.
-                            unsafe { guard.retire(curr) };
-                            curr = next.with_tag(0);
-                            continue;
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                }
-                if curr_ref.so_key > key {
-                    return (false, prev, curr);
-                }
-                if curr_ref.so_key == key {
-                    match (k, &curr_ref.kv) {
-                        // Exact regular match requires equal K.
-                        (Some(k), Some((ck, _))) if ck == k => return (true, prev, curr),
-                        // Dummy search matches the dummy node itself.
-                        (None, None) => return (true, prev, curr),
-                        // Hash collision or kind mismatch: keep scanning
-                        // through the equal-so_key run.
-                        _ => {}
-                    }
-                }
-                prev = &curr_ref.next;
-                curr = next;
-            }
-        }
-    }
-
-    /// Returns the dummy node that starts `key`'s bucket run.
-    fn bucket_for<'g, G: ReclaimGuard>(
-        &'g self,
-        hash: u64,
-        guard: &'g G,
-    ) -> Shared<'g, Node<K, V>> {
+    /// The link out of the dummy node that starts `hash`'s bucket run —
+    /// the `hm` chain head for every operation on a key with that hash.
+    fn run_of<'g, G: ReclaimGuard>(&'g self, hash: u64, guard: &'g G) -> &'g Atomic<Node<K, V>> {
         let bucket = (hash as usize) & (self.bucket_count.load(Ordering::Acquire) - 1);
-        if bucket == 0 {
-            let slot = self.bucket_slot(0, guard);
-            slot.load(Ordering::Acquire, guard)
-        } else {
-            self.initialize_bucket(bucket, guard)
-        }
+        // SAFETY: dummies are never removed, so the bucket's is alive.
+        &unsafe { self.initialize_bucket(bucket, guard).deref() }.next
     }
 
     /// Current number of logical buckets (diagnostics).
@@ -331,37 +274,23 @@ where
     fn insert(&self, key: K, value: V) -> bool {
         let guard = R::enter_blanket();
         let hash = self.hash(&key);
-        let so_key = regular_key(hash);
-        let bucket = self.bucket_for(hash, &guard);
-        let backoff = Backoff::new();
-        let mut node = Owned::new(Node {
-            so_key,
+        let node = Owned::new(Node {
+            so_key: regular_key(hash),
             kv: Some((key, value)),
             next: Atomic::null(),
         });
-        loop {
-            cds_core::stress::yield_point();
-            let k_ref = node.kv.as_ref().map(|(k, _)| k);
-            let (found, prev, curr) = self.find_from(bucket, so_key, k_ref.map(|k| k as _), &guard);
-            if found {
-                drop(node);
-                return false;
-            }
-            node.next.store(curr, Ordering::Relaxed);
-            let staged = node.into_shared(&guard);
-            match prev.compare_exchange(curr, staged, Ordering::AcqRel, Ordering::Relaxed, &guard) {
-                Ok(_) => break,
-                Err(_) => {
-                    // SAFETY: unpublished.
-                    node = unsafe { staged.into_owned() };
-                    backoff.spin();
-                }
-            }
+        let by_key = |c: &Node<K, V>, n: &Node<K, V>| c.position(n.so_key, n.key());
+        // SAFETY: every call on this chain passes `R`'s blanket guard.
+        if unsafe { hm::insert(self.run_of(hash, &guard), node, by_key, &guard) }.is_err() {
+            return false;
         }
+        // The node is live but not yet counted: a remove of it may count
+        // first (see `size`).
+        cds_core::stress::yield_point();
         let size = self.size.fetch_add(1, Ordering::Relaxed) + 1;
         // Grow: double the bucket count when the load factor is exceeded.
         let buckets = self.bucket_count.load(Ordering::Relaxed);
-        if size > buckets * MAX_LOAD_FACTOR && buckets < MAX_SEGMENTS * SEGMENT_SIZE {
+        if size > (buckets * MAX_LOAD_FACTOR) as isize && buckets < MAX_SEGMENTS * SEGMENT_SIZE {
             let _ = self.bucket_count.compare_exchange(
                 buckets,
                 buckets * 2,
@@ -376,70 +305,33 @@ where
         let guard = R::enter_blanket();
         let hash = self.hash(key);
         let so_key = regular_key(hash);
-        let bucket = self.bucket_for(hash, &guard);
-        let backoff = Backoff::new();
-        loop {
-            cds_core::stress::yield_point();
-            let (found, prev, curr) = self.find_from(bucket, so_key, Some(key), &guard);
-            if !found {
-                return false;
-            }
-            // SAFETY: pinned, found unmarked.
-            let curr_ref = unsafe { curr.deref() };
-            let next = curr_ref.next.load(Ordering::Acquire, &guard);
-            if next.tag() == MARK {
-                backoff.spin();
-                continue;
-            }
-            if curr_ref
-                .next
-                .compare_exchange(
-                    next.with_tag(0),
-                    next.with_tag(MARK),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                    &guard,
-                )
-                .is_err()
-            {
-                backoff.spin();
-                continue;
-            }
+        let by_key = |c: &Node<K, V>| c.position(so_key, Some(key));
+        // SAFETY: every call on this chain passes `R`'s blanket guard.
+        let removed = unsafe { hm::remove(self.run_of(hash, &guard), by_key, &guard) };
+        if removed {
             self.size.fetch_sub(1, Ordering::Relaxed);
-            match prev.compare_exchange(
-                curr.with_tag(0),
-                next.with_tag(0),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-                &guard,
-            ) {
-                // SAFETY: unlinked by us.
-                Ok(_) => unsafe { guard.retire(curr) },
-                Err(_) => {
-                    let _ = self.find_from(bucket, so_key, Some(key), &guard);
-                }
-            }
-            return true;
         }
+        removed
     }
 
     fn get(&self, key: &K) -> Option<V> {
         let guard = R::enter_blanket();
         let hash = self.hash(key);
         let so_key = regular_key(hash);
-        let bucket = self.bucket_for(hash, &guard);
-        let (found, _, curr) = self.find_from(bucket, so_key, Some(key), &guard);
-        if found {
-            // SAFETY: pinned; found regular node.
-            let (_, v) = unsafe { curr.deref() }.kv.as_ref().expect("regular node");
-            Some(v.clone())
-        } else {
-            None
+        let by_key = |c: &Node<K, V>| c.position(so_key, Some(key));
+        // SAFETY: every call on this chain passes `R`'s blanket guard.
+        let (found, _, curr) = unsafe { hm::find(self.run_of(hash, &guard), by_key, &guard) };
+        if !found {
+            return None;
         }
+        // SAFETY: protected by the guard; a match on `Some(key)` is a
+        // regular node.
+        let (_, value) = unsafe { curr.deref() }.kv.as_ref().expect("regular node");
+        Some(value.clone())
     }
 
     fn len(&self) -> usize {
-        self.size.load(Ordering::Relaxed)
+        self.size.load(Ordering::Relaxed).max(0) as usize
     }
 }
 
@@ -452,16 +344,8 @@ impl<K, V, S, R: Reclaimer> Drop for SplitOrderedHashMap<K, V, S, R> {
         // Free the whole list from the head dummy (bucket 0 of segment 0).
         let seg0 = self.segments[0].load(Ordering::Relaxed, &guard);
         if !seg0.is_null() {
-            // SAFETY: unique ownership.
-            let head = unsafe { seg0.deref() }.buckets[0].load(Ordering::Relaxed, &guard);
-            let mut cur = head;
-            while !cur.is_null() {
-                // SAFETY: unique ownership of the chain.
-                unsafe {
-                    let boxed = cur.with_tag(0).into_owned().into_box();
-                    cur = boxed.next.load(Ordering::Relaxed, &guard).with_tag(0);
-                }
-            }
+            // SAFETY: unique ownership of the segment and of the chain.
+            unsafe { hm::drop_chain(&seg0.deref().buckets[0]) };
         }
         // Free the segments.
         for slot in self.segments.iter() {
@@ -477,7 +361,7 @@ impl<K, V, S, R: Reclaimer> Drop for SplitOrderedHashMap<K, V, S, R> {
 impl<K, V, S, R: Reclaimer> fmt::Debug for SplitOrderedHashMap<K, V, S, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SplitOrderedHashMap")
-            .field("len", &self.size.load(Ordering::Relaxed))
+            .field("len", &self.size.load(Ordering::Relaxed).max(0))
             .field("buckets", &self.bucket_count.load(Ordering::Relaxed))
             .field("reclaimer", &R::NAME)
             .finish()

@@ -73,20 +73,7 @@ impl<T> BoundedQueue<T> {
     /// stamps one lap apart, which is what the protocol's full/empty
     /// discrimination relies on.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        let capacity = capacity.next_power_of_two().max(2);
-        let buffer: Box<[Slot<T>]> = (0..capacity)
-            .map(|i| Slot {
-                sequence: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        BoundedQueue {
-            buffer,
-            mask: capacity - 1,
-            enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
-            dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
-        }
+        Self::with_slots(capacity, 2)
     }
 
     /// Like [`with_capacity`](Self::with_capacity) but *without* the
@@ -97,8 +84,14 @@ impl<T> BoundedQueue<T> {
     #[cfg(feature = "stress")]
     #[doc(hidden)]
     pub fn with_capacity_unchecked(capacity: usize) -> Self {
+        Self::with_slots(capacity, 1)
+    }
+
+    /// A ring of `capacity` slots, rounded up to a power of two of at
+    /// least `min_slots`.
+    fn with_slots(capacity: usize, min_slots: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        let capacity = capacity.next_power_of_two();
+        let capacity = capacity.next_power_of_two().max(min_slots);
         let buffer: Box<[Slot<T>]> = (0..capacity)
             .map(|i| Slot {
                 sequence: AtomicUsize::new(i),

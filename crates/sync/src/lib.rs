@@ -88,7 +88,7 @@ pub use clh::ClhLock;
 pub use flat::{FcStructure, FlatCombining};
 pub use lock::{Lock, LockGuard};
 pub use mcs::McsLock;
-pub use parker::Parker;
+pub use parker::{Parked, Parker};
 pub use raw::RawLock;
 pub use rwlock::{RwReadGuard, RwSpinLock, RwWriteGuard};
 pub use seqlock::SeqLock;

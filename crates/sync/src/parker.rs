@@ -10,19 +10,33 @@
 //! 3. **commit**: it blocks until the epoch moves past its ticket.
 //!
 //! A waker makes its state change visible, then (behind a `SeqCst`
-//! fence) checks the waiter count and bumps the epoch. The two orders
-//! close both races: a wake *after* a waiter's prepare changes the
-//! epoch so the commit falls through; a wake *before* the prepare
-//! implies the state change was already visible to the waiter's
-//! re-check. Under an active stress scheduler the commit spins through
-//! yield points instead of blocking in the kernel (the harness
-//! determinism rule), so the PCT and exploration schedulers can
-//! interleave park/unpark decisions deterministically.
+//! fence) checks the waiter count and, only if it is non-zero, bumps the
+//! epoch — the common no-sleeper wake is fence + load, no mutex. The two
+//! orders close both races (the Dekker pattern): a wake *after* a
+//! waiter's prepare changes the epoch so the commit falls through; a
+//! wake *before* the prepare implies the state change was already
+//! visible to the waiter's re-check. The bump happens *before* the
+//! waker takes the mutex and the sleeper checks the epoch *under* it,
+//! so the bump cannot land between that check and the condvar wait.
+//! Under an active stress scheduler the commit spins through yield
+//! points instead of blocking in the kernel (the harness determinism
+//! rule), so the PCT and exploration schedulers can interleave
+//! park/unpark decisions deterministically.
+//!
+//! Callers do not sequence those steps by hand: a waiter calls
+//! [`Parker::park_unless`] (one prepare / re-check / cancel-or-commit
+//! round) or [`Parker::wait_until`] (attempt, then such rounds until the
+//! attempt succeeds or the deadline passes), and a waker calls
+//! [`Parker::notify`] (the fence plus the conditional wake). The split
+//! [`prepare`](Parker::prepare) / [`cancel`](Parker::cancel) /
+//! [`park`](Parker::park) steps stay public for code that measures or
+//! model-checks them one at a time.
 
 use cds_atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use cds_obs::Event;
 use std::fmt;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cds_atomic::stress;
 use cds_atomic::stress::YieldTag;
@@ -33,6 +47,18 @@ use cds_atomic::stress::YieldTag;
 /// scheduler, so "timeout" becomes "this many scheduling opportunities
 /// passed without a wake".
 const STRESS_TIMEOUT_YIELDS: u32 = 64;
+
+/// How one [`Parker::park_unless`] round ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parked<T> {
+    /// The post-prepare re-check produced a value; the park was cancelled.
+    Ready(T),
+    /// The round committed and a wake moved the epoch past its ticket.
+    /// The condition may or may not hold now — re-check it.
+    Woken,
+    /// The deadline passed, before the commit or during it.
+    TimedOut,
+}
 
 /// An eventcount: the prepare / re-check / commit parking protocol.
 ///
@@ -83,8 +109,38 @@ impl Parker {
     /// nothing may block in the kernel while a deterministic schedule is
     /// running.
     pub fn park(&self, ticket: u64) {
-        if stress::is_active() {
-            while self.epoch.load(Ordering::SeqCst) == ticket {
+        self.commit(ticket, None);
+    }
+
+    /// Commit-park with a deadline: block until the epoch moves past
+    /// `ticket` or `timeout` elapses (a `timeout` too large to add to
+    /// the clock is no deadline at all). Returns `true` if woken,
+    /// `false` on timeout (the caller must then re-check its condition
+    /// itself — a timeout and a wake can race, and the `false` only
+    /// means the deadline passed first here).
+    ///
+    /// Under an active stress scheduler the kernel timed wait is
+    /// replaced by a bounded spin through yield points
+    /// ([`STRESS_TIMEOUT_YIELDS`] scheduling opportunities), keeping
+    /// seeded schedules free of wall-clock dependence.
+    pub fn park_timeout(&self, ticket: u64, timeout: Duration) -> bool {
+        self.commit(ticket, Instant::now().checked_add(timeout))
+    }
+
+    /// The commit step behind every park: wait for the epoch to leave
+    /// `ticket` (or for `deadline`), then stop counting as a waiter.
+    /// Returns whether the epoch moved.
+    fn commit(&self, ticket: u64, deadline: Option<Instant>) -> bool {
+        let woken = if stress::is_active() {
+            let mut yields_left = deadline.map(|_| STRESS_TIMEOUT_YIELDS);
+            loop {
+                if self.epoch.load(Ordering::SeqCst) != ticket {
+                    break true;
+                }
+                if yields_left == Some(0) {
+                    break false;
+                }
+                yields_left = yields_left.map(|n| n - 1);
                 // A pure recheck of the epoch word until an unpark bumps
                 // it; lets the systematic explorer park this thread until
                 // another thread runs.
@@ -93,56 +149,91 @@ impl Parker {
             }
         } else {
             let mut guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
-            while self.epoch.load(Ordering::SeqCst) == ticket {
-                guard = self.cvar.wait(guard).unwrap_or_else(|p| p.into_inner());
-            }
-            drop(guard);
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Commit-park with a deadline: block until the epoch moves past
-    /// `ticket` or `timeout` elapses. Returns `true` if woken, `false`
-    /// on timeout (the caller must then re-check its condition itself —
-    /// a timeout and a wake can race, and the `false` only means the
-    /// deadline passed first here).
-    ///
-    /// Under an active stress scheduler the kernel timed wait is
-    /// replaced by a bounded spin through yield points
-    /// ([`STRESS_TIMEOUT_YIELDS`] scheduling opportunities), keeping
-    /// seeded schedules free of wall-clock dependence.
-    pub fn park_timeout(&self, ticket: u64, timeout: Duration) -> bool {
-        let woken = if stress::is_active() {
-            let mut woken = false;
-            for _ in 0..STRESS_TIMEOUT_YIELDS {
-                if self.epoch.load(Ordering::SeqCst) != ticket {
-                    woken = true;
-                    break;
-                }
-                stress::yield_point_tagged(YieldTag::Blocked(self as *const Self as usize));
-                std::hint::spin_loop();
-            }
-            woken || self.epoch.load(Ordering::SeqCst) != ticket
-        } else {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if self.epoch.load(Ordering::SeqCst) != ticket {
                     break true;
                 }
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    break false;
-                }
-                let (g, _res) = self
-                    .cvar
-                    .wait_timeout(guard, deadline - now)
-                    .unwrap_or_else(|p| p.into_inner());
-                guard = g;
+                guard = match deadline {
+                    None => self.cvar.wait(guard).unwrap_or_else(|p| p.into_inner()),
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            break false;
+                        }
+                        self.cvar
+                            .wait_timeout(guard, deadline - now)
+                            .unwrap_or_else(|p| p.into_inner())
+                            .0
+                    }
+                };
             }
         };
         self.waiters.fetch_sub(1, Ordering::SeqCst);
         woken
+    }
+
+    /// One whole waiter round: prepare, run `recheck`, and cancel if it
+    /// produced a value or `deadline` (`None`: wait forever) has already
+    /// passed; otherwise count `parked_event` and commit.
+    ///
+    /// `recheck` must re-examine the very condition a waker changes
+    /// before it calls [`notify`](Self::notify) — that re-check, made
+    /// after the prepare, is what closes the lost-wakeup window.
+    #[inline]
+    pub fn park_unless<T>(
+        &self,
+        deadline: Option<Instant>,
+        parked_event: Event,
+        recheck: impl FnOnce() -> Option<T>,
+    ) -> Parked<T> {
+        let ticket = self.prepare();
+        if let Some(ready) = recheck() {
+            self.cancel();
+            return Parked::Ready(ready);
+        }
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            self.cancel();
+            return Parked::TimedOut;
+        }
+        cds_obs::count(parked_event);
+        if self.commit(ticket, deadline) {
+            Parked::Woken
+        } else {
+            Parked::TimedOut
+        }
+    }
+
+    /// Blocks until `attempt` produces a value (`Some`) or `deadline`
+    /// passes (`None`): tries once, then alternates
+    /// [`park_unless`](Self::park_unless) rounds — with the attempt as
+    /// the re-check — and fresh attempts after each wake.
+    #[inline]
+    pub fn wait_until<T>(
+        &self,
+        deadline: Option<Instant>,
+        parked_event: Event,
+        mut attempt: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        loop {
+            if let Some(ready) = attempt() {
+                return Some(ready);
+            }
+            match self.park_unless(deadline, parked_event, &mut attempt) {
+                Parked::Ready(ready) => return Some(ready),
+                Parked::Woken => {}
+                Parked::TimedOut => return None,
+            }
+        }
+    }
+
+    /// The waker's half: call after making the awaited state change
+    /// visible. The `SeqCst` fence orders that change before the
+    /// waiter-count read inside [`unpark_all`](Self::unpark_all),
+    /// pairing with the waiter increment in [`prepare`](Self::prepare).
+    #[inline]
+    pub fn notify(&self) {
+        fence(Ordering::SeqCst);
+        self.unpark_all();
     }
 
     /// Wake every parked thread if any thread might be parked; the
@@ -214,8 +305,7 @@ mod tests {
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
                 flag.store(true, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                p.unpark_all();
+                p.notify();
             })
         };
         let woken = p.park_timeout(ticket, Duration::from_secs(30));
@@ -225,25 +315,60 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_park_unpark() {
+    fn unrepresentable_timeout_means_no_deadline() {
+        // `Instant::now() + Duration::MAX` panics; the deadline is
+        // computed with `checked_add` and `None` waits for the wake.
+        let p = Parker::new();
+        let ticket = p.prepare();
+        p.force_unpark_all();
+        assert!(p.park_timeout(ticket, Duration::MAX));
+    }
+
+    #[test]
+    fn park_unless_cancels_on_ready_recheck_and_on_passed_deadline() {
+        let p = Parker::new();
+        let ready = p.park_unless(None, Event::ExecParks, || Some(7));
+        assert_eq!(ready, Parked::Ready(7));
+        let passed = Some(Instant::now());
+        let timed_out = p.park_unless(passed, Event::ExecParks, || None::<()>);
+        assert_eq!(timed_out, Parked::TimedOut);
+        // Both rounds cancelled: nobody is left counted as a waiter, so
+        // the conditional wake has nothing to do and the epoch stays put.
+        p.notify();
+        assert_eq!(p.prepare(), 0);
+        p.cancel();
+    }
+
+    #[test]
+    fn wait_until_times_out_and_returns_a_late_value() {
+        let p = Parker::new();
+        let soon = Instant::now().checked_add(Duration::from_millis(5));
+        assert_eq!(p.wait_until(soon, Event::ExecParks, || None::<u8>), None);
+        let mut calls = 0;
+        let got = p.wait_until(None, Event::ExecParks, || {
+            calls += 1;
+            // Empty on the attempt, ready on the post-prepare re-check.
+            (calls == 2).then_some(calls)
+        });
+        assert_eq!(got, Some(2));
+    }
+
+    #[test]
+    fn cross_thread_wait_until_and_notify() {
         let p = Arc::new(Parker::new());
         let flag = Arc::new(AtomicBool::new(false));
         let waiter = {
             let p = Arc::clone(&p);
             let flag = Arc::clone(&flag);
-            std::thread::spawn(move || loop {
-                let ticket = p.prepare();
-                if flag.load(Ordering::SeqCst) {
-                    p.cancel();
-                    return;
-                }
-                p.park(ticket);
+            std::thread::spawn(move || {
+                p.wait_until(None, Event::ExecParks, || {
+                    flag.load(Ordering::SeqCst).then_some(())
+                })
             })
         };
         std::thread::sleep(Duration::from_millis(5));
         flag.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        p.unpark_all();
-        waiter.join().unwrap();
+        p.notify();
+        assert_eq!(waiter.join().unwrap(), Some(()));
     }
 }

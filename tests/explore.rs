@@ -25,7 +25,8 @@
 //!   *deterministically* (no seed anywhere), ddmin-shrink the failing
 //!   window, and replay its schedule byte-identically.
 
-use cds_atomic::{AtomicBool, Ordering};
+mod common;
+
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
 
@@ -35,13 +36,14 @@ use cds_lincheck::explore::{
     explore, replay_schedule, ExploreError, ExploreOptions, ExploreReport, OnStuck,
 };
 use cds_lincheck::specs::{
-    ChanOp, ChanRes, ChannelSpec, DequeOp, DequeRes, DequeSpec, EventcountOp, EventcountRes,
-    EventcountSpec, MapOp, MapRes, MapSpec, QueueOp, QueueRes, QueueSpec, SetOp, SetSpec, StackOp,
-    StackRes, StackSpec,
+    ChanOp, ChanRes, ChannelSpec, DequeOp, DequeRes, DequeSpec, EventcountOp, EventcountSpec,
+    MapOp, MapRes, MapSpec, QueueOp, QueueRes, QueueSpec, SetOp, SetSpec, StackOp, StackRes,
+    StackSpec,
 };
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_lincheck::trace::{Trace, TRACE_FORMAT_VERSION};
 use cds_lincheck::{check_linearizable, Spec};
+use common::{exec_gate, exec_map, Gate};
 
 /// The pinned-count table, compiled in so the test cannot silently run
 /// against a missing file. Format: `key=value` lines, `#` comments; the
@@ -843,17 +845,6 @@ fn map_mid_migration() -> cds_map::ResizingMap<u64, u64, FixedState> {
     m
 }
 
-fn exec_map(m: &cds_map::ResizingMap<u64, u64, FixedState>, op: &MapOp<u64, u64>) -> MapRes<u64> {
-    use cds_core::ConcurrentMap;
-    match op {
-        MapOp::Insert(k, v) => MapRes::Changed(m.insert(*k, *v)),
-        MapOp::Remove(k) => MapRes::Changed(m.remove(k)),
-        MapOp::Get(k) => MapRes::Got(m.get(k)),
-        MapOp::ContainsKey(k) => MapRes::Has(m.contains_key(k)),
-        MapOp::Len => MapRes::Len(m.len()),
-    }
-}
-
 fn prefilled_spec() -> MapSpec<u64, u64> {
     MapSpec::prefilled((0..5).map(|k| (k, k * 10)))
 }
@@ -912,6 +903,46 @@ fn explore_resizing_map_migration_and_gap_regression() {
     let replayed = replay_schedule(&ops, &steps, &[], &opts(), map_mid_migration, exec_map)
         .expect("replay of the failing schedule diverged");
     assert_eq!(replayed, history, "replay was not byte-identical");
+}
+
+// ---------------------------------------------------------------------
+// Split-ordered map: the element counter across insert(k) ‖ remove(k).
+// ---------------------------------------------------------------------
+
+/// `insert` links its node and only then counts it, so a `remove` of the
+/// fresh node can count first. When the counter was unsigned that took
+/// it to `usize::MAX`: `len` reported it, and the insert's own `+ 1`
+/// overflowed (a panic in debug builds — the `maps_are_linearizable`
+/// flake). The counter is signed and `len` clamps at zero now.
+///
+/// Two passes over the same window on an empty map. The sequentially
+/// consistent one is exhaustive and reaches the link → count window
+/// through the `yield_point` placed in it. The weak-memory one makes
+/// every atomic access a scheduling point, so it reaches the window with
+/// no hand-placed yield at all — it is the pass that fails on the code
+/// as it stood before the fix, within its first hundred executions; its
+/// full space is ~10⁵ executions, so it is budget-capped like the
+/// resizing-map window. Neither count is pinned.
+#[test]
+fn explore_split_ordered_insert_remove_count_window() {
+    type Map = cds_map::SplitOrderedHashMap<u64, u64, FixedState, cds_reclaim::Leak>;
+    let setup = || Map::with_hasher(FixedState);
+    let ops = [
+        vec![MapOp::Insert(1, 10)],
+        vec![MapOp::Remove(1), MapOp::Len],
+    ];
+    let weak_capped = ExploreOptions {
+        max_executions: 2_000,
+        ..weak_opts(false)
+    };
+    for (memory, options) in [("sc", opts()), ("weak", weak_capped)] {
+        let report = explore(MapSpec::default(), &options, &ops, setup, exec_map)
+            .unwrap_or_else(|f| panic!("split-ordered count window ({memory}): {f:?}"));
+        assert!(
+            report.schedules > 0 && report.stuck == 0,
+            "{memory}: {report:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1050,48 +1081,6 @@ fn explore_channel_planted_close_skips_final_drain() {
 // under both systematic exploration and the PCT stress scheduler.
 // ---------------------------------------------------------------------
 
-/// A gate built the way `cds-exec` workers use their [`cds_exec::Parker`]:
-/// publish work, then wake; prepare to sleep, then re-check. `Await`
-/// never actually parks — bounded windows need every operation to return
-/// — so it reports what the post-prepare re-check observed. An `Await`
-/// that observes no flag *after* a completed `Signal` is a lost wakeup.
-struct Gate {
-    parker: cds_exec::Parker,
-    flag: AtomicBool,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Gate {
-            parker: cds_exec::Parker::new(),
-            flag: AtomicBool::new(false),
-        }
-    }
-}
-
-fn exec_gate(g: &Gate, op: &EventcountOp) -> EventcountRes {
-    match op {
-        EventcountOp::Signal => {
-            g.flag.store(true, Ordering::SeqCst);
-            g.parker.unpark_all();
-            EventcountRes::Signaled
-        }
-        EventcountOp::Await => {
-            let _ticket = g.parker.prepare();
-            // The classic lost-wakeup window: between announcing intent to
-            // sleep and re-checking the condition.
-            cds_core::stress::yield_point();
-            let woken = g.flag.load(Ordering::SeqCst);
-            g.parker.cancel();
-            if woken {
-                EventcountRes::Woken
-            } else {
-                EventcountRes::WouldBlock
-            }
-        }
-    }
-}
-
 #[test]
 fn explore_eventcount_window_and_pct() {
     let ops = [
@@ -1102,7 +1091,7 @@ fn explore_eventcount_window_and_pct() {
         EventcountSpec::default(),
         &opts(),
         &ops,
-        Gate::new,
+        Gate::default,
         exec_gate,
     )
     .unwrap_or_else(|f| panic!("eventcount window not linearizable: {f:?}"));
@@ -1117,7 +1106,7 @@ fn explore_eventcount_window_and_pct() {
             rounds: 8,
             ..StressOptions::default()
         },
-        Gate::new,
+        Gate::default,
         |rng, t| {
             if t == 0 && rng.below(2) == 0 {
                 EventcountOp::Signal

@@ -8,6 +8,8 @@
 //! `cds_lincheck::stress::stress`; a failure prints a round seed that
 //! [`cds_lincheck::stress::replay`] reproduces deterministically.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
 use cds_core::{
@@ -309,27 +311,18 @@ fn scheduled_spin_lock_guarded_counters_are_linearizable() {
 
 /// The factored [`cds_sync::Parker`] (the eventcount both the executor
 /// and the channels park on, moved down from `cds-exec` this PR) against
-/// the eventcount spec under PCT schedules: publish-then-wake racing
-/// prepare-then-re-check. An `Await` whose post-`prepare` re-check
-/// misses the flag *after* a completed `Signal` is a lost wakeup — the
-/// exact bug the prepare/re-check/commit discipline exists to rule out.
+/// the eventcount spec under PCT schedules: publish-then-`notify` racing
+/// `park_unless`. An `Await` whose post-prepare re-check misses the flag
+/// *after* a completed `Signal` is a lost wakeup — the exact bug the
+/// prepare/re-check/commit discipline exists to rule out.
 #[test]
 fn scheduled_parker_eventcount_is_linearizable() {
-    use cds_atomic::{AtomicBool, Ordering};
-    use cds_lincheck::specs::{EventcountOp, EventcountRes, EventcountSpec};
-
-    struct Gate {
-        parker: cds_sync::Parker,
-        flag: AtomicBool,
-    }
+    use cds_lincheck::specs::{EventcountOp, EventcountSpec};
 
     stress(
         EventcountSpec::default(),
         &opts(0x5e9c7),
-        || Gate {
-            parker: cds_sync::Parker::new(),
-            flag: AtomicBool::new(false),
-        },
+        common::Gate::default,
         |rng, t| {
             if t == 0 && rng.below(2) == 0 {
                 EventcountOp::Signal
@@ -337,26 +330,7 @@ fn scheduled_parker_eventcount_is_linearizable() {
                 EventcountOp::Await
             }
         },
-        |g, op| match op {
-            EventcountOp::Signal => {
-                g.flag.store(true, Ordering::SeqCst);
-                g.parker.unpark_all();
-                EventcountRes::Signaled
-            }
-            EventcountOp::Await => {
-                let _ticket = g.parker.prepare();
-                // The classic lost-wakeup window: between announcing the
-                // intent to sleep and re-checking the condition.
-                cds_core::stress::yield_point();
-                let woken = g.flag.load(Ordering::SeqCst);
-                g.parker.cancel();
-                if woken {
-                    EventcountRes::Woken
-                } else {
-                    EventcountRes::WouldBlock
-                }
-            }
-        },
+        common::exec_gate,
     )
     .unwrap_or_else(|f| panic!("cds_sync::Parker eventcount not linearizable: {f:?}"));
 }

@@ -14,12 +14,12 @@
 
 mod common;
 
-use cds_core::{ConcurrentMap, ConcurrentStack};
-use cds_lincheck::specs::{MapOp, MapRes, MapSpec, StackOp, StackRes, StackSpec};
+use cds_core::ConcurrentStack;
+use cds_lincheck::specs::{MapOp, MapSpec, StackOp, StackRes, StackSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_obs::{Event, Snapshot};
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-use common::serial;
+use common::{exec_map, serial};
 
 /// Pinned-seed options: unlike `tests/schedules.rs` these do not honor
 /// `CDS_STRESS_SEED` — conservation must hold for any schedule, and the
@@ -87,15 +87,30 @@ fn resize_churn<R: Reclaimer>(seed: u64) {
                 MapOp::Insert(k, rng.below(100))
             }
         },
-        |m, op| match op {
-            MapOp::Insert(k, v) => MapRes::Changed(m.insert(*k, *v)),
-            MapOp::Remove(k) => MapRes::Changed(m.remove(k)),
-            MapOp::Get(k) => MapRes::Got(m.get(k)),
-            MapOp::ContainsKey(k) => MapRes::Has(m.contains_key(k)),
-            MapOp::Len => MapRes::Len(m.len()),
-        },
+        exec_map,
     )
     .unwrap_or_else(|f| panic!("resizing/{} not linearizable: {f:?}", R::NAME));
+}
+
+/// One scheduled insert/remove churn of a split-ordered map on `R`. Its
+/// link, mark and unlink CASes are the shared `cds_list::hm` ones, so
+/// they are counted like the Harris–Michael list's.
+fn split_ordered_churn<R: Reclaimer>(seed: u64) {
+    stress(
+        MapSpec::<u64, u64>::default(),
+        &opts(seed),
+        cds_map::SplitOrderedHashMap::<u64, u64, std::hash::RandomState, R>::with_reclaimer,
+        |rng, _t| {
+            let k = rng.below(4);
+            if rng.below(2) == 0 {
+                MapOp::Insert(k, rng.below(100))
+            } else {
+                MapOp::Remove(k)
+            }
+        },
+        exec_map,
+    )
+    .unwrap_or_else(|f| panic!("split-ordered/{} not linearizable: {f:?}", R::NAME));
 }
 
 /// `cas_success + cas_failure == cas_attempts`, per backend. The
@@ -105,11 +120,15 @@ fn resize_churn<R: Reclaimer>(seed: u64) {
 #[test]
 fn cas_counts_are_conserved_under_every_backend() {
     let _g = serial();
-    let runs: [(fn(u64), u64); 4] = [
+    let runs: [(fn(u64), u64); 8] = [
         (stack_churn::<Ebr>, 0xca50),
         (stack_churn::<Hazard>, 0xca51),
         (stack_churn::<Leak>, 0xca52),
         (stack_churn::<DebugReclaim>, 0xca53),
+        (split_ordered_churn::<Ebr>, 0xca54),
+        (split_ordered_churn::<Hazard>, 0xca55),
+        (split_ordered_churn::<Leak>, 0xca56),
+        (split_ordered_churn::<DebugReclaim>, 0xca57),
     ];
     for (run, seed) in runs {
         let base = Snapshot::take();
@@ -123,7 +142,7 @@ fn cas_counts_are_conserved_under_every_backend() {
         if cds_obs::enabled() {
             assert!(
                 d.get(Event::CasSuccess) > 0,
-                "a scheduled stack churn must commit at least one CAS (seed {seed:#x})"
+                "a scheduled churn must commit at least one CAS (seed {seed:#x})"
             );
         }
     }

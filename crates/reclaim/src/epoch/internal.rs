@@ -90,6 +90,7 @@ impl Global {
     pub(crate) fn register(self: &Arc<Self>) -> Arc<Local> {
         let local = Arc::new(Local {
             epoch: AtomicUsize::new(0),
+            bag_len: AtomicUsize::new(0),
             global: Arc::clone(self),
             guard_count: Cell::new(0),
             pin_count: Cell::new(0),
@@ -100,9 +101,14 @@ impl Global {
         local
     }
 
-    fn unregister(&self, local: &Local) {
+    /// Removes `local` from the registry and returns the registry's
+    /// reference to it, so the record is dropped by the caller — outside
+    /// the `participants` lock and after its last use of `local` — rather
+    /// than here.
+    fn unregister(&self, local: &Local) -> Option<Arc<Local>> {
         let mut parts = self.participants.lock().unwrap();
-        parts.retain(|p| !std::ptr::eq(&**p, local));
+        let at = parts.iter().position(|p| std::ptr::eq(&**p, local))?;
+        Some(parts.swap_remove(at))
     }
 
     /// Attempts to advance the global epoch by one.
@@ -177,9 +183,18 @@ impl Global {
         n
     }
 
-    /// Number of items waiting on the global queue (diagnostics).
+    /// Number of deferred items not yet freed: the global queue plus every
+    /// registered participant's local bag (diagnostics; the bag lengths are
+    /// relaxed reads of each owner's mirror, so the sum is approximate while
+    /// threads are retiring).
     pub(crate) fn garbage_len(&self) -> usize {
-        self.garbage.lock().unwrap().len()
+        let queued = self.garbage.lock().unwrap().len();
+        let parts = self.participants.lock().unwrap();
+        let bagged: usize = parts
+            .iter()
+            .map(|p| p.bag_len.load(Ordering::Relaxed))
+            .sum();
+        queued + bagged
     }
 }
 
@@ -205,12 +220,18 @@ impl fmt::Debug for Global {
 
 /// A per-thread participant record.
 ///
-/// Only the owning thread touches the `Cell`/`UnsafeCell` fields; the
-/// `epoch` atomic is additionally read by other threads during
-/// [`Global::try_advance`] scans.
+/// Only the owning thread touches the `Cell`/`UnsafeCell` fields and only
+/// it writes the atomics; other threads read `epoch` during
+/// [`Global::try_advance`] scans and `bag_len` in [`Global::garbage_len`].
+///
+/// The registry's `Arc` keeps the record alive from `register` until
+/// `retire_record`, which runs only once no guard is active; guards rely
+/// on that and borrow the record without counting a reference.
 pub(crate) struct Local {
     /// `0` when unpinned; `(epoch << 1) | 1` when pinned.
     epoch: AtomicUsize,
+    /// `bag.len()`, mirrored by the owner whenever it changes.
+    bag_len: AtomicUsize,
     global: Arc<Global>,
     guard_count: Cell<usize>,
     pin_count: Cell<usize>,
@@ -218,14 +239,13 @@ pub(crate) struct Local {
     bag: UnsafeCell<Vec<(usize, Deferred)>>,
 }
 
-// SAFETY: see the type-level comment — cross-thread access is limited to the
-// `epoch` atomic.
+// SAFETY: see the type-level comment — cross-thread access is limited to
+// loads of the `epoch` and `bag_len` atomics.
 unsafe impl Send for Local {}
 unsafe impl Sync for Local {}
 
 impl Local {
-    /// Pins the participant (reentrant). Returns `true` if this call
-    /// transitioned from unpinned to pinned.
+    /// Pins the participant (reentrant).
     pub(crate) fn pin(&self) {
         let count = self.guard_count.get();
         self.guard_count.set(count + 1);
@@ -251,23 +271,32 @@ impl Local {
         let pinnings = self.pin_count.get().wrapping_add(1);
         self.pin_count.set(pinnings);
         if pinnings.is_multiple_of(PINNINGS_BETWEEN_COLLECT) {
-            self.global.collect();
+            // Seal the bag as well: a thread that retires rarely (one
+            // multi-megabyte table per migration, say) must not sit on it
+            // until `LOCAL_BAG_CAP` more retires come along.
+            self.flush();
         }
     }
 
     /// Unpins the participant (reentrant). When the outermost guard drops,
     /// the participant leaves the epoch and, if its handle has been
     /// dropped, unregisters.
-    pub(crate) fn unpin(&self) {
+    ///
+    /// In that last case the registry's reference is returned: it may be
+    /// the only thing keeping `self` (and through it the `Global`) alive,
+    /// so the caller must drop it after its last use of `self`.
+    #[must_use]
+    pub(crate) fn unpin(&self) -> Option<Arc<Local>> {
         let count = self.guard_count.get();
         debug_assert!(count > 0, "unpin without matching pin");
         self.guard_count.set(count - 1);
         if count == 1 {
             self.epoch.store(0, Ordering::Release);
             if self.handle_dropped.get() {
-                self.retire_record();
+                return self.retire_record();
             }
         }
+        None
     }
 
     /// Defers destruction of `deferred` until the current epoch is two
@@ -280,21 +309,28 @@ impl Local {
         // SAFETY: the bag is only touched by the owning thread.
         let bag = unsafe { &mut *self.bag.get() };
         bag.push((epoch, deferred));
+        self.bag_len.store(bag.len(), Ordering::Relaxed);
         if bag.len() >= LOCAL_BAG_CAP {
-            let items: Vec<_> = std::mem::take(bag);
-            self.global.push_garbage(items);
-            self.global.collect();
+            self.flush();
+        }
+    }
+
+    /// Moves the local bag, if it holds anything, onto the global queue.
+    fn seal_bag(&self) {
+        // SAFETY: the bag is only touched by the owning thread, and the
+        // borrow ends before anything that could re-enter `defer` runs.
+        let bag = unsafe { &mut *self.bag.get() };
+        if !bag.is_empty() {
+            // `drain` keeps the allocation for the next `LOCAL_BAG_CAP`
+            // retires.
+            self.global.push_garbage(bag.drain(..));
+            self.bag_len.store(0, Ordering::Relaxed);
         }
     }
 
     /// Flushes the local bag to the global queue and runs a collection.
     pub(crate) fn flush(&self) {
-        // SAFETY: owning thread only.
-        let bag = unsafe { &mut *self.bag.get() };
-        if !bag.is_empty() {
-            let items: Vec<_> = std::mem::take(bag);
-            self.global.push_garbage(items);
-        }
+        self.seal_bag();
         self.global.collect();
     }
 
@@ -302,19 +338,19 @@ impl Local {
     pub(crate) fn handle_dropped(&self) {
         self.handle_dropped.set(true);
         if self.guard_count.get() == 0 {
-            self.retire_record();
+            // The handle's own reference is still alive in the caller, so
+            // the registry's can go right here.
+            drop(self.retire_record());
         }
+        // Otherwise the last guard's `unpin` retires the record.
     }
 
-    /// Removes this participant from the registry and donates its bag.
-    fn retire_record(&self) {
-        // SAFETY: owning thread only, and no guard is active.
-        let bag = unsafe { &mut *self.bag.get() };
-        if !bag.is_empty() {
-            let items: Vec<_> = std::mem::take(bag);
-            self.global.push_garbage(items);
-        }
-        self.global.unregister(self);
+    /// Donates the bag and removes this participant from the registry,
+    /// returning the registry's reference (see [`Local::unpin`]).
+    fn retire_record(&self) -> Option<Arc<Local>> {
+        debug_assert_eq!(self.guard_count.get(), 0, "retired while pinned");
+        self.seal_bag();
+        self.global.unregister(self)
     }
 }
 

@@ -44,6 +44,7 @@ pub use atomic::{Atomic, Owned, Shared};
 
 use internal::{Deferred, Global, Local};
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 /// An epoch-based garbage collector instance.
@@ -69,6 +70,7 @@ impl Collector {
     pub fn register(&self) -> LocalHandle {
         LocalHandle {
             local: self.global.register(),
+            _owner_thread_only: PhantomData,
         }
     }
 
@@ -77,8 +79,9 @@ impl Collector {
         self.global.epoch()
     }
 
-    /// Number of deferred items on the global queue (diagnostics).
-    pub fn global_garbage_len(&self) -> usize {
+    /// Number of deferred items not yet freed: the global queue plus the
+    /// local bag of every registered participant (diagnostics).
+    pub fn garbage_len(&self) -> usize {
         self.global.garbage_len()
     }
 
@@ -107,8 +110,26 @@ impl fmt::Debug for Collector {
 ///
 /// Cheap to pin from repeatedly; dropped automatically with the thread for
 /// the default collector.
+///
+/// The participant record behind a handle keeps unsynchronized per-thread
+/// state, so a handle stays on the thread that registered it:
+///
+/// ```compile_fail
+/// let handle = cds_reclaim::epoch::Collector::new().register();
+/// std::thread::spawn(move || drop(handle));
+/// ```
+///
+/// ```compile_fail
+/// let handle = cds_reclaim::epoch::Collector::new().register();
+/// std::thread::scope(|s| {
+///     s.spawn(|| drop(handle.pin()));
+/// });
+/// ```
 pub struct LocalHandle {
     local: Arc<Local>,
+    /// `Local` is `Send + Sync` for the registry's sake; the handle, which
+    /// reaches its `Cell`s, must be neither.
+    _owner_thread_only: PhantomData<*mut ()>,
 }
 
 impl LocalHandle {
@@ -118,7 +139,7 @@ impl LocalHandle {
     pub fn pin(&self) -> Guard {
         self.local.pin();
         Guard {
-            local: Some(Arc::clone(&self.local)),
+            local: Arc::as_ptr(&self.local),
         }
     }
 }
@@ -141,8 +162,27 @@ impl fmt::Debug for LocalHandle {
 /// during or after the guard's epoch, so [`Shared`] pointers loaded under
 /// the guard remain valid. Dropping the guard unpins (for the outermost
 /// guard of the thread).
+///
+/// A guard may outlive the [`LocalHandle`] it came from, but not the
+/// thread: unpinning writes the participant's unsynchronized counters.
+///
+/// ```compile_fail
+/// let guard = cds_reclaim::epoch::pin();
+/// std::thread::spawn(move || drop(guard));
+/// ```
+///
+/// ```compile_fail
+/// let guard = cds_reclaim::epoch::pin();
+/// std::thread::scope(|s| {
+///     s.spawn(|| guard.flush());
+/// });
+/// ```
 pub struct Guard {
-    local: Option<Arc<Local>>,
+    /// The pinned participant; null for [`Guard::unprotected`]. Borrowed
+    /// rather than reference-counted, so pinning touches no shared count:
+    /// the collector's registry keeps the record alive while any guard of
+    /// it exists (see `Local`), even after the handle is gone.
+    local: *const Local,
 }
 
 impl Guard {
@@ -158,7 +198,15 @@ impl Guard {
     /// The caller must guarantee that no concurrent thread can retire
     /// objects reachable from the pointers accessed under this guard.
     pub unsafe fn unprotected() -> Guard {
-        Guard { local: None }
+        Guard {
+            local: std::ptr::null(),
+        }
+    }
+
+    fn local(&self) -> Option<&Local> {
+        // SAFETY: null or a record that `pin` counted this guard on; the
+        // registry does not let go of it before the matching `unpin`.
+        unsafe { self.local.as_ref() }
     }
 
     /// Defers destruction of the object behind `shared` until no pinned
@@ -178,7 +226,7 @@ impl Guard {
         // SAFETY: ownership of the allocation passes to the collector, per
         // the caller contract.
         let deferred = unsafe { Deferred::destroy_box(shared.as_raw()) };
-        match &self.local {
+        match self.local() {
             Some(local) => local.defer(deferred),
             // Unprotected guard: unique access, destroy immediately.
             None => deferred.call(),
@@ -188,7 +236,7 @@ impl Guard {
     /// Flushes this thread's deferred items to the global queue and runs a
     /// collection cycle.
     pub fn flush(&self) {
-        if let Some(local) = &self.local {
+        if let Some(local) = self.local() {
             local.flush();
         }
     }
@@ -196,8 +244,12 @@ impl Guard {
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        if let Some(local) = &self.local {
-            local.unpin();
+        if let Some(local) = self.local() {
+            // The last guard of a participant whose handle is already gone
+            // is handed the registry's reference, possibly the last one to
+            // the record and its collector: drop it only now that `unpin`
+            // has returned.
+            drop(local.unpin());
         }
     }
 }
@@ -205,7 +257,7 @@ impl Drop for Guard {
 impl fmt::Debug for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Guard")
-            .field("pinned", &self.local.is_some())
+            .field("pinned", &!self.local.is_null())
             .finish()
     }
 }

@@ -4,9 +4,16 @@
 //! while pinned, hazard pointers protect *specific pointers*: before
 //! dereferencing a shared node a thread publishes the node's address in a
 //! *hazard slot*; a retiring thread frees a node only after scanning all
-//! slots and finding no match. This bounds unreclaimed garbage by
-//! `slots × threshold` even if threads stall — the property epoch schemes
-//! lack — at the cost of a published store and fence per protected pointer.
+//! slots and finding no match. This bounds unreclaimed garbage even if
+//! threads stall — the property epoch schemes lack — at the cost of a
+//! published store and fence per protected pointer.
+//!
+//! As in Michael's paper, every thread retires onto a list of its own
+//! (one per domain it has retired into) and scans that list when it
+//! reaches [`SCAN_THRESHOLD`], so a retire takes no lock and the backlog is
+//! at most `H + SCAN_THRESHOLD` nodes per retiring thread, `H` being the
+//! number of published hazards. A thread that exits leaves its list to the
+//! domain, and the next [`Domain::scan`] by any thread frees what is on it.
 //!
 //! # Example
 //!
@@ -29,12 +36,12 @@
 //! ```
 
 use cds_atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::collections::HashSet;
+use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
 use std::ptr;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// How many retired nodes accumulate before a scan is attempted.
+/// How many retired nodes a thread accumulates before it scans.
 pub const SCAN_THRESHOLD: usize = 64;
 
 /// One published hazard slot. Lives in the domain's intrusive slot list for
@@ -68,22 +75,92 @@ struct Retired {
 // the destructor from whichever thread triggers the scan is sound.
 unsafe impl Send for Retired {}
 
-/// A reclamation domain: a set of hazard slots plus a retired list.
+impl Retired {
+    /// Runs the node's destructor.
+    ///
+    /// # Safety
+    ///
+    /// No thread may hold or be able to obtain a reference to the node.
+    unsafe fn free(&self) {
+        // SAFETY: `ptr` came from `Box::into_raw::<T>` and `dtor` is the
+        // matching `dtor::<T>` (see `Domain::retire`); the caller rules out
+        // remaining references.
+        unsafe { (self.dtor)(self.ptr) }
+    }
+}
+
+/// The nodes one thread has retired into one domain and not yet freed.
+///
+/// Shared between the domain's registry and the owning thread's
+/// [`RETIRE_LISTS`]. While the owner runs, only it touches `nodes`, and only
+/// from inside `Domain::retire` / `Domain::scan`; once it has set
+/// `abandoned` on its way out it never does again, and the list's contents
+/// belong to whichever scan removes the list from the registry.
+struct RetireList {
+    nodes: UnsafeCell<Vec<Retired>>,
+    /// `nodes.len()`, mirrored by the owner for [`Domain::retired_len`].
+    len: AtomicUsize,
+    /// Set when the owning thread exits.
+    abandoned: AtomicBool,
+}
+
+// SAFETY: `nodes` has one accessor at a time by the protocol above (owner,
+// then the adopting scan under the registry lock, or `Domain::drop` with
+// exclusive access to the domain); the other fields are atomics. `Retired`
+// is `Send`.
+unsafe impl Send for RetireList {}
+unsafe impl Sync for RetireList {}
+
+/// The calling thread's retire lists, keyed by [`Domain::id`]. Dropped at
+/// thread exit, which is what abandons the lists.
+struct ThreadLists(RefCell<Vec<(u64, Arc<RetireList>)>>);
+
+impl Drop for ThreadLists {
+    fn drop(&mut self) {
+        for (_, list) in self.0.get_mut().iter() {
+            // Release: everything this thread pushed is visible to the
+            // scan that reads the flag with Acquire and adopts the list.
+            // The domain itself may be gone by now, so nothing else is
+            // touched here.
+            list.abandoned.store(true, Ordering::Release);
+        }
+    }
+}
+
+thread_local! {
+    static RETIRE_LISTS: ThreadLists = const { ThreadLists(RefCell::new(Vec::new())) };
+}
+
+/// Source of [`Domain::id`].
+static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A reclamation domain: a set of hazard slots plus the retired nodes
+/// waiting for them to clear.
 ///
 /// Nodes retired into a domain are freed only when no [`HazardPointer`]
 /// belonging to the *same* domain protects them. Use one domain per data
 /// structure (or share one across structures whose nodes never alias).
 pub struct Domain {
+    /// Never reused within the process, so a thread's cached list of a
+    /// dropped domain can never be mistaken for one of this domain.
+    id: u64,
     head: AtomicPtr<Slot>,
-    retired: Mutex<Vec<Retired>>,
-    /// Approximate retired count, to trigger scans without locking.
-    retired_count: AtomicUsize,
+    /// The retire list of every running thread that has retired into this
+    /// domain, plus lists abandoned since the last scan. Locked when a
+    /// thread first retires here, by scans and by diagnostics — never by a
+    /// retire that finds its list.
+    lists: Mutex<Vec<Arc<RetireList>>>,
+    /// Hand-off target for threads that cannot keep a list of their own:
+    /// retirees that survived a scan made by such a thread. Any later scan
+    /// takes them over.
+    orphans: Mutex<Vec<Retired>>,
     /// Monotonic era clock: bumped on every retirement, snapshotted by
     /// era-based guards. Starts at 1 so era 0 can mean "none published".
     era_clock: AtomicU64,
 }
 
-// SAFETY: all shared state is atomics or mutex-protected.
+// SAFETY: shared state is atomics, mutex-protected, or `RetireList`s (see
+// there).
 unsafe impl Send for Domain {}
 unsafe impl Sync for Domain {}
 
@@ -91,11 +168,50 @@ impl Domain {
     /// Creates an empty domain.
     pub fn new() -> Self {
         Domain {
+            id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
             head: AtomicPtr::new(ptr::null_mut()),
-            retired: Mutex::new(Vec::new()),
-            retired_count: AtomicUsize::new(0),
+            lists: Mutex::new(Vec::new()),
+            orphans: Mutex::new(Vec::new()),
             era_clock: AtomicU64::new(1),
         }
+    }
+
+    /// The calling thread's retire list for this domain, registered on
+    /// first use if `register`. `None` if there is none and `register` is
+    /// off, or if the thread is so far into its exit that its
+    /// [`RETIRE_LISTS`] are gone.
+    ///
+    /// The reference does not hold the thread-local borrowed, so a
+    /// destructor that a scan runs may retire (and look its list up) again.
+    fn my_list(&self, register: bool) -> Option<&RetireList> {
+        RETIRE_LISTS
+            .try_with(|mine| {
+                let mut mine = mine.0.borrow_mut();
+                // SAFETY: the list outlives the caller's borrow of `self`:
+                // the thread's `Arc` is pruned only once the registry's is
+                // gone, and that one goes only after the thread abandoned
+                // the list or with the domain.
+                let unbound = |list: &Arc<RetireList>| unsafe { &*Arc::as_ptr(list) };
+                if let Some((_, list)) = mine.iter().find(|(id, _)| *id == self.id) {
+                    return Some(unbound(list));
+                }
+                if !register {
+                    return None;
+                }
+                // Lists of domains that have since been dropped.
+                mine.retain(|(_, list)| Arc::strong_count(list) > 1);
+                let list = Arc::new(RetireList {
+                    nodes: UnsafeCell::new(Vec::with_capacity(SCAN_THRESHOLD)),
+                    len: AtomicUsize::new(0),
+                    abandoned: AtomicBool::new(false),
+                });
+                self.lists.lock().unwrap().push(Arc::clone(&list));
+                let found = unbound(&list);
+                mine.push((self.id, list));
+                Some(found)
+            })
+            .ok()
+            .flatten()
     }
 
     /// Acquires a free slot, reusing an inactive one if possible.
@@ -151,89 +267,144 @@ impl Domain {
             unsafe { drop(Box::from_raw(p.cast::<T>())) }
         }
         debug_assert!(!ptr.is_null());
+        // SAFETY: forwarded contract; `dtor::<T>` undoes `Box::into_raw`.
+        unsafe { self.retire_erased(ptr.cast(), dtor::<T>) };
+    }
+
+    /// Everything about [`retire`](Domain::retire) that does not depend on
+    /// the node type, so it is compiled once and reached by one call.
+    ///
+    /// # Safety
+    ///
+    /// `retire`'s contract, with `dtor(ptr)` as the node's destruction.
+    unsafe fn retire_erased(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
         // Stamp with the pre-bump clock value: any era guard that entered
         // before this retirement observed a clock value <= stamp and so
         // holds the node back; guards entering afterwards read > stamp and
         // (per the retire contract) can no longer reach the node.
         let stamp = self.era_clock.fetch_add(1, Ordering::SeqCst);
-        self.retired.lock().unwrap().push(Retired {
-            ptr: ptr.cast(),
-            dtor: dtor::<T>,
-            stamp,
-        });
-        let n = self.retired_count.fetch_add(1, Ordering::Relaxed) + 1;
+        let retired = Retired { ptr, dtor, stamp };
+        let Some(list) = self.my_list(true) else {
+            // Retired from a thread-local destructor after this thread's
+            // lists were torn down.
+            self.orphans.lock().unwrap().push(retired);
+            return;
+        };
+        // SAFETY: this thread owns the list and holds no other reference
+        // into `nodes`.
+        let nodes = unsafe { &mut *list.nodes.get() };
+        nodes.push(retired);
+        let n = nodes.len();
+        list.len.store(n, Ordering::Relaxed);
         if cds_obs::enabled() {
-            cds_obs::record_max(cds_obs::Event::PeakGarbageHazard, n as u64);
+            cds_obs::record_max(cds_obs::Event::PeakGarbageHazard, self.retired_len() as u64);
         }
         if n >= SCAN_THRESHOLD {
             self.scan();
         }
     }
 
-    /// Scans hazards and frees every retired node not currently protected.
+    /// Scans hazards and frees every unprotected node among those the
+    /// calling thread has retired and those exited threads left behind.
+    /// Lists of other running threads are theirs to scan.
     ///
     /// Returns the number of nodes freed.
     pub fn scan(&self) -> usize {
-        // Steal the retired list FIRST: every node considered for freeing
-        // below was retired (hence unlinked) before this point. Only then
-        // read the hazard/era slots, so a reader that publish-validated a
-        // hazard (or published an era) before any stolen node's unlink is
-        // guaranteed visible to this scan. Reading the slots before taking
-        // the list would let a node retired between the slot snapshot and
-        // the list lock be freed out from under an established protection.
-        let stolen: Vec<Retired> = std::mem::take(&mut *self.retired.lock().unwrap());
-        if stolen.is_empty() {
+        // Gather the candidates FIRST: every node considered for freeing
+        // below was retired (hence unlinked) before this point — by this
+        // thread, or by one whose hand-off (the `abandoned` flag, the
+        // `orphans` lock) this thread has synchronized with. Only then read
+        // the hazard/era slots, so a reader that publish-validated a hazard
+        // (or published an era) before any candidate's unlink is guaranteed
+        // visible to this scan. Reading the slots first would let a node
+        // retired between the slot snapshot and the gathering be freed out
+        // from under an established protection.
+        let mine = self.my_list(false);
+        let mut batch: Vec<Retired> = match mine {
+            // SAFETY: this thread owns the list and holds no other
+            // reference into `nodes`; taking the vector (rather than
+            // borrowing it across the loop below) keeps it that way when a
+            // destructor retires into this domain again.
+            Some(list) => std::mem::take(unsafe { &mut *list.nodes.get() }),
+            None => Vec::new(),
+        };
+        self.lists.lock().unwrap().retain(|list| {
+            if !list.abandoned.load(Ordering::Acquire) {
+                return true;
+            }
+            // SAFETY: the owner set `abandoned` as its last access, and
+            // the registry lock admits one adopter.
+            batch.append(unsafe { &mut *list.nodes.get() });
+            false
+        });
+        batch.append(&mut self.orphans.lock().unwrap());
+        if batch.is_empty() {
             return 0;
         }
 
-        // Stolen nodes' unlinks happen-before this scan's hazard reads.
+        // The candidates' unlinks happen-before this scan's hazard reads.
         fence(Ordering::SeqCst);
 
         // Snapshot all active hazards and the minimum published era.
-        let mut protected: HashSet<usize> = HashSet::new();
-        let mut min_era: Option<u64> = None;
+        let mut protected: Vec<usize> = Vec::new();
+        let mut min_era = u64::MAX;
         let mut cur = self.head.load(Ordering::Acquire);
         while !cur.is_null() {
             // SAFETY: slots live as long as the domain.
             let slot = unsafe { &*cur };
             let h = slot.hazard.load(Ordering::SeqCst);
             if h != 0 {
-                protected.insert(h);
+                protected.push(h);
             }
             let e = slot.era.load(Ordering::SeqCst);
             if e != 0 {
-                min_era = Some(min_era.map_or(e, |m: u64| m.min(e)));
+                min_era = min_era.min(e);
             }
             cur = slot.next.load(Ordering::Acquire);
         }
+        protected.sort_unstable();
 
-        // Free stolen nodes covered by neither an address hazard nor an
-        // era; push the covered ones back for a later scan.
-        let (keep, to_free): (Vec<Retired>, Vec<Retired>) = stolen.into_iter().partition(|r| {
-            min_era.is_some_and(|m| m <= r.stamp) || protected.contains(&(r.ptr as usize))
-        });
-        if !keep.is_empty() {
-            self.retired.lock().unwrap().extend(keep);
-        }
-        let n = to_free.len();
-        // Subtract (rather than overwrite) so concurrent `retire`
-        // increments are not lost and the scan threshold keeps firing.
-        self.retired_count.fetch_sub(n, Ordering::Relaxed);
-        cds_obs::add(cds_obs::Event::FreedHazard, n as u64);
-        for r in to_free {
-            // SAFETY: `r` was retired before the steal, so its unlink
+        // Free the candidates covered by neither an address hazard nor an
+        // era; keep the covered ones for a later scan.
+        let before = batch.len();
+        batch.retain(|r| {
+            if min_era <= r.stamp || protected.binary_search(&(r.ptr as usize)).is_ok() {
+                return true;
+            }
+            // SAFETY: `r` was retired before the gathering, so its unlink
             // precedes the slot reads above; no hazard covers `r.ptr` and
             // no era guard predates its retirement, so no established
             // protection reaches it, and retire's contract rules out new
             // ones (the node is unlinked).
-            unsafe { (r.dtor)(r.ptr) };
+            unsafe { r.free() };
+            false
+        });
+        let freed = before - batch.len();
+        cds_obs::add(cds_obs::Event::FreedHazard, freed as u64);
+
+        match mine {
+            Some(list) => {
+                // SAFETY: as above. Whatever the destructors retired in
+                // the meantime goes behind the survivors, in the vector
+                // that has the capacity.
+                let nodes = unsafe { &mut *list.nodes.get() };
+                batch.append(nodes);
+                *nodes = batch;
+                list.len.store(nodes.len(), Ordering::Relaxed);
+            }
+            None => self.orphans.lock().unwrap().append(&mut batch),
         }
-        n
+        freed
     }
 
-    /// Number of nodes awaiting reclamation (diagnostics).
+    /// Number of nodes awaiting reclamation, over every thread's list
+    /// (diagnostics; the per-thread lengths are relaxed reads of each
+    /// owner's mirror, so the sum is approximate while threads retire).
     pub fn retired_len(&self) -> usize {
-        self.retired.lock().unwrap().len()
+        let orphaned = self.orphans.lock().unwrap().len();
+        let lists = self.lists.lock().unwrap();
+        let listed: usize = lists.iter().map(|l| l.len.load(Ordering::Relaxed)).sum();
+        orphaned + listed
     }
 
     /// Publishes an era-based blanket protection (hazard-era style).
@@ -292,9 +463,15 @@ impl Drop for Domain {
     fn drop(&mut self) {
         // No hazard pointers can outlive the domain (they borrow it), so
         // everything retired is reclaimable.
-        for r in self.retired.get_mut().unwrap().drain(..) {
+        let mut retired = std::mem::take(self.orphans.get_mut().unwrap());
+        for list in self.lists.get_mut().unwrap().drain(..) {
+            // SAFETY: owners touch `nodes` only through a borrow of the
+            // domain, and this is the exclusive one.
+            retired.append(unsafe { &mut *list.nodes.get() });
+        }
+        for r in retired {
             // SAFETY: unique access; no protections exist.
-            unsafe { (r.dtor)(r.ptr) };
+            unsafe { r.free() };
         }
         // Free the slot list.
         let mut cur = *self.head.get_mut();

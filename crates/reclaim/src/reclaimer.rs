@@ -16,6 +16,19 @@
 //! | [`Leak`] | no-op | no-op | leak |
 //! | [`DebugReclaim`] | registry stamp | registry stamp | poison + quarantine |
 //!
+//! What a call costs (single thread, ns; the cost-ladder rows of a traced
+//! `direct_transport` run of the gate benchmark, before → after the guards
+//! stopped counting references and hazard retire lists became per-thread),
+//! how much garbage a backend can hold, and who frees what a thread leaves
+//! behind when it exits (DESIGN.md, "Reclamation", has the long form):
+//!
+//! | backend | pin / enter | protect | retire (with node alloc + free) | unfreed garbage | at thread exit |
+//! |---|---|---|---|---|---|
+//! | [`Ebr`] | 23.1 → 9.8 | a load | 41.7 → 40.6 | unbounded under a stalled pin; else a local bag is sealed after 64 retires or within 128 pins and freed two epochs later | bag sealed onto the global queue, participant unregistered (by the last guard if one outlives the handle); any `collect()` frees it |
+//! | [`Hazard`] | 12.6 → 12.6 | 9.4 → 9.7 | 66.0 → 40.6 | `threads × (H + SCAN_THRESHOLD)`; an idle thread keeps its own list | list flagged abandoned; the next `scan`/`collect()` of any thread adopts and frees it; slots recycled |
+//! | [`Leak`] | 0 | a load | 0 | everything | — |
+//! | [`DebugReclaim`] | global lock | global lock | global lock | everything retired while any guard is live | quarantine is global |
+//!
 //! # The two protection modes
 //!
 //! [`Reclaimer::enter`] returns a guard for the **per-pointer** discipline:
@@ -169,7 +182,7 @@ impl Reclaimer for Ebr {
     }
 
     fn retired_backlog() -> usize {
-        epoch::default_collector().global_garbage_len()
+        epoch::default_collector().garbage_len()
     }
 }
 
@@ -254,6 +267,7 @@ pub struct Hazard;
 
 impl Hazard {
     /// The process-wide hazard domain backing this reclaimer.
+    #[inline]
     pub fn domain() -> &'static Domain {
         static DOMAIN: OnceLock<Domain> = OnceLock::new();
         DOMAIN.get_or_init(Domain::new)

@@ -127,24 +127,28 @@ fn epoch_pins_hold_back_collection() {
     }
 }
 
-/// Michael's bound: the retired-but-unreclaimed backlog never exceeds the
-/// number of published hazard slots plus the scan batch threshold. We
-/// retire a randomized stream of nodes (some protected, some not) and
-/// check the bound after every retire.
+/// Michael's bound, per retiring thread: the nodes a thread has retired
+/// and not yet freed never exceed the number of published hazard slots
+/// plus the scan batch threshold. We retire a randomized stream of nodes
+/// while hazards come and go on live decoys, and check the bound after
+/// every step — on one thread, where the domain's backlog is that thread's
+/// list, and on two threads retiring side by side, where it is the sum of
+/// both lists and the bound doubles.
 #[test]
 fn retired_backlog_is_bounded_by_hazards_plus_batch() {
-    let gen = |rng: &mut Prng| rng.below(4) as u8;
-    forall_vec(&Config::new(32, 400), gen, |script: &[u8]| {
-        let domain = Domain::new();
-        let drops = Arc::new(AtomicUsize::new(0));
+    const HAZARDS_PER_THREAD: usize = 3;
 
+    /// Runs `script` on the calling thread; `bound` is checked against the
+    /// whole domain's backlog after every step.
+    fn run_script(domain: &Domain, script: &[u8], bound: usize) {
+        let drops = Arc::new(AtomicUsize::new(0));
         // A small fixed population of hazard slots, each either parked on
         // a live decoy node or empty.
-        let decoys: Vec<AtomicPtr<Counted>> = (0..3)
+        let decoys: Vec<AtomicPtr<Counted>> = (0..HAZARDS_PER_THREAD)
             .map(|_| AtomicPtr::new(Box::into_raw(Box::new(Counted(Arc::clone(&drops))))))
             .collect();
         let mut hazards: Vec<HazardPointer<'_>> = (0..decoys.len())
-            .map(|_| HazardPointer::new(&domain))
+            .map(|_| HazardPointer::new(domain))
             .collect();
 
         for (i, step) in script.iter().enumerate() {
@@ -163,11 +167,10 @@ fn retired_backlog_is_bounded_by_hazards_plus_batch() {
                     unsafe { domain.retire(node) };
                 }
             }
+            let backlog = domain.retired_len();
             assert!(
-                domain.retired_len() <= hazards.len() + SCAN_THRESHOLD,
-                "backlog {} exceeds H + batch = {}",
-                domain.retired_len(),
-                hazards.len() + SCAN_THRESHOLD
+                backlog <= bound,
+                "backlog {backlog} exceeds threads x (H + batch) = {bound}"
             );
         }
 
@@ -178,6 +181,24 @@ fn retired_backlog_is_bounded_by_hazards_plus_batch() {
             // SAFETY: owned by this test, never retired.
             unsafe { drop(Box::from_raw(p)) };
         }
+    }
+
+    let gen = |rng: &mut Prng| rng.below(4) as u8;
+    forall_vec(&Config::new(32, 400), gen, |script: &[u8]| {
+        run_script(&Domain::new(), script, HAZARDS_PER_THREAD + SCAN_THRESHOLD);
+    });
+
+    // Two retiring threads: every hazard of the domain can pin a node on
+    // either list, so each list is bounded by all of them plus the batch.
+    forall_vec(&Config::new(8, 400), gen, |script: &[u8]| {
+        let domain = Domain::new();
+        let bound = 2 * (2 * HAZARDS_PER_THREAD + SCAN_THRESHOLD);
+        std::thread::scope(|s| {
+            let reversed: Vec<u8> = script.iter().rev().copied().collect();
+            let domain = &domain;
+            s.spawn(move || run_script(domain, &reversed, bound));
+            run_script(domain, script, bound);
+        });
     });
 }
 

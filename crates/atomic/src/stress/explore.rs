@@ -1,11 +1,13 @@
-//! Bounded-exhaustive systematic exploration ("model-checking mode") for
-//! the stress scheduler.
+//! The step-granting engine under every stress round, and the
+//! bounded-exhaustive systematic exploration ("model-checking mode")
+//! built on it.
 //!
-//! Where the PCT scheduler ([module docs](super)) *samples* schedules from
-//! a seeded distribution, this module *enumerates* them: it serializes the
-//! worker threads so that exactly one runs between consecutive yield
-//! points, records every scheduling decision, and drives a depth-first
-//! search over all such decision sequences. For the small operation
+//! The engine serializes the worker threads so that exactly one runs
+//! between consecutive yield points; a `Chooser` decides which. Where
+//! the PCT chooser ([module docs](super)) *samples* schedules from a
+//! seeded distribution, the explorer *enumerates* them: it records every
+//! scheduling decision and drives a depth-first search over all such
+//! decision sequences. For the small operation
 //! windows lincheck specs use (2–3 threads × 3–5 ops), the search
 //! typically finishes in well under a second and the verdict is a proof
 //! over *all* inequivalent interleavings at yield-point granularity — not
@@ -53,9 +55,8 @@
 //!
 //! # Mechanics
 //!
-//! [`Explorer::begin`] installs the explore scheduler (sharing the
-//! process-wide run lock, [`register`](super::register), and yield-point
-//! plumbing with the PCT mode). Worker threads pause at every yield
+//! [`Explorer::begin`] installs a round (one at a time process-wide, like
+//! a PCT [`install`](super::install)). Worker threads pause at every yield
 //! point; when all are paused or finished, the deepest paused thread
 //! permitted by the current DFS *plan* is granted one step. Aborts
 //! (redundant branch, budget exhausted) unwind the workers with a
@@ -69,9 +70,13 @@
 
 use crate::raw::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, Once};
+use std::time::{Duration, Instant};
 
 use super::weak::WeakState;
-use super::{lock_round, RoundLock, YieldTag, ACTIVE, MAX_THREADS};
+use super::{
+    lock_round, mix_seed, RoundLock, SplitMix64, StressConfig, YieldTag, ACTIVE, DEMOTIONS,
+    MAX_THREADS,
+};
 
 /// `GRANT` value meaning "no thread may step".
 const IDLE: usize = usize::MAX;
@@ -81,6 +86,11 @@ const ABORTED: usize = usize::MAX - 1;
 /// execution is declared stuck (each requires a full quiescent spin of
 /// pure rechecks, so genuine progress resets the counter quickly).
 const FORCED_WAKE_BOUND: u32 = 128;
+/// How long a paused worker waits, with no step granted to anyone, before
+/// it declares the round stalled: some registered thread is blocked in the
+/// kernel on something only a paused worker can release, so no step can
+/// ever be granted again (see [`StallWatch::stalled`]).
+const STALL_LIMIT: Duration = Duration::from_secs(5);
 
 /// Search bounds for one exploration.
 #[derive(Debug, Clone)]
@@ -197,8 +207,6 @@ fn abort_panic() -> ! {
     std::panic::panic_any(ExploreAbort);
 }
 
-/// Whether the explore scheduler (not PCT) owns the current stress round.
-static EXPLORING: AtomicBool = AtomicBool::new(false);
 /// Slot currently granted a step, or [`IDLE`] / [`ABORTED`]. Paused
 /// workers spin on this instead of the state mutex.
 static GRANT: AtomicUsize = AtomicUsize::new(IDLE);
@@ -223,7 +231,75 @@ fn install_quiet_hook() {
     });
 }
 
-/// Live state of one explored execution.
+/// The worker slots in `mask`, ascending.
+fn slots(mask: u64) -> impl Iterator<Item = usize> {
+    (0..MAX_THREADS).filter(move |&i| mask & (1u64 << i) != 0)
+}
+
+/// The scheduling policy: which enabled paused worker is granted the next
+/// step once the forced `plan` prefix is used up. Everything else — the
+/// pause/grant handshake, `Blocked` disabling, aborts — is the one engine
+/// below, whichever chooser drives it.
+enum Chooser {
+    /// Systematic search: the lowest-numbered enabled worker that is not
+    /// asleep; a node with every enabled worker asleep is redundant.
+    Dfs,
+    /// Replay of a recorded schedule: past the plan, the lowest-numbered
+    /// enabled worker, never pruning.
+    Replay,
+    /// Seeded sampling for an *open-world* round: the thread count is not
+    /// known at install, slots come and go mid-round, and what a blocked
+    /// worker waits for may be an unregistered thread.
+    Pct(Box<Pct>),
+}
+
+/// PCT priorities and change points, all drawn from the round seed.
+struct Pct {
+    /// Initial priorities have the top bit set; demotions count down from
+    /// `next_demotion`, well below them, so each demoted worker lands
+    /// below all others — the PCT discipline.
+    priorities: [u64; MAX_THREADS],
+    next_demotion: u64,
+    rng: SplitMix64,
+    steps: u64,
+    next_change: u64,
+    change_period: u64,
+}
+
+impl Pct {
+    fn new(cfg: &StressConfig) -> Self {
+        let mut priorities = [0; MAX_THREADS];
+        for (index, priority) in priorities.iter_mut().enumerate() {
+            *priority = mix_seed(cfg.seed, index as u64 + 1) | (1 << 63);
+        }
+        Pct {
+            priorities,
+            next_demotion: 1 << 32,
+            rng: SplitMix64::new(mix_seed(cfg.seed, 0x5ced)),
+            steps: 0,
+            next_change: cfg.change_period.max(1),
+            change_period: cfg.change_period,
+        }
+    }
+
+    /// The highest-priority enabled worker; at a change point it is
+    /// demoted, so its *next* step waits for everyone else.
+    fn pick(&mut self, enabled: u64) -> usize {
+        let chosen = slots(enabled)
+            .max_by_key(|&i| self.priorities[i])
+            .expect("dispatch with no enabled worker");
+        self.steps += 1;
+        if self.change_period > 0 && self.steps >= self.next_change {
+            self.next_change = self.steps + 1 + self.rng.below(self.change_period);
+            self.next_demotion -= 1;
+            self.priorities[chosen] = self.next_demotion;
+            DEMOTIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        chosen
+    }
+}
+
+/// Live state of one scheduled execution.
 struct ExpState {
     threads: usize,
     plan: Vec<PlanStep>,
@@ -232,11 +308,11 @@ struct ExpState {
     /// queues aligned without recording their interleaving.
     plan_reads: Vec<usize>,
     rcursor: usize,
-    /// Replay mode: never prune as redundant, ignore sleep sets beyond
-    /// the plan.
-    replay_only: bool,
+    chooser: Chooser,
     max_steps: u64,
-    /// Bitmasks over worker slots.
+    /// Bitmasks over worker slots. `finished` marks deregistered slots (a
+    /// slot that registers again is live again); `paused` only ever holds
+    /// live ones.
     registered: u64,
     paused: u64,
     finished: u64,
@@ -281,7 +357,7 @@ impl ExpState {
         threads: usize,
         plan: Vec<PlanStep>,
         plan_reads: Vec<usize>,
-        replay_only: bool,
+        chooser: Chooser,
         bounds: &ExploreBounds,
     ) -> Self {
         ExpState {
@@ -289,7 +365,7 @@ impl ExpState {
             plan,
             plan_reads,
             rcursor: 0,
-            replay_only,
+            chooser,
             max_steps: bounds.max_steps,
             registered: 0,
             paused: 0,
@@ -322,27 +398,45 @@ impl ExpState {
         GRANT.store(ABORTED, Ordering::Release);
     }
 
+    /// A PCT round (see [`Chooser::Pct`]).
+    fn pct(cfg: &StressConfig) -> Self {
+        let unbounded = ExploreBounds {
+            max_steps: u64::MAX,
+            ..ExploreBounds::default()
+        };
+        let chooser = Chooser::Pct(Box::new(Pct::new(cfg)));
+        ExpState::new(MAX_THREADS, Vec::new(), Vec::new(), chooser, &unbounded)
+    }
+
+    fn open_world(&self) -> bool {
+        matches!(self.chooser, Chooser::Pct(_))
+    }
+
     /// Grants one thread a step if the execution is quiescent: every
-    /// expected worker registered and now paused or finished, none
-    /// running. Called after every pause and finish.
+    /// live worker paused, none running — and, in a closed world, every
+    /// expected worker registered. Called after every pause and finish.
     fn maybe_dispatch(&mut self) {
         if self.abort.is_some() || self.running.is_some() {
             return;
         }
-        let full = self.full_mask();
-        if self.registered != full {
+        if !self.open_world() && self.registered != self.full_mask() {
             return;
         }
-        if (self.paused | self.finished) != full || self.finished == full {
+        let live = self.registered & !self.finished;
+        if live == 0 || self.paused != live {
             return;
         }
         let mut enabled = self.paused & !self.disabled;
         if enabled == 0 {
             // Everyone left is blocked with nothing moved since: force a
-            // recheck round, bounded so a real deadlock still terminates.
-            self.forced_wakes += 1;
-            if self.forced_wakes > FORCED_WAKE_BOUND {
-                return self.trigger_abort(AbortKind::Stuck);
+            // recheck round. In a closed world that is bounded, so a real
+            // deadlock still terminates; in an open one an unregistered
+            // thread may yet release them, so they are simply re-woken.
+            if !self.open_world() {
+                self.forced_wakes += 1;
+                if self.forced_wakes > FORCED_WAKE_BOUND {
+                    return self.trigger_abort(AbortKind::Stuck);
+                }
             }
             self.disabled = 0;
             enabled = self.paused;
@@ -356,14 +450,11 @@ impl ExpState {
             (p.chosen, p.extra_sleep)
         } else {
             let cands = enabled & !self.sleep;
-            if cands == 0 {
-                if self.replay_only {
-                    (enabled.trailing_zeros() as usize, 0)
-                } else {
-                    return self.trigger_abort(AbortKind::Redundant);
-                }
-            } else {
-                (cands.trailing_zeros() as usize, 0)
+            match &mut self.chooser {
+                Chooser::Pct(pct) => (pct.pick(enabled), 0),
+                Chooser::Dfs if cands == 0 => return self.trigger_abort(AbortKind::Redundant),
+                Chooser::Replay if cands == 0 => (enabled.trailing_zeros() as usize, 0),
+                Chooser::Dfs | Chooser::Replay => (cands.trailing_zeros() as usize, 0),
             }
         };
         let decision = Decision {
@@ -371,8 +462,11 @@ impl ExpState {
             enabled,
             sleep: self.sleep,
         };
-        self.decisions.push(decision);
-        self.log.push(LogEntry::Thread(decision));
+        // An open-world round has no bounded length and nobody harvests it.
+        if !self.open_world() {
+            self.decisions.push(decision);
+            self.log.push(LogEntry::Thread(decision));
+        }
         // Sleep-set propagation: already-explored siblings (and inherited
         // sleepers) stay asleep down this branch only while independent
         // of the step just granted.
@@ -441,51 +535,36 @@ impl ExpState {
     }
 }
 
-/// Whether the explore scheduler owns the active stress round.
-#[inline]
-pub(super) fn mode_active() -> bool {
-    EXPLORING.load(Ordering::Acquire)
-}
-
-/// Registers `index` with the explore round, if one is installed.
-/// Returns `false` when no explore round is active (PCT registration
-/// should proceed instead).
+/// Registers `index` with the installed round; `false` when there is none
+/// (the caller's guard is then inert).
 pub(super) fn register(index: usize) -> bool {
-    if !mode_active() {
-        return false;
-    }
     let mut guard = exp_lock();
     let Some(st) = guard.as_mut() else {
         return false;
     };
     assert!(
         index < st.threads,
-        "worker index {index} out of range for explore round of {} threads",
+        "worker index {index} out of range for a round of {} threads",
         st.threads
     );
     let bit = 1u64 << index;
     assert!(
-        st.registered & bit == 0,
+        st.registered & !st.finished & bit == 0,
         "worker index {index} registered twice"
     );
     st.registered |= bit;
+    st.finished &= !bit;
     true
 }
 
-/// Removes a finished worker from the explore round. Returns `true` when
-/// the explore round handled the deregistration. Must never panic: it
-/// runs from `Drop` during abort unwinds.
-pub(super) fn deregister(slot: usize) -> bool {
-    if !mode_active() {
-        return false;
-    }
+/// Removes a finished worker from the round. Must never panic: it runs
+/// from `Drop` during abort unwinds.
+pub(super) fn deregister(slot: usize) {
     let mut guard = exp_lock();
-    let Some(st) = guard.as_mut() else {
-        return true;
-    };
+    let Some(st) = guard.as_mut() else { return };
     let bit = 1u64 << slot;
-    if st.registered & bit == 0 {
-        return true;
+    if st.registered & !st.finished & bit == 0 {
+        return;
     }
     if st.running == Some(slot) {
         st.running = None;
@@ -500,14 +579,13 @@ pub(super) fn deregister(slot: usize) -> bool {
     st.disabled = 0;
     st.forced_wakes = 0;
     st.maybe_dispatch();
-    true
 }
 
-/// The explore-mode yield point: pause, hand the scheduler the access
-/// tag for the next step, and wait to be granted that step. Panics with
-/// [`ExploreAbort`] when the execution is aborted.
+/// The yield point of a registered worker: pause, hand the scheduler the
+/// access tag for the next step, and wait to be granted that step. Panics
+/// with [`ExploreAbort`] when the execution is aborted.
 pub(super) fn on_yield(slot: usize, tag: YieldTag) {
-    {
+    let mut watch = {
         let mut guard = exp_lock();
         let Some(st) = guard.as_mut() else { return };
         if st.abort.is_some() {
@@ -540,13 +618,59 @@ pub(super) fn on_yield(slot: usize, tag: YieldTag) {
             drop(guard);
             abort_panic();
         }
-    }
+        StallWatch {
+            deadline: Instant::now() + STALL_LIMIT,
+            steps: st.steps,
+        }
+    };
     loop {
         match GRANT.load(Ordering::Acquire) {
             g if g == slot => return,
             ABORTED => abort_panic(),
+            _ if watch.stalled() => return,
             _ => std::thread::yield_now(),
         }
+    }
+}
+
+/// A paused worker's view of whether the round still makes progress.
+struct StallWatch {
+    deadline: Instant,
+    /// `ExpState::steps` when the deadline was last set.
+    steps: u64,
+}
+
+impl StallWatch {
+    /// Called while waiting for a grant. If a whole [`STALL_LIMIT`] went
+    /// by with no step granted to anyone, some registered thread that is
+    /// not paused keeps the round from quiescing — which a runnable thread
+    /// does for microseconds, so it is asleep in the kernel (or spinning
+    /// with no yield point) on something only a paused worker can release.
+    /// Aborts the round and panics naming it. Returns `true` only when the
+    /// round is gone (the installer dropped it with workers still paused):
+    /// the caller then runs on as an unscheduled thread.
+    fn stalled(&mut self) -> bool {
+        if Instant::now() < self.deadline {
+            return false;
+        }
+        let mut guard = exp_lock();
+        let Some(st) = guard.as_mut() else {
+            return true;
+        };
+        if st.abort.is_some() || self.steps != st.steps {
+            self.steps = st.steps;
+            self.deadline = Instant::now() + STALL_LIMIT;
+            return false;
+        }
+        let holders: Vec<usize> = slots(st.registered & !st.finished & !st.paused).collect();
+        st.trigger_abort(AbortKind::Stuck);
+        drop(guard);
+        panic!(
+            "stress round stalled: no step was granted for {STALL_LIMIT:?} while slot(s) \
+             {holders:?} held the step without reaching a yield point. A registered thread \
+             must never block in the kernel (or spin without a yield point) on something \
+             only a paused worker can release (DESIGN.md, determinism rule 2)."
+        );
     }
 }
 
@@ -670,10 +794,13 @@ pub fn check_region(addr: usize, len: usize) {
 /// Real-time completion edge for weak windows: the harness calls this
 /// (via [`super::op_boundary`]) on the worker thread between its
 /// consecutive operations. No-op outside weak windows.
-pub(super) fn op_boundary(slot: usize) {
+pub(super) fn op_boundary() {
     if !WEAK_ON.load(Ordering::Acquire) {
         return;
     }
+    let Some(slot) = super::current_slot() else {
+        return;
+    };
     let mut guard = exp_lock();
     let Some(st) = guard.as_mut() else { return };
     let bit = 1u64 << slot;
@@ -685,9 +812,10 @@ pub(super) fn op_boundary(slot: usize) {
     }
 }
 
-/// An installed explore round; uninstalls on drop. Returned by
+/// An installed round; uninstalls on drop. Returned by
 /// [`Explorer::begin`] / [`begin_replay`] and consumed by
-/// [`Explorer::finish`] / [`finish_replay`] after the workers joined.
+/// [`Explorer::finish`] / [`finish_replay`] after the workers joined; a
+/// PCT round's lives inside [`StressRun`](super::StressRun).
 pub struct ExploreRun {
     _exclusive: RoundLock,
 }
@@ -702,7 +830,6 @@ impl Drop for ExploreRun {
     fn drop(&mut self) {
         WEAK_ON.store(false, Ordering::Release);
         ACTIVE.store(false, Ordering::Release);
-        EXPLORING.store(false, Ordering::Release);
         *exp_lock() = None;
         GRANT.store(IDLE, Ordering::Release);
     }
@@ -714,11 +841,16 @@ fn install_run(state: ExpState) -> ExploreRun {
     WEAK_ON.store(state.weak.is_some(), Ordering::Release);
     *exp_lock() = Some(state);
     GRANT.store(IDLE, Ordering::Release);
-    EXPLORING.store(true, Ordering::Release);
     ACTIVE.store(true, Ordering::Release);
     ExploreRun {
         _exclusive: exclusive,
     }
+}
+
+/// Installs a PCT round: the engine above with the seeded priority
+/// chooser. Nothing is harvested from it; dropping the run ends it.
+pub(super) fn install_pct(cfg: &StressConfig) -> ExploreRun {
+    install_run(ExpState::pct(cfg))
 }
 
 fn harvest(run: ExploreRun) -> ExpState {
@@ -821,7 +953,7 @@ impl Explorer {
             self.threads,
             self.plan.clone(),
             self.plan_reads.clone(),
-            false,
+            Chooser::Dfs,
             &self.bounds,
         ))
     }
@@ -989,7 +1121,13 @@ pub fn begin_replay(
             }
         })
         .collect();
-    install_run(ExpState::new(threads, plan, reads.to_vec(), true, bounds))
+    install_run(ExpState::new(
+        threads,
+        plan,
+        reads.to_vec(),
+        Chooser::Replay,
+        bounds,
+    ))
 }
 
 /// Harvests a replay started by [`begin_replay`]. `Ok` carries the
@@ -1173,5 +1311,56 @@ mod tests {
         let replayed = finish_replay(run).expect("replay should complete");
         assert_eq!(replayed, schedule);
         assert_eq!(*order.lock().unwrap(), recorded);
+    }
+
+    /// A PCT round is open-world. Two workers wait, as pure rechecks, for
+    /// stores only an *unregistered* thread makes — first as a pair, for
+    /// more steps than a closed-world execution's whole budget, then one
+    /// alone, re-woken more often than the forced-wake bound allows a
+    /// closed world — and a worker leaves the round and comes back.
+    #[test]
+    fn pct_round_waits_on_unregistered_threads_and_lets_slots_return() {
+        let bounds = ExploreBounds::default();
+        let run = install_pct(&StressConfig {
+            seed: 11,
+            change_period: 3,
+        });
+        let rechecks = AtomicUsize::new(0);
+        let (first, second) = (AtomicBool::new(false), AtomicBool::new(false));
+        let wait_for = |flag: &AtomicBool| {
+            while !flag.load(Ordering::Acquire) {
+                rechecks.fetch_add(1, Ordering::Relaxed);
+                crate::stress::yield_point_tagged(YieldTag::Blocked(flag as *const _ as usize));
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let slot = crate::stress::register(0);
+                wait_for(&first);
+                wait_for(&second);
+                drop(slot);
+                let _slot = crate::stress::register(0);
+                for _ in 0..8 {
+                    crate::stress::yield_point();
+                }
+            });
+            s.spawn(|| {
+                let _slot = crate::stress::register(1);
+                wait_for(&first);
+            });
+            s.spawn(|| {
+                let seen = |n: usize| {
+                    while rechecks.load(Ordering::Relaxed) < n {
+                        std::thread::yield_now();
+                    }
+                };
+                let pair = 2 * bounds.max_steps as usize;
+                seen(pair);
+                first.store(true, Ordering::Release);
+                seen(pair + 4 * FORCED_WAKE_BOUND as usize);
+                second.store(true, Ordering::Release);
+            });
+        });
+        drop(run);
     }
 }

@@ -33,15 +33,12 @@
 //! throughput (see EXPERIMENTS.md).
 
 use std::fmt::Debug;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
-use cds_core::stress as sched;
 use cds_core::stress::explore as exp;
 use cds_core::stress::explore::{ExploreBounds, Outcome};
 
 use crate::trace::Trace;
-use crate::{check_linearizable, shrink_history, Operation, Recorder, Spec};
+use crate::{check_linearizable, run_window, shrink_history, Operation, Spec};
 
 /// Configuration of a bounded-exhaustive exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,7 +232,7 @@ where
         // `run` owns the installed round; it must outlive the worker scope
         // and is consumed by `finish` to harvest the decisions.
         let run = explorer.begin();
-        let (history, panic_msg) = run_window(threads, ops, &setup, &exec);
+        let (history, panic_msg) = run_window(ops, &setup, &exec);
         let outcome = explorer.finish(run);
         let trace = if opts.weak_memory {
             Trace::V3 {
@@ -327,7 +324,7 @@ where
     let threads = ops.len();
     let bounds = bounds_of(opts);
     let run = exp::begin_replay(threads, steps, reads, &bounds);
-    let (history, panic_msg) = run_window(threads, ops, &setup, &exec);
+    let (history, panic_msg) = run_window(ops, &setup, &exec);
     let result = exp::finish_replay(run);
     if let Some(msg) = panic_msg {
         return Err(ReplayScheduleError::Panicked(msg));
@@ -409,8 +406,7 @@ where
     let mut explorer = exp::Explorer::new(threads, bounds_of(opts));
     loop {
         let run = explorer.begin();
-        let (_history, panic_msg): (Vec<Operation<Op, Res>>, _) =
-            run_window(threads, ops, setup, exec);
+        let (_history, panic_msg): (Vec<Operation<Op, Res>>, _) = run_window(ops, setup, exec);
         let _ = explorer.finish(run);
         if let Some(message) = panic_msg {
             let trace = if opts.weak_memory {
@@ -431,74 +427,4 @@ where
             return None;
         }
     }
-}
-
-fn run_window<T, Op, Res, Setup, Exec>(
-    threads: usize,
-    ops: &[Vec<Op>],
-    setup: &Setup,
-    exec: &Exec,
-) -> (Vec<Operation<Op, Res>>, Option<String>)
-where
-    Op: Clone + Send + Sync,
-    Res: Clone + Send,
-    T: Sync,
-    Setup: Fn() -> T,
-    Exec: Fn(&T, &Op) -> Res + Sync,
-{
-    let target = setup();
-    let recorder: Recorder<Op, Res> = Recorder::new();
-    let panics: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    // All workers must be registered before any of them starts operating;
-    // the explore scheduler additionally serializes everything after the
-    // first yield point, so the barrier only shields the (trivial)
-    // pre-window code from spawn-order noise.
-    let start = std::sync::Barrier::new(threads);
-    std::thread::scope(|s| {
-        for (t, thread_ops) in ops.iter().enumerate() {
-            let target = &target;
-            let recorder = &recorder;
-            let start = &start;
-            let panics = &panics;
-            s.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let _slot = sched::register(t);
-                    start.wait();
-                    for op in thread_ops {
-                        sched::yield_point();
-                        recorder.record(op.clone(), || {
-                            // Real-time completion edges for weak-memory
-                            // exploration: absorb everything that completed
-                            // before this operation was invoked, and publish
-                            // this operation's effects before its response
-                            // is recorded. Both sit *inside* the recorded
-                            // span, so the synchronization they add is only
-                            // ever a sound under-approximation of the
-                            // history's real-time order. No-ops otherwise.
-                            sched::op_boundary();
-                            let res = exec(target, op);
-                            sched::op_boundary();
-                            res
-                        });
-                    }
-                }));
-                if let Err(payload) = result {
-                    // `ExploreAbort` is the scheduler's own control flow
-                    // (pruned/stuck executions); everything else is a real
-                    // failure of the structure under test.
-                    if payload.downcast_ref::<exp::ExploreAbort>().is_none() {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic payload>".into());
-                        panics.lock().unwrap().push(msg);
-                    }
-                }
-            });
-        }
-    });
-    let history = recorder.into_history();
-    let panic_msg = panics.into_inner().unwrap().into_iter().next();
-    (history, panic_msg)
 }

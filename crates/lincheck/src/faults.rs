@@ -1,6 +1,6 @@
 //! Fault injection for the lock-based structures.
 //!
-//! Three fault classes from the Rust-concurrency failure catalogue
+//! Two fault classes from the Rust-concurrency failure catalogue
 //! (Saligrama et al.) are covered:
 //!
 //! * **Poisoned-lock recovery** — the workspace's `parking_lot` shim
@@ -8,10 +8,6 @@
 //!   `parking_lot`'s non-poisoning semantics. [`crash_worker`] drives a
 //!   worker that dies mid-operation so tests can assert the structure
 //!   stays usable afterwards.
-//! * **Forced backoff** — configure
-//!   [`StressOptions::backoff_denom`](crate::stress::StressOptions) so the
-//!   scheduler injects spin delays at seeded yield points, stretching
-//!   critical sections and lock hand-offs.
 //! * **Contention storms** — [`with_contention_storm`] hammers a
 //!   structure from background threads while the caller runs a checked
 //!   workload in the foreground.

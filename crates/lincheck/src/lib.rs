@@ -43,9 +43,9 @@
 //! * [`stress`] drives whole structures through seeded, PCT-style
 //!   scheduled rounds (`cds_core::stress`) and re-prints the seed of any
 //!   failing schedule so it can be replayed deterministically.
-//! * [`faults`] injects contention storms and forced backoff, and the
-//!   workspace's `parking_lot` shim performs poisoned-lock recovery so
-//!   lock-based structures can be tested across worker panics.
+//! * [`faults`] injects contention storms, and the workspace's
+//!   `parking_lot` shim performs poisoned-lock recovery so lock-based
+//!   structures can be tested across worker panics.
 //! * [`shrink_history`] minimizes a failing window to a locally minimal
 //!   non-linearizable sub-history before it is reported.
 //! * [`prop`] is a small seeded property-testing harness (generation +
@@ -93,9 +93,11 @@ pub mod stress;
 pub mod trace;
 
 use cds_atomic::raw::{AtomicU64, Ordering};
+use cds_core::stress as sched;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hash;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// A sequential specification of an abstract data type.
@@ -181,6 +183,99 @@ impl<Op, Res> fmt::Debug for Recorder<Op, Res> {
         f.debug_struct("Recorder")
             .field("recorded", &self.ops.lock().unwrap().len())
             .finish()
+    }
+}
+
+/// Runs one scheduled window: worker slot `t` registers with whichever
+/// scheduler is installed (PCT round, explore execution, replay — or none,
+/// in a build without the `stress` feature), rendezvouses, and executes
+/// `ops[t]` in order against a fresh `setup()`, each operation recorded.
+/// Returns the recorded history and the first worker panic, stringified.
+pub(crate) fn run_window<T, Op, Res, Setup, Exec>(
+    ops: &[Vec<Op>],
+    setup: &Setup,
+    exec: &Exec,
+) -> (Vec<Operation<Op, Res>>, Option<String>)
+where
+    Op: Clone + Send + Sync,
+    Res: Clone + Send,
+    T: Sync,
+    Setup: Fn() -> T,
+    Exec: Fn(&T, &Op) -> Res + Sync,
+{
+    let target = setup();
+    let recorder: Recorder<Op, Res> = Recorder::new();
+    let panics: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    // All workers must be registered before any of them starts operating:
+    // the scheduler grants no step until every registered worker has
+    // paused, so the barrier only shields the (trivial) pre-window code
+    // from spawn-order noise.
+    let start = std::sync::Barrier::new(ops.len());
+    std::thread::scope(|s| {
+        for (t, thread_ops) in ops.iter().enumerate() {
+            let target = &target;
+            let recorder = &recorder;
+            let start = &start;
+            let panics = &panics;
+            s.spawn(move || {
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    let _slot = sched::register(t);
+                    start.wait();
+                    for op in thread_ops {
+                        sched::yield_point();
+                        recorder.record(op.clone(), || {
+                            // Real-time completion edges for weak-memory
+                            // exploration: absorb everything that completed
+                            // before this operation was invoked, and publish
+                            // this operation's effects before its response
+                            // is recorded. Both sit *inside* the recorded
+                            // span, so the synchronization they add is only
+                            // ever a sound under-approximation of the
+                            // history's real-time order. No-ops otherwise.
+                            sched::op_boundary();
+                            let res = exec(target, op);
+                            sched::op_boundary();
+                            res
+                        });
+                    }
+                }));
+                if let Err(payload) = result {
+                    // `ExploreAbort` is the scheduler's own control flow
+                    // (pruned/stuck executions); everything else is a real
+                    // failure of the structure under test.
+                    #[cfg(feature = "stress")]
+                    if payload.is::<sched::explore::ExploreAbort>() {
+                        return;
+                    }
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "<non-string panic payload>".into());
+                    panics.lock().unwrap().push(msg);
+                }
+            });
+        }
+    });
+    let history = recorder.into_history();
+    let panic_msg = panics.into_inner().unwrap().into_iter().next();
+    (history, panic_msg)
+}
+
+/// The root seed of a harness: `default`, unless the environment variable
+/// `var` overrides it (decimal or `0x` hex; anything else panics).
+pub(crate) fn env_seed(var: &str, default: u64) -> u64 {
+    match std::env::var(var) {
+        Ok(s) => {
+            let s = s.trim();
+            let parsed = if let Some(hex) = s.strip_prefix("0x") {
+                u64::from_str_radix(hex, 16)
+            } else {
+                s.parse()
+            };
+            parsed.unwrap_or_else(|_| panic!("unparseable {var}: {s:?}"))
+        }
+        Err(_) => default,
     }
 }
 

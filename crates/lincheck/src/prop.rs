@@ -36,24 +36,9 @@ impl Config {
     pub fn new(cases: usize, max_len: usize) -> Self {
         Config {
             cases,
-            seed: seed_from_env(),
+            seed: crate::env_seed("CDS_PROP_SEED", 0xcd5_c0ffee),
             max_len,
         }
-    }
-}
-
-fn seed_from_env() -> u64 {
-    match std::env::var("CDS_PROP_SEED") {
-        Ok(s) => {
-            let s = s.trim();
-            let parsed = if let Some(hex) = s.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                s.parse()
-            };
-            parsed.unwrap_or_else(|_| panic!("unparseable CDS_PROP_SEED: {s:?}"))
-        }
-        Err(_) => 0xcd5_c0ffee,
     }
 }
 

@@ -7,8 +7,9 @@
 //! 2. installs the `cds_core::stress` scheduler (live when the `stress`
 //!    feature is enabled; inert otherwise — the round still runs, just
 //!    without controlled preemption),
-//! 3. spawns worker threads that generate operations from per-thread
-//!    seeded streams and record them through a [`Recorder`],
+//! 3. draws each worker's operations from its per-thread seeded stream
+//!    and runs them as one recorded window (the runner the
+//!    bounded-exhaustive explorer uses too),
 //! 4. checks the recorded window with the memoized Wing–Gong search.
 //!
 //! On failure the driver shrinks the window with
@@ -16,8 +17,7 @@
 //! [`StressFailure`] carrying the *round seed*; [`replay`] re-runs
 //! exactly that round. Because every scheduling decision and every
 //! generated operation derives from the seed, the failure reproduces
-//! deterministically (best-effort where the OS blocks the token holder —
-//! see `cds_core::stress`).
+//! deterministically, on any host and under any load.
 //!
 //! # Example: find and replay a planted bug
 //!
@@ -55,7 +55,7 @@ use std::fmt::Debug;
 use cds_core::stress as sched;
 use cds_core::stress::{mix_seed, SplitMix64, StressConfig};
 
-use crate::{check_linearizable, shrink_history, Operation, Recorder, Spec};
+use crate::{check_linearizable, env_seed, run_window, shrink_history, Operation, Spec};
 
 /// Configuration of a stress run (a sequence of scheduled rounds).
 #[derive(Debug, Clone)]
@@ -71,11 +71,6 @@ pub struct StressOptions {
     pub seed: u64,
     /// Scheduler priority-change period (see `cds_core::stress`).
     pub change_period: u64,
-    /// Forced-backoff injection: one in `backoff_denom` scheduler steps
-    /// spins `backoff_spins` times (0 disables).
-    pub backoff_denom: u64,
-    /// Spin count per injected backoff.
-    pub backoff_spins: u32,
 }
 
 impl Default for StressOptions {
@@ -84,26 +79,9 @@ impl Default for StressOptions {
             threads: 3,
             ops_per_thread: 5,
             rounds: 16,
-            seed: seed_from_env(),
+            seed: env_seed("CDS_STRESS_SEED", 0x5eed),
             change_period: 3,
-            backoff_denom: 0,
-            backoff_spins: 0,
         }
-    }
-}
-
-fn seed_from_env() -> u64 {
-    match std::env::var("CDS_STRESS_SEED") {
-        Ok(s) => {
-            let s = s.trim();
-            let parsed = if let Some(hex) = s.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                s.parse()
-            };
-            parsed.unwrap_or_else(|_| panic!("unparseable CDS_STRESS_SEED: {s:?}"))
-        }
-        Err(_) => 0x5eed,
     }
 }
 
@@ -165,7 +143,7 @@ pub fn stress<S, T, Setup, Gen, Exec>(
 ) -> Result<(), Box<StressFailure<S>>>
 where
     S: Spec,
-    S::Op: Clone + Send + Debug,
+    S::Op: Clone + Send + Sync + Debug,
     S::Res: Clone + PartialEq + Send + Debug,
     T: Sync,
     Setup: Fn() -> T,
@@ -205,7 +183,7 @@ pub fn replay<S, T, Setup, Gen, Exec>(
 ) -> Result<(), Box<StressFailure<S>>>
 where
     S: Spec,
-    S::Op: Clone + Send + Debug,
+    S::Op: Clone + Send + Sync + Debug,
     S::Res: Clone + PartialEq + Send + Debug,
     T: Sync,
     Setup: Fn() -> T,
@@ -224,7 +202,7 @@ where
 }
 
 /// Runs one scheduled round; returns the recorded window if it is *not*
-/// linearizable.
+/// linearizable. A worker panic is re-raised naming the round seed.
 fn run_round<S, T, Setup, Gen, Exec>(
     spec: &S,
     opts: &StressOptions,
@@ -235,7 +213,7 @@ fn run_round<S, T, Setup, Gen, Exec>(
 ) -> Option<Vec<Operation<S::Op, S::Res>>>
 where
     S: Spec,
-    S::Op: Clone + Send,
+    S::Op: Clone + Send + Sync,
     S::Res: Clone + PartialEq + Send,
     T: Sync,
     Setup: Fn() -> T,
@@ -248,40 +226,23 @@ where
         "stress window of {window} ops exceeds the checker's 64-op cap"
     );
     assert!(opts.threads <= sched::MAX_THREADS);
-    let target = setup();
-    let recorder: Recorder<S::Op, S::Res> = Recorder::new();
-    // All workers must be registered before any of them starts operating:
-    // otherwise the token holder races ahead while the OS is still
-    // starting the other threads, and the schedule depends on spawn
-    // timing instead of the seed alone.
-    let start = std::sync::Barrier::new(opts.threads);
+    // Per-thread op stream: a pure function of (round seed, thread index),
+    // independent of scheduling.
+    let ops: Vec<Vec<S::Op>> = (0..opts.threads)
+        .map(|t| {
+            let mut rng = SplitMix64::new(mix_seed(round_seed, 0x7ead + t as u64));
+            (0..opts.ops_per_thread).map(|_| gen(&mut rng, t)).collect()
+        })
+        .collect();
     let run = sched::install(StressConfig {
         seed: round_seed,
         change_period: opts.change_period,
-        backoff_denom: opts.backoff_denom,
-        backoff_spins: opts.backoff_spins,
     });
-    std::thread::scope(|s| {
-        for t in 0..opts.threads {
-            let target = &target;
-            let recorder = &recorder;
-            let start = &start;
-            s.spawn(move || {
-                let _slot = sched::register(t);
-                start.wait();
-                // Per-thread op stream: a pure function of (round seed,
-                // thread index), independent of scheduling.
-                let mut rng = SplitMix64::new(mix_seed(round_seed, 0x7ead + t as u64));
-                for _ in 0..opts.ops_per_thread {
-                    let op = gen(&mut rng, t);
-                    sched::yield_point();
-                    recorder.record(op.clone(), || exec(target, &op));
-                }
-            });
-        }
-    });
+    let (history, panic_msg) = run_window(&ops, setup, exec);
     drop(run);
-    let history = recorder.into_history();
+    if let Some(message) = panic_msg {
+        panic!("stress: worker panicked in round seed {round_seed:#x}: {message}");
+    }
     if check_linearizable(spec.clone(), &history) {
         None
     } else {

@@ -424,6 +424,15 @@ mod imp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The shards are process-wide and the harness runs these tests on
+    /// parallel threads: a test that asserts an exact delta holds this
+    /// lock so no sibling counts into its window.
+    fn exact_deltas() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn names_are_unique_and_match_count() {
@@ -436,6 +445,7 @@ mod tests {
 
     #[test]
     fn counts_merge_into_snapshots() {
+        let _exact = exact_deltas();
         let base = Snapshot::take();
         count(Event::CasAttempt);
         add(Event::FcOpsCombined, 5);
@@ -450,6 +460,7 @@ mod tests {
 
     #[test]
     fn cas_outcome_preserves_conservation() {
+        let _exact = exact_deltas();
         let base = Snapshot::take();
         cas_outcome(true);
         cas_outcome(false);
@@ -476,6 +487,7 @@ mod tests {
 
     #[test]
     fn cross_thread_sums_are_exact() {
+        let _exact = exact_deltas();
         let base = Snapshot::take();
         std::thread::scope(|s| {
             for _ in 0..4 {

@@ -159,7 +159,10 @@ impl Global {
             let mut garbage = self.garbage.lock().unwrap();
             let mut eligible = Vec::new();
             garbage.retain_mut(|(e, d)| {
-                if global_epoch.wrapping_sub(*e) >= 2 {
+                // Signed distance: `global_epoch` was read before the queue
+                // was locked, so an item deferred since may carry a *newer*
+                // epoch, and that is a negative age, not a huge one.
+                if global_epoch.wrapping_sub(*e) as isize >= 2 {
                     // Move the deferred item out; the slot is removed.
                     eligible.push(std::mem::replace(
                         d,

@@ -329,6 +329,28 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 
+    /// `collect` reads the epoch before it locks the queue, so an item
+    /// deferred in between can carry a newer epoch than the one it is aged
+    /// against. That age is negative, not astronomically large: the item
+    /// stays until the epoch is two past its own.
+    #[test]
+    fn garbage_newer_than_the_collecting_epoch_is_kept() {
+        let collector = Collector::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let newer = collector.epoch() + 3;
+        let item = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
+        // SAFETY: a fresh box, handed to the collector and to nobody else.
+        let deferred = unsafe { Deferred::destroy_box(item) };
+        collector.global.push_garbage([(newer, deferred)]);
+
+        collector.collect(); // ages the item against epoch 1
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed ahead of its epoch");
+        while collector.epoch() < newer + 2 {
+            collector.collect();
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
     #[test]
     fn pinned_thread_blocks_reclamation() {
         let collector = Collector::new();

@@ -144,8 +144,8 @@ impl<T> EliminationArray<T> {
         // CAS; it will set TAKEN after moving the value out. We must not
         // return (deallocating `offer`) until then. This wait is unbounded,
         // so it needs a yield point: under the stress scheduler the claimer
-        // may be descheduled between its claim CAS and its TAKEN store, and
-        // a bare spin here would burn the whole fairness bound.
+        // may be paused between its claim CAS and its TAKEN store, and is
+        // granted no step while a bare spin here keeps this thread running.
         while offer.state.load(Ordering::Acquire) != TAKEN {
             cds_core::stress::yield_point();
             core::hint::spin_loop();

@@ -35,10 +35,10 @@
 //! deliberately naive [`TasLock`], a direct call. Bounded bare
 //! `spin_loop` bursts (e.g. the ticket lock's proportional pause) are
 //! permitted only when the same iteration ends in a yield point. A spin
-//! loop violating this is a scheduling blind spot: under the
-//! deterministic PCT scheduler the token holder would burn its entire
-//! fairness bound there (the PR-1 lazy-skiplist class of stall), turning
-//! seeded schedules into timing-dependent ones.
+//! loop violating this is a scheduling blind spot: under the stress
+//! scheduler the spinner never pauses, so the worker it waits for is
+//! never granted a step and the round is aborted as stalled (the PR-1
+//! lazy-skiplist class of stall).
 //!
 //! # Example
 //!

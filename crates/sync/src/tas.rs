@@ -51,10 +51,11 @@ impl RawLock for TasLock {
     fn lock(&self) {
         while self.locked.swap(true, Ordering::Acquire) {
             // A bare spin is a scheduling blind spot under the stress
-            // scheduler: the token holder would burn its whole fairness
-            // bound here. Keep the naive TAS spin (the point of this
-            // lock) but give the scheduler a preemption hook. The next
-            // step is another swap attempt on the flag, hence `Write`.
+            // scheduler: the paused holder is granted no step while this
+            // thread spins without pausing. Keep the naive TAS spin (the
+            // point of this lock) but give the scheduler a preemption
+            // hook. The next step is another swap attempt on the flag,
+            // hence `Write`.
             cds_atomic::stress::yield_point_tagged(cds_atomic::stress::YieldTag::Write(
                 self as *const Self as usize,
             ));

@@ -63,7 +63,10 @@ enum Info<T> {
 /// never block others.
 ///
 /// * **insert** flags the parent (`IFlag`), replaces the leaf with a new
-///   routing node over the old leaf and the new one, then unflags.
+///   routing node over a *copy* of the old leaf and the new one, then
+///   unflags. (As in the paper, the old leaf is not reused: a child pointer
+///   must never return to a value it held before, or a late helper's child
+///   CAS would succeed a second time.)
 /// * **remove** flags the grandparent (`DFlag`), *marks* the parent
 ///   (`Mark`, permanent), splices the parent out (the grandparent adopts
 ///   the sibling), then unflags. If marking fails, the delete backs off,
@@ -224,9 +227,11 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
         let Info::Insert { p, new_internal, l } = (unsafe { op.deref() }) else {
             unreachable!("IFlag word must hold an Insert descriptor");
         };
-        // The old leaf `l` is *reused* as a child of `new_internal`, so the
-        // child swap creates no garbage.
-        Self::cas_child(
+        // `new_internal` carries a *copy* of the old leaf, so `l` leaves the
+        // tree for good here and `p`'s child can never be `l` again: a
+        // helper that arrives after the insert (and any later splice under
+        // `p`) finds its CAS failing instead of re-linking `new_internal`.
+        let swung = Self::cas_child(
             *p,
             Shared::from_raw(*l),
             Shared::from_raw(*new_internal),
@@ -242,6 +247,13 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
             Ordering::Relaxed,
             guard,
         );
+        if swung {
+            // SAFETY: we performed the swap, so `l` is unreachable from the
+            // root and we defer it exactly once — and only now that the
+            // word is unflagged: until then a thread pinned *after* the
+            // swap could still pick `op` up and dereference `op.l`.
+            unsafe { guard.retire(Shared::from_raw(*l)) };
+        }
     }
 
     /// Tries to complete a flagged delete: mark the parent, then splice.
@@ -315,14 +327,7 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
         } else {
             left
         };
-        if Self::cas_child(*gp, Shared::from_raw(*p), sibling, guard) {
-            // SAFETY: we performed the splice: `p` and `l` are now
-            // unreachable from the root; defer them exactly once.
-            unsafe {
-                guard.retire(Shared::from_raw(*p));
-                guard.retire(Shared::from_raw(*l));
-            }
-        }
+        let spliced = Self::cas_child(*gp, Shared::from_raw(*p), sibling, guard);
         // Unflag gp.
         // SAFETY: gp alive while DFlagged.
         let gp_int = Self::internal_of(unsafe { &**gp });
@@ -333,6 +338,17 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
             Ordering::Relaxed,
             guard,
         );
+        if spliced {
+            // SAFETY: we performed the splice, so `p` and `l` are
+            // unreachable from the root and we defer them exactly once —
+            // and only now that gp is unflagged: until then a thread pinned
+            // *after* the splice could still pick `op` up from gp's word
+            // and dereference `op.p`.
+            unsafe {
+                guard.retire(Shared::from_raw(*p));
+                guard.retire(Shared::from_raw(*l));
+            }
+        }
     }
 
     /// Retires the descriptor a successful flag CAS displaced (the previous
@@ -382,19 +398,25 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                 continue;
             }
 
-            // Build the replacement subtree: a routing node over the old
-            // leaf (reused) and the new leaf.
+            // Build the replacement subtree: a routing node over a copy of
+            // the old leaf and the new leaf (see `help_insert` for why the
+            // old leaf itself must not be reused).
             let new_key = TreeKey::Finite(value_slot.take().expect("still present"));
             let new_leaf = Owned::new(Node {
                 key: new_key,
                 inner: None,
             })
             .into_shared(&guard);
+            let sibling = Owned::new(Node {
+                key: l_ref.key.clone(),
+                inner: None,
+            })
+            .into_shared(&guard);
             // SAFETY: new_leaf is ours; l_ref is pinned.
             let (lc, rc, route) = if unsafe { new_leaf.deref() }.key < l_ref.key {
-                (new_leaf, s.l, l_ref.key.clone())
+                (new_leaf, sibling, l_ref.key.clone())
             } else {
-                (s.l, new_leaf, unsafe { new_leaf.deref() }.key.clone())
+                (sibling, new_leaf, unsafe { new_leaf.deref() }.key.clone())
             };
             let new_internal = Owned::new(Node {
                 key: route,
@@ -444,6 +466,7 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                     unsafe {
                         drop(op.into_owned());
                         drop(new_internal.into_owned());
+                        drop(sibling.into_owned());
                         let leaf = new_leaf.into_owned().into_box();
                         match leaf.key {
                             TreeKey::Finite(v) => value_slot = Some(v),

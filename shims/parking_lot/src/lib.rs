@@ -67,11 +67,10 @@ impl<T: ?Sized> Mutex<T> {
             self as *const Self as *const () as usize,
         ));
         // Under an active stress scheduler, never block in the kernel:
-        // a token-holding thread sleeping on a lock held by a spinning
-        // non-token thread stalls the whole schedule until the fairness
-        // bound trips. Spin-acquire through try_lock instead, yielding at
-        // each failed attempt so the scheduler can hand the token to the
-        // current holder.
+        // no step is granted while a registered thread sleeps on a lock
+        // held by a paused worker, and the round is aborted as stalled.
+        // Spin-acquire through try_lock instead, pausing at each failed
+        // attempt so the scheduler can grant the current holder its steps.
         #[cfg(feature = "stress")]
         if cds_core::stress::is_active() {
             loop {

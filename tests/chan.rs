@@ -35,8 +35,6 @@ fn install(seed: u64) -> sched::StressRun {
     sched::install(StressConfig {
         seed,
         change_period: 3,
-        backoff_denom: 0,
-        backoff_spins: 0,
     })
 }
 

@@ -7,8 +7,12 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use cds_atomic::{AtomicBool, Ordering};
-use cds_core::ConcurrentMap;
-use cds_lincheck::specs::{EventcountOp, EventcountRes, MapOp, MapRes};
+use cds_core::stress::SplitMix64;
+use cds_core::{ConcurrentMap, ConcurrentQueue, ConcurrentStack};
+use cds_lincheck::specs::{
+    EventcountOp, EventcountRes, MapOp, MapRes, QueueOp, QueueRes, SetOp, StackOp, StackRes,
+};
+use cds_lincheck::stress::StressOptions;
 use cds_obs::{Event, Snapshot};
 use cds_sync::{Parked, Parker};
 
@@ -35,6 +39,69 @@ pub fn assert_same_counts(seed: u64, events: &[Event], first: &Snapshot, second:
         "same seed {seed:#x}, different telemetry:\n{}",
         rows.join("\n")
     );
+}
+
+/// Pinned-seed stress options, unless `CDS_STRESS_SEED` is set — then that
+/// root seed wins for every caller (the replay knob: a failure prints the
+/// root seed, and re-running the suite with it set reproduces the run; CI
+/// also uses it to rotate in fresh schedules).
+pub fn opts(seed: u64) -> StressOptions {
+    let defaults = StressOptions::default(); // seed from env when set
+    StressOptions {
+        seed: if std::env::var_os("CDS_STRESS_SEED").is_some() {
+            defaults.seed
+        } else {
+            seed
+        },
+        ..defaults
+    }
+}
+
+pub fn gen_stack(rng: &mut SplitMix64, t: usize) -> StackOp<u64> {
+    if rng.below(2) == 0 {
+        StackOp::Push((t as u64) << 8 | rng.below(16))
+    } else {
+        StackOp::Pop
+    }
+}
+
+pub fn gen_queue(rng: &mut SplitMix64, t: usize) -> QueueOp<u64> {
+    if rng.below(2) == 0 {
+        QueueOp::Enqueue((t as u64) << 8 | rng.below(16))
+    } else {
+        QueueOp::Dequeue
+    }
+}
+
+pub fn gen_set(rng: &mut SplitMix64, _t: usize) -> SetOp<u64> {
+    let k = rng.below(3); // few keys => real conflicts
+    match rng.below(3) {
+        0 => SetOp::Insert(k),
+        1 => SetOp::Remove(k),
+        _ => SetOp::Contains(k),
+    }
+}
+
+/// Runs one `StackSpec` operation against any `u64` stack.
+pub fn exec_stack<S: ConcurrentStack<u64>>(s: &S, op: &StackOp<u64>) -> StackRes<u64> {
+    match op {
+        StackOp::Push(v) => {
+            s.push(*v);
+            StackRes::Pushed
+        }
+        StackOp::Pop => StackRes::Popped(s.pop()),
+    }
+}
+
+/// Runs one `QueueSpec` operation against any `u64` queue.
+pub fn exec_queue<Q: ConcurrentQueue<u64>>(q: &Q, op: &QueueOp<u64>) -> QueueRes<u64> {
+    match op {
+        QueueOp::Enqueue(v) => {
+            q.enqueue(*v);
+            QueueRes::Enqueued
+        }
+        QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
+    }
 }
 
 /// Runs one `MapSpec` operation against any `u64 → u64` map.

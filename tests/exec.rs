@@ -44,8 +44,6 @@ fn run_scheduled<R: Reclaimer>(
     let run = sched::install(StressConfig {
         seed,
         change_period: 3,
-        backoff_denom: 0,
-        backoff_spins: 0,
     });
     let slot = sched::register(THREADS);
     let base = Snapshot::take();

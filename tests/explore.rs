@@ -43,7 +43,7 @@ use cds_lincheck::specs::{
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_lincheck::trace::{Trace, TRACE_FORMAT_VERSION};
 use cds_lincheck::{check_linearizable, Spec};
-use common::{exec_gate, exec_map, Gate};
+use common::{exec_gate, exec_map, exec_queue, exec_stack, Gate};
 
 /// The pinned-count table, compiled in so the test cannot silently run
 /// against a missing file. Format: `key=value` lines, `#` comments; the
@@ -582,16 +582,6 @@ fn weak_opts(detect_races: bool) -> ExploreOptions {
     }
 }
 
-fn exec_stack<S: cds_core::ConcurrentStack<u64>>(s: &S, op: &StackOp<u64>) -> StackRes<u64> {
-    match op {
-        StackOp::Push(v) => {
-            s.push(*v);
-            StackRes::Pushed
-        }
-        StackOp::Pop => StackRes::Popped(s.pop()),
-    }
-}
-
 #[test]
 fn weak_treiber_window_and_relaxed_publish_plant() {
     let setup = || cds_stack::TreiberStack::<u64, cds_reclaim::Leak>::with_reclaimer();
@@ -661,16 +651,6 @@ fn weak_treiber_window_and_relaxed_publish_plant() {
     let replayed = replay_schedule(&ops, &steps, &reads, &weak_opts(false), setup, exec_stack)
         .expect("replay of the failing weak execution diverged");
     assert_eq!(replayed, history, "weak replay was not byte-identical");
-}
-
-fn exec_queue<Q: cds_core::ConcurrentQueue<u64>>(q: &Q, op: &QueueOp<u64>) -> QueueRes<u64> {
-    match op {
-        QueueOp::Enqueue(v) => {
-            q.enqueue(*v);
-            QueueRes::Enqueued
-        }
-        QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
-    }
 }
 
 #[test]

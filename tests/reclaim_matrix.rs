@@ -27,78 +27,34 @@ mod common;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 
-use cds_core::{ConcurrentMap, ConcurrentQueue, ConcurrentSet, ConcurrentStack};
+use cds_core::{ConcurrentMap, ConcurrentSet};
 use cds_lincheck::specs::{
-    ChanOp, ChanRes, ChannelSpec, MapOp, MapRes, MapSpec, QueueOp, QueueRes, QueueSpec, SetOp,
-    SetSpec, StackOp, StackRes, StackSpec,
+    ChanOp, ChanRes, ChannelSpec, MapOp, MapRes, MapSpec, QueueSpec, SetOp, SetSpec, StackSpec,
 };
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_queue::Steal;
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-use common::serial;
+use common::{exec_queue, exec_stack, gen_queue, gen_set, gen_stack, serial};
 
-/// Per-cell pinned-seed options, unless `CDS_STRESS_SEED` overrides (the
-/// replay knob, same convention as `tests/schedules.rs`).
-fn opts(seed: u64) -> StressOptions {
-    let defaults = StressOptions::default(); // seed from env when set
-    StressOptions {
-        seed: if std::env::var_os("CDS_STRESS_SEED").is_some() {
-            defaults.seed
-        } else {
-            seed
-        },
-        rounds: 8,
-        ..defaults
-    }
-}
-
-/// Derives one pinned seed per (structure, backend) cell so every cell of
-/// the matrix replays independently.
-fn cell_seed<R: Reclaimer>(base: u64) -> u64 {
+/// Eight rounds from one pinned seed per (structure, backend) cell, so
+/// every cell of the matrix replays independently.
+fn cell_opts<R: Reclaimer>(base: u64) -> StressOptions {
     let backend_tag = R::NAME
         .bytes()
         .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-    base ^ (backend_tag << 16)
-}
-
-fn gen_stack(rng: &mut cds_core::stress::SplitMix64, t: usize) -> StackOp<u64> {
-    if rng.below(2) == 0 {
-        StackOp::Push((t as u64) << 8 | rng.below(16))
-    } else {
-        StackOp::Pop
-    }
-}
-
-fn gen_queue(rng: &mut cds_core::stress::SplitMix64, t: usize) -> QueueOp<u64> {
-    if rng.below(2) == 0 {
-        QueueOp::Enqueue((t as u64) << 8 | rng.below(16))
-    } else {
-        QueueOp::Dequeue
-    }
-}
-
-fn gen_set(rng: &mut cds_core::stress::SplitMix64, _t: usize) -> SetOp<u64> {
-    let k = rng.below(3); // few keys => real conflicts
-    match rng.below(3) {
-        0 => SetOp::Insert(k),
-        1 => SetOp::Remove(k),
-        _ => SetOp::Contains(k),
+    StressOptions {
+        rounds: 8,
+        ..common::opts(base ^ (backend_tag << 16))
     }
 }
 
 fn stress_stack_on<R: Reclaimer>(base: u64) {
     stress(
         StackSpec::<u64>::default(),
-        &opts(cell_seed::<R>(base)),
+        &cell_opts::<R>(base),
         cds_stack::TreiberStack::<u64, R>::with_reclaimer,
         gen_stack,
-        |s, op| match op {
-            StackOp::Push(v) => {
-                s.push(*v);
-                StackRes::Pushed
-            }
-            StackOp::Pop => StackRes::Popped(s.pop()),
-        },
+        exec_stack,
     )
     .unwrap_or_else(|f| panic!("treiber stack under {} not linearizable: {f:?}", R::NAME));
 }
@@ -106,16 +62,10 @@ fn stress_stack_on<R: Reclaimer>(base: u64) {
 fn stress_queue_on<R: Reclaimer>(base: u64) {
     stress(
         QueueSpec::<u64>::default(),
-        &opts(cell_seed::<R>(base)),
+        &cell_opts::<R>(base),
         cds_queue::MsQueue::<u64, R>::with_reclaimer,
         gen_queue,
-        |q, op| match op {
-            QueueOp::Enqueue(v) => {
-                q.enqueue(*v);
-                QueueRes::Enqueued
-            }
-            QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
-        },
+        exec_queue,
     )
     .unwrap_or_else(|f| panic!("ms queue under {} not linearizable: {f:?}", R::NAME));
 }
@@ -127,7 +77,7 @@ where
 {
     stress(
         SetSpec::<u64>::default(),
-        &opts(cell_seed::<R>(base)),
+        &cell_opts::<R>(base),
         setup,
         gen_set,
         |s, op| match op {
@@ -142,7 +92,7 @@ where
 fn stress_map_on<R: Reclaimer>(base: u64) {
     stress(
         MapSpec::<u64, u64>::default(),
-        &opts(cell_seed::<R>(base)),
+        &cell_opts::<R>(base),
         cds_map::SplitOrderedHashMap::<u64, u64, RandomState, R>::with_reclaimer,
         |rng, _t| {
             let k = rng.below(3);
@@ -181,7 +131,7 @@ fn stress_resizing_map_on<R: Reclaimer>(base: u64) {
         MapSpec::<u64, u64>::default(),
         &StressOptions {
             ops_per_thread: 16, // enough inserts per window to force doublings
-            ..opts(cell_seed::<R>(base))
+            ..cell_opts::<R>(base)
         },
         || cds_map::ResizingMap::<u64, u64, RandomState, R>::with_config(1, 1),
         |rng, _t| {
@@ -240,7 +190,7 @@ fn chan_exec<R: Reclaimer>(ch: &cds_chan::Channel<u32, R>, op: &ChanOp) -> ChanR
 fn stress_chan_bounded_on<R: Reclaimer>(base: u64) {
     stress(
         ChannelSpec::bounded(2),
-        &opts(cell_seed::<R>(base)),
+        &cell_opts::<R>(base),
         || cds_chan::Channel::<u32, R>::bounded_with_reclaimer(2),
         |rng, t| match rng.below(8) {
             0..=2 => ChanOp::TrySend(((t as u32) << 8) | rng.below(16) as u32),
@@ -259,7 +209,7 @@ fn stress_chan_bounded_on<R: Reclaimer>(base: u64) {
 fn stress_chan_unbounded_on<R: Reclaimer>(base: u64) {
     stress(
         ChannelSpec::unbounded(),
-        &opts(cell_seed::<R>(base)),
+        &cell_opts::<R>(base),
         cds_chan::Channel::<u32, R>::unbounded_with_reclaimer,
         |rng, t| match rng.below(8) {
             0..=2 => ChanOp::Send(((t as u32) << 8) | rng.below(16) as u32),
@@ -285,7 +235,7 @@ fn stress_chan_unbounded_on<R: Reclaimer>(base: u64) {
 fn chase_lev_on<R: Reclaimer>(base: u64) {
     const STEALERS: u64 = 3;
     const PUSHES: u64 = 2_000;
-    let seed = cell_seed::<R>(base);
+    let seed = cell_opts::<R>(base).seed;
     let (worker, stealer) = cds_queue::ChaseLevDeque::<u64, R>::with_reclaimer();
     let mut popped: Vec<u64> = Vec::new();
     let mut stolen: Vec<Vec<u64>> = Vec::new();

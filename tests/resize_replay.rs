@@ -146,23 +146,15 @@ fn migration_gap_race_is_found_shrunk_and_seed_replays() {
         "minimized history must still fail"
     );
 
-    // The printed round seed is a complete reproducer. The scheduler's
-    // fairness bound can fall through when external machine load
-    // deschedules the token holder (see `cds_core::stress`), perturbing a
-    // single replay, so allow a few attempts before declaring the seed
-    // stale.
-    let again = (0..3)
-        .find_map(|_| {
-            replay(
-                MapSpec::<u64, u64>::default(),
-                &options,
-                failure.seed,
-                RacyMigratingMap::new,
-                racy_gen,
-                racy_exec,
-            )
-            .err()
-        })
-        .expect("replaying the failing seed must reproduce the race");
+    // The printed round seed is a complete reproducer.
+    let again = replay(
+        MapSpec::<u64, u64>::default(),
+        &options,
+        failure.seed,
+        RacyMigratingMap::new,
+        racy_gen,
+        racy_exec,
+    )
+    .expect_err("replaying the failing seed must reproduce the race");
     assert_eq!(again.seed, failure.seed);
 }

@@ -19,32 +19,28 @@
 //! `tests/resize_replay.rs`, because its seed-replay assertion is
 //! schedule-sensitive (the `tests/replay.rs` pattern).
 
+mod common;
+
 use cds_atomic::{AtomicUsize, Ordering};
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hasher};
 
 use cds_core::{ConcurrentMap, ConcurrentSet};
 use cds_lincheck::prop::{forall_vec, Config, Prng};
-use cds_lincheck::specs::{MapOp, MapRes, MapSpec, SetOp, SetSpec};
+use cds_lincheck::specs::{MapOp, MapSpec, SetOp, SetSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_map::{BucketedHashSet, ResizingMap, StripedHashMap};
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
+use common::exec_map;
 
-/// Per-test pinned-seed options, unless `CDS_STRESS_SEED` overrides (the
-/// replay knob, same convention as `tests/schedules.rs`). Sixteen ops per
-/// worker — three workers fill a 48-op window, enough inserts over a
-/// one-bucket shard to force at least one doubling per round.
-fn opts(seed: u64) -> StressOptions {
-    let defaults = StressOptions::default(); // seed from env when set
+/// Sixteen ops per worker — three workers fill a 48-op window, enough
+/// inserts over a one-bucket shard to force at least one doubling per
+/// round.
+fn window_opts(seed: u64) -> StressOptions {
     StressOptions {
-        seed: if std::env::var_os("CDS_STRESS_SEED").is_some() {
-            defaults.seed
-        } else {
-            seed
-        },
         ops_per_thread: 16,
         rounds: 8,
-        ..defaults
+        ..common::opts(seed)
     }
 }
 
@@ -60,16 +56,6 @@ fn gen_resize_map(rng: &mut cds_core::stress::SplitMix64, _t: usize) -> MapOp<u6
         5 => MapOp::Get(k),
         6 => MapOp::ContainsKey(k),
         _ => MapOp::Len,
-    }
-}
-
-fn exec_map<M: ConcurrentMap<u64, u64>>(m: &M, op: &MapOp<u64, u64>) -> MapRes<u64> {
-    match op {
-        MapOp::Insert(k, v) => MapRes::Changed(m.insert(*k, *v)),
-        MapOp::Remove(k) => MapRes::Changed(m.remove(k)),
-        MapOp::Get(k) => MapRes::Got(m.get(k)),
-        MapOp::ContainsKey(k) => MapRes::Has(m.contains_key(k)),
-        MapOp::Len => MapRes::Len(m.len()),
     }
 }
 
@@ -89,7 +75,7 @@ impl<R: Reclaimer> Drop for Tracked<R> {
 fn stress_resizing_on<R: Reclaimer>(seed: u64) {
     stress(
         MapSpec::<u64, u64>::default(),
-        &opts(seed),
+        &window_opts(seed),
         || Tracked::<R>(ResizingMap::with_config(1, 1)),
         gen_resize_map,
         |m, op| exec_map(&m.0, op),
@@ -117,7 +103,7 @@ fn scheduled_resizing_map_is_linearizable_across_migration() {
 fn scheduled_striped_resize_is_linearizable() {
     stress(
         MapSpec::<u64, u64>::default(),
-        &opts(0x4e512e1),
+        &window_opts(0x4e512e1),
         || StripedHashMap::<u64, u64>::with_config(2, 2),
         gen_resize_map,
         exec_map,
@@ -129,7 +115,7 @@ fn scheduled_striped_resize_is_linearizable() {
 fn scheduled_bucket_starved_bucketed_set_is_linearizable() {
     stress(
         SetSpec::<u64>::default(),
-        &opts(0x4e512e2),
+        &window_opts(0x4e512e2),
         || BucketedHashSet::<u64>::with_buckets(2),
         |rng, _t| {
             let k = rng.below(12);

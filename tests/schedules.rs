@@ -21,32 +21,9 @@ use cds_lincheck::specs::{
     CounterOp, CounterSpec, MapOp, MapRes, MapSpec, PqOp, PqRes, PqSpec, QueueOp, QueueRes,
     QueueSpec, SetOp, SetSpec, StackOp, StackRes, StackSpec,
 };
-use cds_lincheck::stress::{stress, StressOptions};
+use cds_lincheck::stress::stress;
 use cds_lincheck::{check_linearizable, Recorder};
-
-/// Per-family fixed-seed options, unless `CDS_STRESS_SEED` is set — then
-/// that root seed wins for every family (the replay knob: a failure prints
-/// the root seed, and re-running the suite with it set reproduces the run;
-/// CI also uses it to rotate in fresh schedules).
-fn opts(seed: u64) -> StressOptions {
-    let defaults = StressOptions::default(); // seed from env when set
-    StressOptions {
-        seed: if std::env::var_os("CDS_STRESS_SEED").is_some() {
-            defaults.seed
-        } else {
-            seed
-        },
-        ..defaults
-    }
-}
-
-fn gen_stack(rng: &mut cds_core::stress::SplitMix64, t: usize) -> StackOp<u64> {
-    if rng.below(2) == 0 {
-        StackOp::Push((t as u64) << 8 | rng.below(16))
-    } else {
-        StackOp::Pop
-    }
-}
+use common::{exec_queue, exec_stack, gen_queue, gen_set, gen_stack, opts};
 
 fn stress_stack<S: ConcurrentStack<u64> + Default + Sync>(seed: u64) {
     stress(
@@ -54,23 +31,9 @@ fn stress_stack<S: ConcurrentStack<u64> + Default + Sync>(seed: u64) {
         &opts(seed),
         S::default,
         gen_stack,
-        |s, op| match op {
-            StackOp::Push(v) => {
-                s.push(*v);
-                StackRes::Pushed
-            }
-            StackOp::Pop => StackRes::Popped(s.pop()),
-        },
+        exec_stack,
     )
     .unwrap_or_else(|f| panic!("{} stack not linearizable: {f:?}", S::NAME));
-}
-
-fn gen_queue(rng: &mut cds_core::stress::SplitMix64, t: usize) -> QueueOp<u64> {
-    if rng.below(2) == 0 {
-        QueueOp::Enqueue((t as u64) << 8 | rng.below(16))
-    } else {
-        QueueOp::Dequeue
-    }
 }
 
 fn stress_queue<Q: ConcurrentQueue<u64> + Default + Sync>(seed: u64) {
@@ -79,24 +42,9 @@ fn stress_queue<Q: ConcurrentQueue<u64> + Default + Sync>(seed: u64) {
         &opts(seed),
         Q::default,
         gen_queue,
-        |q, op| match op {
-            QueueOp::Enqueue(v) => {
-                q.enqueue(*v);
-                QueueRes::Enqueued
-            }
-            QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
-        },
+        exec_queue,
     )
     .unwrap_or_else(|f| panic!("{} queue not linearizable: {f:?}", Q::NAME));
-}
-
-fn gen_set(rng: &mut cds_core::stress::SplitMix64, _t: usize) -> SetOp<u64> {
-    let k = rng.below(3); // few keys => real conflicts
-    match rng.below(3) {
-        0 => SetOp::Insert(k),
-        1 => SetOp::Remove(k),
-        _ => SetOp::Contains(k),
-    }
 }
 
 fn stress_set<S: ConcurrentSet<u64> + Default + Sync>(seed: u64) {
@@ -353,8 +301,6 @@ fn scheduled_sense_barrier_conserves_rounds() {
         let run = sched::install(cds_core::stress::StressConfig {
             seed: sched::mix_seed(root, round),
             change_period: 3,
-            backoff_denom: 0,
-            backoff_spins: 0,
         });
         let barrier = cds_sync::SenseBarrier::new(THREADS);
         let arrivals: Vec<AtomicUsize> = (0..ROUNDS).map(|_| AtomicUsize::new(0)).collect();
@@ -484,8 +430,6 @@ fn scheduled_chase_lev_single_element_is_taken_exactly_once() {
         let run = sched::install(cds_core::stress::StressConfig {
             seed: sched::mix_seed(root, round),
             change_period: 2,
-            backoff_denom: 0,
-            backoff_spins: 0,
         });
         let (worker, stealer) = ChaseLevDeque::<u64>::new();
         let start = std::sync::Barrier::new(2);
@@ -576,32 +520,6 @@ fn memoized_checker_handles_40_op_queue_window_quickly() {
         elapsed < Duration::from_secs(1),
         "memoized check took {elapsed:?} on a 40-op window"
     );
-}
-
-/// Forced backoff: injected spin delays at yield points stretch critical
-/// sections and lock hand-offs; the structures must stay linearizable.
-#[test]
-fn forced_backoff_does_not_break_linearizability() {
-    let options = StressOptions {
-        rounds: 8,
-        backoff_denom: 4,
-        backoff_spins: 64,
-        ..opts(0xbac0ff)
-    };
-    stress(
-        QueueSpec::<u64>::default(),
-        &options,
-        cds_queue::TwoLockQueue::<u64>::default,
-        gen_queue,
-        |q, op| match op {
-            QueueOp::Enqueue(v) => {
-                q.enqueue(*v);
-                QueueRes::Enqueued
-            }
-            QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
-        },
-    )
-    .unwrap_or_else(|f| panic!("two-lock queue under forced backoff: {f:?}"));
 }
 
 /// Poisoned-lock recovery: every lock-based structure goes through the

@@ -14,39 +14,18 @@
 
 mod common;
 
-use cds_core::ConcurrentStack;
-use cds_lincheck::specs::{MapOp, MapSpec, StackOp, StackRes, StackSpec};
+use cds_lincheck::specs::{MapOp, MapSpec, StackSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_obs::{Event, Snapshot};
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-use common::{exec_map, serial};
+use common::{exec_map, exec_stack, gen_stack, serial};
 
-/// Pinned-seed options: unlike `tests/schedules.rs` these do not honor
-/// `CDS_STRESS_SEED` — conservation must hold for any schedule, and the
-/// same-seed determinism test depends on the seed being fixed.
+/// Four rounds per churn: conservation must hold for any schedule, so a
+/// short run per backend is enough.
 fn opts(seed: u64) -> StressOptions {
     StressOptions {
-        seed,
         rounds: 4,
-        ..StressOptions::default()
-    }
-}
-
-fn gen_stack(rng: &mut cds_core::stress::SplitMix64, t: usize) -> StackOp<u64> {
-    if rng.below(2) == 0 {
-        StackOp::Push((t as u64) << 8 | rng.below(16))
-    } else {
-        StackOp::Pop
-    }
-}
-
-fn exec_stack<S: ConcurrentStack<u64>>(s: &S, op: &StackOp<u64>) -> StackRes<u64> {
-    match op {
-        StackOp::Push(v) => {
-            s.push(*v);
-            StackRes::Pushed
-        }
-        StackOp::Pop => StackRes::Popped(s.pop()),
+        ..common::opts(seed)
     }
 }
 
@@ -250,39 +229,52 @@ fn frees_never_exceed_retires() {
 
 /// Two runs from the same pinned seed must produce identical counter
 /// deltas — the schedule, the op streams, and therefore every count are
-/// deterministic. Tiny thread/op counts keep the run inside the PCT
-/// scheduler's deterministic regime (no fairness-bound fall-through);
-/// the leak backend keeps background reclamation cadence out of the
+/// deterministic, for a two-op-deep window and a 24-op one alike, with two
+/// unregistered threads keeping the host's cores busy beside the round.
+/// The leak backend keeps background reclamation cadence out of the
 /// counts.
 #[test]
 fn same_seed_runs_produce_identical_snapshots() {
     const SEED: u64 = 0xde7e0;
     let _g = serial();
-    let run = || {
-        let base = Snapshot::take();
-        let o = StressOptions {
-            threads: 2,
-            ops_per_thread: 4,
-            rounds: 2,
-            ..opts(SEED)
-        };
-        stress(
-            StackSpec::<u64>::default(),
-            &o,
-            cds_stack::TreiberStack::<u64, Leak>::with_reclaimer,
-            gen_stack,
-            exec_stack,
-        )
-        .unwrap_or_else(|f| panic!("treiber/leak not linearizable: {f:?}"));
-        Snapshot::take().delta(&base)
-    };
-    let first = run();
-    let second = run();
-    common::assert_same_counts(SEED, &Event::ALL, &first, &second);
-    if cds_obs::enabled() {
-        assert!(
-            first.iter().any(|(_, v)| v > 0),
-            "deterministic runs recorded nothing at all"
-        );
-    }
+    let stop = cds_atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(cds_atomic::Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        for (threads, ops_per_thread, rounds) in [(2, 4, 2), (3, 8, 8)] {
+            let run = || {
+                let base = Snapshot::take();
+                let o = StressOptions {
+                    threads,
+                    ops_per_thread,
+                    rounds,
+                    ..opts(SEED)
+                };
+                stress(
+                    StackSpec::<u64>::default(),
+                    &o,
+                    cds_stack::TreiberStack::<u64, Leak>::with_reclaimer,
+                    gen_stack,
+                    exec_stack,
+                )
+                .unwrap_or_else(|f| panic!("treiber/leak not linearizable: {f:?}"));
+                Snapshot::take().delta(&base)
+            };
+            let first = run();
+            let second = run();
+            common::assert_same_counts(SEED, &Event::ALL, &first, &second);
+            if cds_obs::enabled() {
+                assert!(
+                    first.iter().any(|(_, v)| v > 0),
+                    "deterministic runs recorded nothing at all"
+                );
+            }
+        }
+        stop.store(true, cds_atomic::Ordering::Relaxed);
+    });
 }

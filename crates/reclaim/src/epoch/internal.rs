@@ -17,40 +17,31 @@ const PINNINGS_BETWEEN_COLLECT: usize = 128;
 
 /// A deferred destruction: a type-erased pointer plus its destructor.
 ///
-/// Stored without allocation (two words); the destructor reconstructs the
-/// original `Box<T>` and drops it.
+/// Stored without allocation (two words).
 pub(crate) struct Deferred {
     ptr: *mut u8,
     dtor: unsafe fn(*mut u8),
 }
 
-// SAFETY: a `Deferred` is only created for pointers whose payload is `Send`
-// (enforced by the public `defer_destroy`/`defer` APIs), so executing the
+// SAFETY: a `Deferred` is only created for objects that are safe to destroy
+// on any thread (the contract of `Guard::defer_raw`), so executing the
 // destructor on another thread is sound.
 unsafe impl Send for Deferred {}
 
 impl Deferred {
-    /// Creates a deferred destruction of the boxed value behind `ptr`.
+    /// Creates a deferred `dtor(ptr)`.
     ///
     /// # Safety
     ///
-    /// `ptr` must have been produced by `Box::into_raw` and must not be
-    /// dropped by anyone else.
-    pub(crate) unsafe fn destroy_box<T>(ptr: *mut T) -> Self {
-        unsafe fn dtor<T>(p: *mut u8) {
-            // SAFETY: `p` was created from `Box::into_raw::<T>` in
-            // `destroy_box` and ownership was transferred to the collector.
-            unsafe { drop(Box::from_raw(p.cast::<T>())) }
-        }
-        Deferred {
-            ptr: ptr.cast(),
-            dtor: dtor::<T>,
-        }
+    /// Running `dtor(ptr)` once, later and on any thread, must be sound, and
+    /// nobody else may destroy the object behind `ptr`.
+    pub(crate) unsafe fn new(ptr: *mut u8, dtor: unsafe fn(*mut u8)) -> Self {
+        Deferred { ptr, dtor }
     }
 
     /// Runs the deferred destructor.
     pub(crate) fn call(self) {
-        // SAFETY: constructed via `destroy_box`; called exactly once.
+        // SAFETY: per `new`'s contract; `self` is consumed, so it runs once.
         unsafe { (self.dtor)(self.ptr) }
     }
 }

@@ -42,6 +42,7 @@ mod internal;
 
 pub use atomic::{Atomic, Owned, Shared};
 
+use crate::reclaimer::drop_box;
 use internal::{Deferred, Global, Local};
 use std::fmt;
 use std::marker::PhantomData;
@@ -223,9 +224,21 @@ impl Guard {
     /// contain raw pointers managed by the same protocol).
     pub unsafe fn defer_destroy<T>(&self, shared: Shared<'_, T>) {
         debug_assert!(!shared.is_null(), "defer_destroy of null");
-        // SAFETY: ownership of the allocation passes to the collector, per
-        // the caller contract.
-        let deferred = unsafe { Deferred::destroy_box(shared.as_raw()) };
+        // SAFETY: the caller contract; `drop_box::<T>` undoes `Owned::new`.
+        unsafe { self.defer_raw(shared.as_raw().cast(), drop_box::<T>) }
+    }
+
+    /// Defers `dtor(ptr)` until no pinned thread can still hold a reference
+    /// to the object behind `ptr`, however it was allocated.
+    ///
+    /// # Safety
+    ///
+    /// [`defer_destroy`](Guard::defer_destroy)'s contract, with `dtor(ptr)`
+    /// as the object's destruction in place of dropping a `Box`.
+    pub(crate) unsafe fn defer_raw(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
+        // SAFETY: ownership of the object passes to the collector, per the
+        // caller contract.
+        let deferred = unsafe { Deferred::new(ptr, dtor) };
         match self.local() {
             Some(local) => local.defer(deferred),
             // Unprotected guard: unique access, destroy immediately.
@@ -340,7 +353,7 @@ mod tests {
         let newer = collector.epoch() + 3;
         let item = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
         // SAFETY: a fresh box, handed to the collector and to nobody else.
-        let deferred = unsafe { Deferred::destroy_box(item) };
+        let deferred = unsafe { Deferred::new(item.cast(), drop_box::<DropCounter>) };
         collector.global.push_garbage([(newer, deferred)]);
 
         collector.collect(); // ages the item against epoch 1

@@ -41,6 +41,8 @@ use std::fmt;
 use std::ptr;
 use std::sync::{Arc, Mutex};
 
+use crate::reclaimer::drop_box;
+
 /// How many retired nodes a thread accumulates before it scans.
 pub const SCAN_THRESHOLD: usize = 64;
 
@@ -82,9 +84,9 @@ impl Retired {
     ///
     /// No thread may hold or be able to obtain a reference to the node.
     unsafe fn free(&self) {
-        // SAFETY: `ptr` came from `Box::into_raw::<T>` and `dtor` is the
-        // matching `dtor::<T>` (see `Domain::retire`); the caller rules out
-        // remaining references.
+        // SAFETY: `dtor` is the destructor `ptr` was retired with (see
+        // `Domain::retire_erased`); the caller rules out remaining
+        // references.
         unsafe { (self.dtor)(self.ptr) }
     }
 }
@@ -262,22 +264,19 @@ impl Domain {
     /// not expressed as a bound because node types routinely contain raw
     /// pointers managed by the same protocol).
     pub unsafe fn retire<T>(&self, ptr: *mut T) {
-        unsafe fn dtor<T>(p: *mut u8) {
-            // SAFETY: constructed from `Box::into_raw::<T>` in `retire`.
-            unsafe { drop(Box::from_raw(p.cast::<T>())) }
-        }
-        debug_assert!(!ptr.is_null());
-        // SAFETY: forwarded contract; `dtor::<T>` undoes `Box::into_raw`.
-        unsafe { self.retire_erased(ptr.cast(), dtor::<T>) };
+        // SAFETY: forwarded contract; `drop_box::<T>` undoes `Box::into_raw`.
+        unsafe { self.retire_erased(ptr.cast(), drop_box::<T>) };
     }
 
     /// Everything about [`retire`](Domain::retire) that does not depend on
-    /// the node type, so it is compiled once and reached by one call.
+    /// the node type, so it is compiled once and reached by one call. Also
+    /// the retire of an object that is not a `Box`.
     ///
     /// # Safety
     ///
     /// `retire`'s contract, with `dtor(ptr)` as the node's destruction.
-    unsafe fn retire_erased(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
+    pub(crate) unsafe fn retire_erased(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
+        debug_assert!(!ptr.is_null());
         // Stamp with the pre-bump clock value: any era guard that entered
         // before this retirement observed a clock value <= stamp and so
         // holds the node back; guards entering afterwards read > stamp and

@@ -5,22 +5,27 @@
 //! Following Meyer & Wolff ("Decoupling Lock-Free Data Structures from
 //! Memory Reclamation", 2018), the structure sees only a *guard* with
 //! three capabilities — protect a pointer before dereferencing it, retire
-//! an unlinked node, and (implicitly, by its lifetime) scope the
+//! an unlinked object, and (implicitly, by its lifetime) scope the
 //! protection — while the backend decides what those capabilities cost
-//! and what they guarantee:
+//! and what they guarantee. A backend implements one retire,
+//! [`retire_raw`](ReclaimGuard::retire_raw) (pointer + destructor, two
+//! words); [`retire`](ReclaimGuard::retire) is that call with the one
+//! destructor that drops a `Box<T>`:
 //!
-//! | backend | `enter` | `enter_blanket` | `retire` |
+//! | backend | `enter` | `enter_blanket` | `retire_raw` |
 //! |---|---|---|---|
-//! | [`Ebr`] | epoch pin | epoch pin | defer to collector |
+//! | [`Ebr`] | epoch pin | epoch pin | defer `(ptr, dtor)` to collector |
 //! | [`Hazard`] | per-pointer hazards | published era | stamped retire + scan |
 //! | [`Leak`] | no-op | no-op | leak |
 //! | [`DebugReclaim`] | registry stamp | registry stamp | poison + quarantine |
 //!
 //! What a call costs (single thread, ns; the cost-ladder rows of a traced
 //! `direct_transport` run of the gate benchmark, before → after the guards
-//! stopped counting references and hazard retire lists became per-thread),
-//! how much garbage a backend can hold, and who frees what a thread leaves
-//! behind when it exits (DESIGN.md, "Reclamation", has the long form):
+//! stopped counting references and hazard retire lists became per-thread;
+//! routing `retire` through `retire_raw` left the retire rows where they
+//! were), how much garbage a backend can hold, and who frees what a thread
+//! leaves behind when it exits (DESIGN.md, "Reclamation", has the long
+//! form):
 //!
 //! | backend | pin / enter | protect | retire (with node alloc + free) | unfreed garbage | at thread exit |
 //! |---|---|---|---|---|---|
@@ -55,9 +60,9 @@
 //!
 //! # The soundness contract (all backends)
 //!
-//! `retire` may only be called on a node that is **unreachable to
-//! operations that begin afterwards**: every path from the structure's
-//! roots to the node was severed before the call. This is exactly the
+//! `retire`/`retire_raw` may only be called on an object that is
+//! **unreachable to operations that begin afterwards**: every path from the
+//! structure's roots to it was severed before the call. This is exactly the
 //! contract epoch-based reclamation already imposes, which is why one
 //! structure implementation can serve every backend. Blanket guards rely
 //! on it directly (a guard entered after the retire can never reach the
@@ -67,17 +72,24 @@
 //!
 //! # Retire granularity
 //!
-//! Nothing in the contract says the retired object is a *node*.
-//! [`ReclaimGuard::retire`] is generic over any `Atomic`/`Owned`-managed
-//! allocation behind a thin pointer, so a structure can retire an entire
-//! **bucket array** in one call by wrapping it in a table struct (e.g.
-//! `struct Table { buckets: Box<[Mutex<Bucket>]>, .. }`): the backend
-//! destructor boxes the table back up and dropping it drops every bucket.
-//! This is how `cds_map::ResizingMap` reclaims superseded generations —
-//! the thread that completes a migration severs the old table from the
-//! shard root and retires it whole, and the usual contract ("unreachable
-//! to operations that begin afterwards") carries over unchanged because
-//! operations reach buckets only through the root pointer.
+//! Nothing in the contract says the retired object is a *node*, nor how it
+//! was allocated: it is any allocation plus its destructor.
+//! [`ReclaimGuard::retire`] covers any `Atomic`/`Owned`-managed allocation
+//! behind a thin pointer, so a structure can retire an entire **bucket
+//! array** in one call by wrapping it in a table struct (e.g.
+//! `struct Table { buckets: Box<[Mutex<Bucket>]>, .. }`): the destructor
+//! boxes the table back up and dropping it drops every bucket. This is how
+//! `cds_map::ResizingMap` reclaims superseded generations — the thread that
+//! completes a migration severs the old table from the shard root and
+//! retires it whole, and the usual contract ("unreachable to operations
+//! that begin afterwards") carries over unchanged because operations reach
+//! buckets only through the root pointer.
+//!
+//! [`ReclaimGuard::retire_raw`] drops the `Box` assumption: the caller
+//! passes the destructor. `cds_skiplist::LockFreeSkipList` allocates each
+//! node as one header followed by its tower of forward pointers
+//! (`Layout::extend`, a size known only at run time) and retires it with
+//! the node's own `dealloc`, which drops the key and frees that layout.
 
 use cds_atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::cell::RefCell;
@@ -142,12 +154,38 @@ pub trait ReclaimGuard: Sized {
     ///
     /// # Safety
     ///
-    /// `ptr` must be non-null, allocated via [`Owned`](crate::epoch::Owned)
-    /// / [`Atomic::new`], unreachable to operations that begin after this
-    /// call, retired exactly once, and safe to drop on any thread (morally
+    /// `ptr` must be allocated via [`Owned`](crate::epoch::Owned) /
+    /// [`Atomic::new`] and meet [`retire_raw`](ReclaimGuard::retire_raw)'s
+    /// contract, dropping the `Box<T>` being its destructor (so morally
     /// `T: Send`; not expressed as a bound because node types routinely
     /// contain raw pointers managed by the same protocol).
-    unsafe fn retire<T>(&self, ptr: Shared<'_, T>);
+    unsafe fn retire<T>(&self, ptr: Shared<'_, T>) {
+        // SAFETY: forwarded contract; `drop_box::<T>` undoes `Owned::new`.
+        unsafe { self.retire_raw(ptr.as_raw().cast(), drop_box::<T>) }
+    }
+
+    /// Hands an unlinked object of any allocation to the backend, together
+    /// with the destructor that destroys and frees it.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be non-null, unreachable to operations that begin after
+    /// this call, and retired exactly once. Calling `dtor(ptr)` once, at any
+    /// later time and on any thread, once nothing references the object,
+    /// must be sound and must be the object's only destruction.
+    unsafe fn retire_raw(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8));
+}
+
+/// The destructor [`ReclaimGuard::retire`] hands to
+/// [`retire_raw`](ReclaimGuard::retire_raw): drops the `Box<T>` behind `p`.
+///
+/// # Safety
+///
+/// `p` came from `Box::into_raw::<T>` (which is what `Owned::new` does),
+/// and nothing else owns or references the box.
+pub(crate) unsafe fn drop_box<T>(p: *mut u8) {
+    // SAFETY: per the contract above.
+    unsafe { drop(Box::from_raw(p.cast::<T>())) }
 }
 
 /// Rebinds a `Shared` to a new guard lifetime (backend-internal).
@@ -196,10 +234,11 @@ impl ReclaimGuard for epoch::Guard {
         rebind(ptr)
     }
 
-    unsafe fn retire<T>(&self, ptr: Shared<'_, T>) {
+    unsafe fn retire_raw(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
         cds_obs::count(cds_obs::Event::RetiredEbr);
+        debug_assert!(!ptr.is_null(), "retire of null");
         // SAFETY: forwarded contract.
-        unsafe { self.defer_destroy(ptr) }
+        unsafe { self.defer_raw(ptr, dtor) }
         if cds_obs::enabled() {
             cds_obs::record_max(
                 cds_obs::Event::PeakGarbageEbr,
@@ -247,7 +286,7 @@ impl ReclaimGuard for LeakGuard {
         rebind(ptr)
     }
 
-    unsafe fn retire<T>(&self, _ptr: Shared<'_, T>) {
+    unsafe fn retire_raw(&self, _ptr: *mut u8, _dtor: unsafe fn(*mut u8)) {
         // Intentionally leaked: retired nodes are never freed, so every
         // stale pointer stays valid forever.
         cds_obs::count(cds_obs::Event::RetiredLeak);
@@ -395,11 +434,11 @@ impl ReclaimGuard for HazardGuard {
         rebind(ptr)
     }
 
-    unsafe fn retire<T>(&self, ptr: Shared<'_, T>) {
+    unsafe fn retire_raw(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
         cds_obs::count(cds_obs::Event::RetiredHazard);
         // SAFETY: forwarded contract; the domain stamps the node with the
         // current era and scans hazards + eras before freeing.
-        unsafe { Hazard::domain().retire(ptr.as_raw()) }
+        unsafe { Hazard::domain().retire_erased(ptr, dtor) }
     }
 }
 
@@ -423,8 +462,8 @@ struct DebugRetired {
     dtor: unsafe fn(*mut u8),
 }
 
-// SAFETY: retirement demands droppability on any thread (see the
-// `ReclaimGuard::retire` contract), so draining the quarantine from
+// SAFETY: retirement demands destructibility on any thread (see the
+// `ReclaimGuard::retire_raw` contract), so draining the quarantine from
 // whichever thread reaches it last is sound.
 unsafe impl Send for DebugRetired {}
 
@@ -565,13 +604,8 @@ impl ReclaimGuard for DebugGuard {
         rebind(ptr)
     }
 
-    unsafe fn retire<T>(&self, ptr: Shared<'_, T>) {
-        unsafe fn dtor<T>(p: *mut u8) {
-            // SAFETY: constructed from `Box`-allocated `T` per the retire
-            // contract.
-            unsafe { drop(Box::from_raw(p.cast::<T>())) }
-        }
-        let addr = ptr.as_raw() as usize;
+    unsafe fn retire_raw(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
+        let addr = ptr as usize;
         debug_assert_ne!(addr, 0, "retire of null");
         let reg = debug_registry();
         let stamp = reg.clock.fetch_add(1, Ordering::SeqCst);
@@ -586,10 +620,7 @@ impl ReclaimGuard for DebugGuard {
             );
         }
         inner.poisoned.insert(addr, (stamp, me));
-        inner.quarantine.push(DebugRetired {
-            addr,
-            dtor: dtor::<T>,
-        });
+        inner.quarantine.push(DebugRetired { addr, dtor });
         cds_obs::count(cds_obs::Event::RetiredDebug);
         if cds_obs::enabled() {
             cds_obs::record_max(
@@ -715,14 +746,9 @@ mod tests {
         }
         // A guard that began *after* the retire must not touch the node.
         let late_guard = DebugReclaim::enter();
-        let err = catch_unwind(AssertUnwindSafe(|| {
+        let msg = panic_message(|| {
             late_guard.protect_ptr(0, stale);
-        }))
-        .expect_err("use-after-retire must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string>".into());
+        });
         assert!(msg.contains("use-after-retire"), "wrong message: {msg}");
         assert!(msg.contains("retired by thread"), "wrong message: {msg}");
         // The guard that predates the retire may still touch it (that is
@@ -742,17 +768,107 @@ mod tests {
         let old = slot.swap(Shared::null(), Ordering::AcqRel, &guard);
         // SAFETY: unlinked, first retire.
         unsafe { guard.retire(old) };
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: intentionally violating the contract under the
-            // checking backend.
-            unsafe { guard.retire(old) };
-        }))
-        .expect_err("double retire must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string>".into());
+        // SAFETY: intentionally violating the contract under the checking
+        // backend.
+        let msg = panic_message(|| unsafe { guard.retire(old) });
         assert!(msg.contains("double retire"), "wrong message: {msg}");
+        drop(guard);
+        DebugReclaim::collect();
+    }
+
+    /// The payload of the panic `f` must raise.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("expected a panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "<non-string>".into())
+    }
+
+    /// An allocation that is not a `Box` of anything: the size and
+    /// alignment of no Rust type the tests use.
+    fn raw_layout() -> std::alloc::Layout {
+        std::alloc::Layout::from_size_align(40, 32).unwrap()
+    }
+
+    fn raw_alloc() -> *mut u8 {
+        // SAFETY: non-zero size.
+        let p = unsafe { std::alloc::alloc(raw_layout()) };
+        assert!(!p.is_null());
+        p
+    }
+
+    /// Frees a [`raw_alloc`] allocation.
+    unsafe fn raw_free(p: *mut u8) {
+        // SAFETY: allocated by `raw_alloc`, with this layout.
+        unsafe { std::alloc::dealloc(p, raw_layout()) }
+    }
+
+    /// Runs of [`counted_raw_free`]; only `retire_raw_runs_its_destructor_once`
+    /// retires with it.
+    static RAW_FREES: Counter = Counter::new(0);
+
+    unsafe fn counted_raw_free(p: *mut u8) {
+        RAW_FREES.fetch_add(1, Ordering::SeqCst);
+        // SAFETY: forwarded.
+        unsafe { raw_free(p) }
+    }
+
+    fn retire_raw_on<R: Reclaimer>(expect_freed: bool) {
+        let before = RAW_FREES.load(Ordering::SeqCst);
+        let freed = || RAW_FREES.load(Ordering::SeqCst) - before;
+        let p = raw_alloc();
+        {
+            let guard = R::enter_blanket();
+            // SAFETY: never published; retired once, with the destructor
+            // that matches its allocation.
+            unsafe { guard.retire_raw(p, counted_raw_free) };
+        }
+        if expect_freed {
+            // Loops for the same reason as `retire_bucket_array_on`.
+            for _ in 0..1000 {
+                R::collect();
+                if freed() == 1 {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            for _ in 0..4 {
+                R::collect();
+            }
+            assert_eq!(freed(), 1, "{}: destructor runs != 1", R::NAME);
+        } else {
+            R::collect();
+            assert_eq!(freed(), 0, "{}: leaked object freed", R::NAME);
+            // SAFETY: the backend leaked it, so it is still ours.
+            unsafe { raw_free(p) };
+        }
+    }
+
+    #[test]
+    fn retire_raw_runs_its_destructor_once() {
+        retire_raw_on::<Ebr>(true);
+        retire_raw_on::<Hazard>(true);
+        retire_raw_on::<DebugReclaim>(true);
+        retire_raw_on::<Leak>(false);
+    }
+
+    #[test]
+    fn debug_backend_checks_raw_retires() {
+        let guard = DebugReclaim::enter();
+        let p = raw_alloc();
+        // SAFETY: never published; retired once (the second call below is
+        // the checked violation).
+        unsafe { guard.retire_raw(p, raw_free) };
+        // SAFETY: intentionally violating the contract under the checking
+        // backend.
+        let msg = panic_message(|| unsafe { guard.retire_raw(p, raw_free) });
+        assert!(msg.contains("double retire"), "wrong message: {msg}");
+        let late_guard = DebugReclaim::enter();
+        let msg = panic_message(|| {
+            late_guard.protect_ptr(0, Shared::from_raw(p));
+        });
+        assert!(msg.contains("use-after-retire"), "wrong message: {msg}");
+        drop(late_guard);
         drop(guard);
         DebugReclaim::collect();
     }

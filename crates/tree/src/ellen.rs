@@ -73,7 +73,12 @@ enum Info<T> {
 ///   unflagging the grandparent.
 ///
 /// Spliced nodes and superseded descriptors go to the reclamation
-/// backend `R` ([`cds_reclaim::Reclaimer`], default [`Ebr`]). The tree
+/// backend `R` ([`cds_reclaim::Reclaimer`], default [`Ebr`]). A
+/// descriptor left in the `Clean` state sits in exactly one update word
+/// until a successful CAS displaces it: a flag CAS (`IFlag` by insert,
+/// `DFlag` by remove) or a delete's *mark* CAS. The thread whose CAS
+/// displaced it retires it, so every descriptor is retired exactly once
+/// and none outlives the tree's last operation on it. The tree
 /// uses the **blanket** protection mode ([`Reclaimer::enter_blanket`]):
 /// child pointers carry no mark bits to validate against, and helpers
 /// dereference raw descriptor-held pointers even after the operation they
@@ -284,6 +289,9 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
         ) {
             Ok(_) => {
                 cds_obs::cas_outcome(true);
+                // SAFETY: our mark CAS displaced the Clean descriptor; no
+                // other CAS can (the Mark word is permanent).
+                unsafe { Self::retire_displaced(expected, guard) };
                 self.help_marked(op, guard);
                 true
             }
@@ -351,8 +359,8 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
         }
     }
 
-    /// Retires the descriptor a successful flag CAS displaced (the previous
-    /// operation's Clean-state descriptor), if any.
+    /// Retires the descriptor a successful flag or mark CAS displaced (the
+    /// previous operation's Clean-state descriptor), if any.
     ///
     /// # Safety
     ///
@@ -361,10 +369,16 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
     unsafe fn retire_displaced<G: ReclaimGuard>(old: Shared<'_, Info<T>>, guard: &G) {
         if !old.is_null() {
             debug_assert_eq!(old.tag(), CLEAN);
-            // SAFETY: a Clean descriptor is reachable only through the word
-            // it was just displaced from (see module reasoning: committed
-            // Delete descriptors also sit in the Mark word of their spliced
-            // — hence unreachable — parent), so no new thread can find it.
+            // SAFETY: a Clean descriptor sits in exactly one update word
+            // (committed Delete descriptors also sit in the Mark word of
+            // their spliced — hence unreachable — parent, but that word is
+            // never displaced), and it leaves that word only by a flag CAS
+            // (`insert`, `remove`) or a mark CAS (`help_delete`). Exactly
+            // one such CAS succeeds, its thread retires the descriptor, and
+            // no new operation can find it afterwards. A late helper may
+            // still compare against its address (`pupdate_ptr`), but only
+            // as the expected value of a CAS on a word that is Mark for
+            // good, so a reused address can never match.
             unsafe { guard.retire(old.with_tag(0)) };
         }
     }
@@ -528,7 +542,7 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                     }
                     // Aborted (mark failed): `op` stays reachable from
                     // gp.update in the Clean state and will be retired by
-                    // the next successful flag there. Retry.
+                    // the next successful flag or mark there. Retry.
                     cds_obs::count(cds_obs::Event::BstRetry);
                     backoff.spin();
                 }

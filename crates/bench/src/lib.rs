@@ -1,7 +1,7 @@
 //! Benchmark harness for the `cds` family.
 //!
 //! This crate regenerates the evaluation tables of DESIGN.md (experiments
-//! E1–E10) and emits the machine-readable `BENCH_experiments.json`
+//! E1–E12) and emits the machine-readable `BENCH_experiments.json`
 //! measurement file: workload generators, a thread-sweep driver with
 //! per-thread latency histograms, warmup with steady-state detection, and
 //! the per-family run helpers the

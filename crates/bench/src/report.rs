@@ -1,11 +1,12 @@
 //! Structured benchmark results: the [`Sample`] record, the [`Report`]
-//! collector, and schema validation for `BENCH_experiments.json`.
+//! collector, schema validation for `BENCH_experiments.json`, and the
+//! Markdown tables [`render`]ed from it.
 //!
 //! Schema (version [`SCHEMA_VERSION`]):
 //!
 //! ```json
 //! {
-//!   "schema_version": 6,
+//!   "schema_version": 7,
 //!   "generated_by": "cds-bench experiments",
 //!   "mode": "quick" | "full",
 //!   "host": { "hardware_threads": 8, "os": "linux", "arch": "x86_64",
@@ -36,45 +37,26 @@
 //! map against the fixed-capacity striped baseline and that the map
 //! actually grew (at least three bucket-array doublings).
 //!
-//! Version 4 adds experiment `e12` (the contention sweep) together with
-//! the `telemetry_enabled` extra and an optional per-sample `"telemetry"`
-//! object — the delta of the `cds-obs` event counters across the cell's
-//! run (warmup iterations included, so ratio metrics such as CAS-failure
-//! rate are the meaningful reading), keyed by event name (only nonzero
-//! counters are recorded). The record is present only when the bench
-//! binary was built
-//! with the `telemetry` feature; [`validate_e12_contention`] requires it
-//! on every e12 sample exactly when `extras.telemetry_enabled` is 1, and
+//! Version 4 adds the `telemetry_enabled` extra and an optional
+//! per-sample `"telemetry"` object — the delta of the `cds-obs` event
+//! counters across the cell's run (warmup iterations included, so ratio
+//! metrics such as CAS-failure rate are the meaningful reading), keyed by
+//! event name (only nonzero counters are recorded). The record is present
+//! only when the bench binary was built with the `telemetry` feature, and
 //! [`validate_schema`] checks CAS conservation
 //! (`cas_attempts == cas_success + cas_failure`) inside every record.
 //!
-//! Version 5 adds experiment `e13` (the work-stealing executor sweep:
-//! fork/join and spawn-throughput workloads over a thread sweep) to the
-//! required coverage set. E13 samples reuse the v4 telemetry machinery:
-//! when `extras.telemetry_enabled` is 1, [`validate_e13_executor`]
-//! requires a telemetry record on every e13 sample carrying the executor
-//! conservation pair (`exec_tasks_spawned == exec_tasks_executed` at
-//! quiesce) and a nonzero execution signal.
-//!
-//! Version 6 adds experiment `e14` (the blocking MPMC channel sweep:
-//! bounded vs unbounded buffers over producer/consumer mixes and a
-//! thread sweep) to the required coverage set. E14 samples again reuse
-//! the v4 telemetry machinery: when `extras.telemetry_enabled` is 1,
-//! [`validate_e14_channel`] requires a telemetry record on every e14
-//! sample proving messages flowed (`chan_sends > 0`) and that message
-//! conservation held once the cell's channel dropped
-//! (`chan_sends == chan_recvs + chan_drained_at_drop`) — a mismatch
-//! means the channel lost or duplicated a message during the measured
-//! run. The same records carry the park rates (`chan_parks_send`,
-//! `chan_parks_recv`) the E14 tables report.
+//! Version 7 narrows the required coverage to `e1`–`e11`: the executor
+//! and channel sweeps (v5's e13, v6's e14) and E12's own cells are gone.
+//! E12 is now derived from the E2/E3/E9 samples' records, and
+//! [`validate_telemetry`] requires `telemetry_enabled` on every document
+//! and a record on every sample when it is 1.
 //!
 //! Latency percentiles are bucket midpoints from the merged per-thread
 //! [`LatencyHistogram`](crate::LatencyHistogram)s (≤3% relative bucket
 //! error) and are sampled — one op in
 //! [`LATENCY_SAMPLE_EVERY`](crate::LATENCY_SAMPLE_EVERY) is timed — so the
 //! timestamping cost does not poison the throughput figures.
-
-use std::io::Write as _;
 
 use crate::json::Json;
 use crate::{
@@ -83,11 +65,34 @@ use crate::{
 };
 
 /// Version stamped into (and required from) every emitted document.
-pub const SCHEMA_VERSION: u64 = 6;
+pub const SCHEMA_VERSION: u64 = 7;
 
-/// The fourteen experiment identifiers a complete report must cover.
-pub const ALL_EXPERIMENTS: [&str; 14] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
+/// The experiments a complete report must cover, in print order, each
+/// with the title [`render`] puts over its table.
+pub const EXPERIMENTS: [(&str, &str); 11] = [
+    ("e1", "E1 — counter throughput (increment-only, Mops/s)"),
+    ("e2", "E2 — stack throughput (50/50 push/pop, Mops/s)"),
+    ("e3", "E3 — queue throughput (50/50 enq/deq, Mops/s)"),
+    ("e4", "E4 — list-based sets (Mops/s)"),
+    ("e5", "E5 — hash maps (Mops/s)"),
+    ("e6", "E6 — skiplist sets (Mops/s)"),
+    ("e7", "E7 — binary search trees (Mops/s)"),
+    (
+        "e8",
+        "E8 — priority queues (50/50 insert/remove-min, Mops/s)",
+    ),
+    (
+        "e9",
+        "E9 — lock acquisition under contention (M acquisitions/s)",
+    ),
+    (
+        "e10",
+        "E10 — Harris–Michael list × reclamation backend (50% reads, Mops/s)",
+    ),
+    (
+        "e11",
+        "E11 — resizable map growth sweep (20% reads / 70% inserts, Mops/s)",
+    ),
 ];
 
 /// The reclamation backends the E10 sweep must cover.
@@ -98,20 +103,44 @@ pub const E10_BACKENDS: [&str; 4] = ["ebr", "hazard", "leak", "debug"];
 /// the matched final capacity.
 pub const E11_IMPLS: [&str; 2] = ["resizing", "striped"];
 
-/// The implementations the E12 contention sweep must cover: a CAS-retry
-/// stack and queue (CAS-failure rate vs threads) and a spinning lock
-/// (spin iterations vs threads).
-pub const E12_IMPLS: [&str; 3] = ["treiber", "michael-scott", "ttas+backoff"];
+/// One E12 contention table, derived from telemetry records rather than
+/// measured: each cell is `scale * numerator / denominator` over the
+/// record of one source sample.
+struct Derived {
+    title: &'static str,
+    scale: f64,
+    numerator: &'static str,
+    denominator: &'static str,
+    /// `(experiment, impl)` of the cells the rows come from.
+    sources: &'static [(&'static str, &'static str)],
+}
 
-/// The workloads the E13 executor sweep must cover: recursive fork/join
-/// (tasks spawning tasks through the local LIFO deques) and flat spawn
-/// throughput (external submission through the injector).
-pub const E13_WORKLOADS: [&str; 2] = ["fork-join", "spawn-throughput"];
+impl Derived {
+    fn is_source(&self, s: &Sample) -> bool {
+        self.sources
+            .iter()
+            .any(|&(e, i)| e == s.experiment && i == s.impl_name)
+    }
+}
 
-/// The channel variants the E14 sweep must cover (as `impl`): the
-/// capacity-bounded Vyukov-ring channel (senders can park) and the
-/// unbounded Michael–Scott channel (only receivers park).
-pub const E14_WORKLOADS: [&str; 2] = ["bounded", "unbounded"];
+/// E12: the CAS-retry stack and queue of E2/E3 and the spinning lock of
+/// E9, read through their cells' counter deltas.
+const E12: [Derived; 2] = [
+    Derived {
+        title: "E12 — CAS failure rate (% of attempts)",
+        scale: 100.0,
+        numerator: "cas_failure",
+        denominator: "cas_attempt",
+        sources: &[("e2", "treiber (EBR)"), ("e3", "michael-scott")],
+    },
+    Derived {
+        title: "E12 — TTAS spin iterations per acquisition",
+        scale: 1.0,
+        numerator: "ttas_spin",
+        denominator: "ttas_acquire",
+        sources: &[("e9", "ttas+backoff")],
+    },
+];
 
 /// Per-cell contention telemetry (schema v4): the delta of the global
 /// `cds-obs` event counters across the cell's run (warmup included —
@@ -288,6 +317,19 @@ impl Sample {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("sample missing number field {k:?}"))
         };
+        let pct_field = |k: &str| -> Result<u8, String> {
+            let v = u64_field(k)?;
+            u8::try_from(v)
+                .ok()
+                .filter(|&p| p <= 100)
+                .ok_or_else(|| format!("sample field {k:?} = {v} is not a percentage"))
+        };
+        let (read_pct, insert_pct) = (pct_field("read_pct")?, pct_field("insert_pct")?);
+        if read_pct + insert_pct > 100 {
+            return Err(format!(
+                "sample read_pct {read_pct} + insert_pct {insert_pct} exceeds 100"
+            ));
+        }
         Ok(Sample {
             experiment: str_field("experiment")?,
             impl_name: str_field("impl")?,
@@ -300,8 +342,8 @@ impl Sample {
                 .map(TelemetryRecord::from_json)
                 .transpose()?,
             threads: u64_field("threads")? as usize,
-            read_pct: u64_field("read_pct")? as u8,
-            insert_pct: u64_field("insert_pct")? as u8,
+            read_pct,
+            insert_pct,
             key_range: u64_field("key_range")?,
             prefill: u64_field("prefill")? as usize,
             ops: u64_field("ops")? as usize,
@@ -405,12 +447,6 @@ impl Report {
             ),
         ])
     }
-
-    /// Writes the document to `path` (pretty-printed, trailing newline).
-    pub fn write_file(&self, path: &str) -> std::io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_json().to_string_pretty().as_bytes())
-    }
 }
 
 fn rustc_version() -> String {
@@ -473,6 +509,9 @@ pub fn validate_schema(doc: &Json) -> Result<Vec<Sample>, String> {
     let mut samples = Vec::with_capacity(raw.len());
     for (i, value) in raw.iter().enumerate() {
         let s = Sample::from_json(value).map_err(|e| format!("sample {i}: {e}"))?;
+        if !EXPERIMENTS.iter().any(|(id, _)| *id == s.experiment) {
+            return Err(format!("sample {i}: unknown experiment {:?}", s.experiment));
+        }
         if !(s.mops.is_finite() && s.mops > 0.0) {
             return Err(format!("sample {i}: non-positive mops {}", s.mops));
         }
@@ -567,183 +606,174 @@ pub fn validate_e11_resize(doc: &Json, samples: &[Sample]) -> Result<(), String>
     Ok(())
 }
 
-/// Checks the E12 contention sweep: every implementation in [`E12_IMPLS`]
-/// must appear among the `e12` samples, and the document must record the
+/// Checks the telemetry records: the document must carry the
 /// `telemetry_enabled` extra (1 when the bench binary was built with the
-/// `telemetry` feature, 0 otherwise). When it is 1, every e12 sample must
-/// carry a telemetry record, the CAS structures must have observed
-/// attempts, and the lock must have observed spin iterations — a silent
-/// all-zero sweep would mean the instrumentation came unwired.
-pub fn validate_e12_contention(doc: &Json, samples: &[Sample]) -> Result<(), String> {
-    let missing: Vec<&str> = E12_IMPLS
-        .iter()
-        .filter(|name| {
-            !samples
-                .iter()
-                .any(|s| s.experiment == "e12" && s.impl_name == **name)
-        })
-        .copied()
-        .collect();
-    if !missing.is_empty() {
-        return Err(format!(
-            "e12 missing implementations: {}",
-            missing.join(", ")
-        ));
-    }
+/// `telemetry` feature, 0 otherwise); when it is 1, every sample must
+/// carry a record; and the records of E12's source cells must show the
+/// counter E12 divides by (`cas_attempt` or `ttas_acquire`) — a silent
+/// all-zero record would mean the instrumentation came unwired.
+pub fn validate_telemetry(doc: &Json, samples: &[Sample]) -> Result<(), String> {
     let enabled = doc
         .get("extras")
         .and_then(|e| e.get("telemetry_enabled"))
         .and_then(Json::as_f64)
-        .ok_or("e12 present but extras.telemetry_enabled missing")?;
-    if enabled == 0.0 {
-        return Ok(());
-    }
-    for s in samples.iter().filter(|s| s.experiment == "e12") {
-        let t = s.telemetry.as_ref().ok_or_else(|| {
-            format!(
-                "telemetry_enabled=1 but e12 sample ({}, {} threads) has no telemetry record",
-                s.impl_name, s.threads
-            )
-        })?;
-        let signal = match s.impl_name.as_str() {
-            "ttas+backoff" => t.get("ttas_spin") + t.get("ttas_acquire"),
-            _ => t.get("cas_attempt"),
-        };
-        if signal == 0 {
+        .ok_or("extras.telemetry_enabled missing")?;
+    if enabled != 0.0 {
+        if let Some(s) = samples.iter().find(|s| s.telemetry.is_none()) {
             return Err(format!(
-                "e12 sample ({}, {} threads): telemetry record carries no contention signal",
-                s.impl_name, s.threads
+                "telemetry_enabled=1 but {} sample ({}, {} threads) has no telemetry record",
+                s.experiment, s.impl_name, s.threads
             ));
+        }
+    }
+    for d in &E12 {
+        for s in samples.iter().filter(|s| d.is_source(s)) {
+            if s.telemetry
+                .as_ref()
+                .is_some_and(|t| t.get(d.denominator) == 0)
+            {
+                return Err(format!(
+                    "{} sample ({}, {} threads): telemetry record shows no {}",
+                    s.experiment, s.impl_name, s.threads, d.denominator
+                ));
+            }
         }
     }
     Ok(())
 }
 
-/// Checks the E13 executor sweep: every workload in [`E13_WORKLOADS`]
-/// must appear among the `e13` samples (as `impl`), and when
-/// `extras.telemetry_enabled` is 1 every e13 sample must carry a
-/// telemetry record whose executor counters prove (a) tasks actually ran
-/// (`exec_tasks_executed > 0`) and (b) the conservation invariant held at
-/// quiesce (`exec_tasks_spawned == exec_tasks_executed`) — a mismatch
-/// means the pool lost or duplicated a task during the measured run.
-pub fn validate_e13_executor(doc: &Json, samples: &[Sample]) -> Result<(), String> {
-    let missing: Vec<&str> = E13_WORKLOADS
-        .iter()
-        .filter(|name| {
-            !samples
-                .iter()
-                .any(|s| s.experiment == "e13" && s.impl_name == **name)
-        })
-        .copied()
-        .collect();
-    if !missing.is_empty() {
-        return Err(format!("e13 missing workloads: {}", missing.join(", ")));
-    }
-    let enabled = doc
-        .get("extras")
-        .and_then(|e| e.get("telemetry_enabled"))
-        .and_then(Json::as_f64)
-        .ok_or("e13 present but extras.telemetry_enabled missing")?;
-    if enabled == 0.0 {
-        return Ok(());
-    }
-    for s in samples.iter().filter(|s| s.experiment == "e13") {
-        let t = s.telemetry.as_ref().ok_or_else(|| {
-            format!(
-                "telemetry_enabled=1 but e13 sample ({}, {} threads) has no telemetry record",
-                s.impl_name, s.threads
-            )
-        })?;
-        let spawned = t.get("exec_tasks_spawned");
-        let executed = t.get("exec_tasks_executed");
-        if executed == 0 {
-            return Err(format!(
-                "e13 sample ({}, {} threads): executor telemetry shows no executed tasks",
-                s.impl_name, s.threads
-            ));
-        }
-        if spawned != executed {
-            return Err(format!(
-                "e13 sample ({}, {} threads): conservation violated \
-                 (spawned {spawned} != executed {executed})",
-                s.impl_name, s.threads
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Checks the E14 channel sweep: every variant in [`E14_WORKLOADS`] must
-/// appear among the `e14` samples (as `impl`), and when
-/// `extras.telemetry_enabled` is 1 every e14 sample must carry a
-/// telemetry record whose channel counters prove (a) messages actually
-/// flowed (`chan_sends > 0`) and (b) message conservation held once the
-/// cell's channel dropped
-/// (`chan_sends == chan_recvs + chan_drained_at_drop`) — a mismatch
-/// means the channel lost or duplicated a message during the measured
-/// run.
-pub fn validate_e14_channel(doc: &Json, samples: &[Sample]) -> Result<(), String> {
-    let missing: Vec<&str> = E14_WORKLOADS
-        .iter()
-        .filter(|name| {
-            !samples
-                .iter()
-                .any(|s| s.experiment == "e14" && s.impl_name == **name)
-        })
-        .copied()
-        .collect();
-    if !missing.is_empty() {
-        return Err(format!(
-            "e14 missing channel variants: {}",
-            missing.join(", ")
-        ));
-    }
-    let enabled = doc
-        .get("extras")
-        .and_then(|e| e.get("telemetry_enabled"))
-        .and_then(Json::as_f64)
-        .ok_or("e14 present but extras.telemetry_enabled missing")?;
-    if enabled == 0.0 {
-        return Ok(());
-    }
-    for s in samples.iter().filter(|s| s.experiment == "e14") {
-        let t = s.telemetry.as_ref().ok_or_else(|| {
-            format!(
-                "telemetry_enabled=1 but e14 sample ({}, {} threads) has no telemetry record",
-                s.impl_name, s.threads
-            )
-        })?;
-        let sends = t.get("chan_sends");
-        let recvs = t.get("chan_recvs");
-        let drained = t.get("chan_drained_at_drop");
-        if sends == 0 {
-            return Err(format!(
-                "e14 sample ({}, {} threads): channel telemetry shows no sends",
-                s.impl_name, s.threads
-            ));
-        }
-        if sends != recvs + drained {
-            return Err(format!(
-                "e14 sample ({}, {} threads): message conservation violated \
-                 (sent {sends} != received {recvs} + drained-at-drop {drained})",
-                s.impl_name, s.threads
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Checks that `samples` covers every experiment in [`ALL_EXPERIMENTS`];
+/// Checks that `samples` covers every experiment in [`EXPERIMENTS`];
 /// returns the missing identifiers otherwise.
 pub fn validate_coverage(samples: &[Sample]) -> Result<(), String> {
-    let missing: Vec<&str> = ALL_EXPERIMENTS
+    let missing: Vec<&str> = EXPERIMENTS
         .iter()
-        .filter(|id| !samples.iter().any(|s| s.experiment == **id))
-        .copied()
+        .map(|(id, _)| *id)
+        .filter(|id| !samples.iter().any(|s| s.experiment == *id))
         .collect();
     if missing.is_empty() {
         Ok(())
     } else {
         Err(format!("missing experiments: {}", missing.join(", ")))
+    }
+}
+
+/// Renders a report document as Markdown: the host line, then one table
+/// per experiment in [`EXPERIMENTS`] order (one per `read_pct` where an
+/// experiment sweeps it), each followed by its `eN_`-prefixed extras,
+/// then the E12 tables for whichever source cells carry telemetry
+/// records. Rows are labelled by reclaimer, else implementation; columns
+/// are thread counts. The document is schema-checked first.
+pub fn render(doc: &Json) -> Result<String, String> {
+    let samples = validate_schema(doc)?;
+    let text = |v: Option<&Json>| v.and_then(Json::as_str).unwrap_or_default().to_string();
+    let host = doc.get("host");
+    let field = |k: &str| host.and_then(|h| h.get(k));
+    let extras: Vec<(&str, f64)> = match doc.get("extras") {
+        Some(Json::Obj(fields)) => fields
+            .iter()
+            .filter_map(|(k, v)| Some((k.as_str(), v.as_f64()?)))
+            .collect(),
+        _ => Vec::new(),
+    };
+    let owner = |key: &str| {
+        EXPERIMENTS
+            .iter()
+            .map(|(id, _)| *id)
+            .find(|id| key.starts_with(&format!("{id}_")))
+    };
+
+    let mut out = String::from("# cds experiment tables\n");
+    out.push_str(&format!(
+        "\nhost: {} hardware threads, {} {}, {}; mode: {}\n",
+        field("hardware_threads")
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
+        text(field("os")),
+        text(field("arch")),
+        text(field("rustc")),
+        text(doc.get("mode")),
+    ));
+    for (k, v) in extras.iter().filter(|(k, _)| owner(k).is_none()) {
+        out.push_str(&format!("\n{k}: {v}\n"));
+    }
+    for (id, title) in EXPERIMENTS {
+        let cells: Vec<&Sample> = samples.iter().filter(|s| s.experiment == id).collect();
+        let mut ratios: Vec<u8> = cells.iter().map(|s| s.read_pct).collect();
+        ratios.sort_unstable();
+        ratios.dedup();
+        for &r in &ratios {
+            let heading = if ratios.len() > 1 {
+                format!("{title} — {r}% reads")
+            } else {
+                title.to_string()
+            };
+            let rows: Vec<(&str, usize, f64)> = cells
+                .iter()
+                .filter(|s| s.read_pct == r)
+                .map(|s| {
+                    let label = s.reclaimer.as_deref().unwrap_or(&s.impl_name);
+                    (label, s.threads, s.mops)
+                })
+                .collect();
+            table(&mut out, &heading, &rows);
+        }
+        if !cells.is_empty() {
+            for (k, v) in extras.iter().filter(|(k, _)| owner(k) == Some(id)) {
+                out.push_str(&format!("\n{k}: {v}\n"));
+            }
+        }
+    }
+    for d in &E12 {
+        let rows: Vec<(&str, usize, f64)> = samples
+            .iter()
+            .filter(|s| d.is_source(s))
+            .filter_map(|s| {
+                let t = s.telemetry.as_ref()?;
+                let den = t.get(d.denominator);
+                let ratio = if den == 0 {
+                    0.0
+                } else {
+                    d.scale * t.get(d.numerator) as f64 / den as f64
+                };
+                Some((s.impl_name.as_str(), s.threads, ratio))
+            })
+            .collect();
+        if !rows.is_empty() {
+            table(&mut out, d.title, &rows);
+        }
+    }
+    Ok(out)
+}
+
+/// Appends one Markdown table of `(row label, threads, value)` cells:
+/// rows in first-appearance order, columns by ascending thread count.
+fn table(out: &mut String, heading: &str, cells: &[(&str, usize, f64)]) {
+    let mut threads: Vec<usize> = cells.iter().map(|c| c.1).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    let mut labels: Vec<&str> = Vec::new();
+    for &(label, _, _) in cells {
+        if !labels.contains(&label) {
+            labels.push(label);
+        }
+    }
+    out.push_str(&format!("\n### {heading}\n\n| implementation |"));
+    for t in &threads {
+        out.push_str(&format!(" {t} thr |"));
+    }
+    out.push_str("\n|---|");
+    for _ in &threads {
+        out.push_str("---|");
+    }
+    out.push('\n');
+    for label in labels {
+        out.push_str(&format!("| {label} |"));
+        for &t in &threads {
+            match cells.iter().find(|c| c.0 == label && c.1 == t) {
+                Some(c) => out.push_str(&format!(" {:.3} |", c.2)),
+                None => out.push_str(" – |"),
+            }
+        }
+        out.push('\n');
     }
 }

@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use cds_bench::json::Json;
 use cds_bench::report::{
-    validate_coverage, validate_e10_backends, validate_e11_resize, validate_e12_contention,
-    validate_e13_executor, validate_e14_channel, validate_schema, TelemetryRecord, ALL_EXPERIMENTS,
-    E12_IMPLS, E13_WORKLOADS, E14_WORKLOADS,
+    render, validate_coverage, validate_e10_backends, validate_e11_resize, validate_schema,
+    validate_telemetry, TelemetryRecord, EXPERIMENTS,
 };
 use cds_bench::{
     prefill_map, prefill_pq, prefill_set, set_run, LatencyHistogram, MixedOp, OpStream, Report,
@@ -175,19 +174,12 @@ fn fake_sample(experiment: &str, threads: usize) -> Sample {
         p90_ns: 310,
         p99_ns: 1_900,
         p999_ns: 22_000,
-        // E12–E14 samples must carry a counter record whenever the
-        // document says telemetry was enabled (schema v4/v5/v6).
-        telemetry: match experiment {
-            "e12" => Some(fake_telemetry()),
-            "e13" => Some(fake_exec_telemetry()),
-            "e14" => Some(fake_chan_telemetry()),
-            _ => None,
-        },
+        telemetry: None,
     }
 }
 
 /// A conserved counter record with a nonzero contention signal for both
-/// the CAS-based and the lock-based e12 implementations.
+/// the CAS-based and the lock-based E12 sources.
 fn fake_telemetry() -> TelemetryRecord {
     TelemetryRecord {
         counters: vec![
@@ -200,38 +192,21 @@ fn fake_telemetry() -> TelemetryRecord {
     }
 }
 
-/// An executor record satisfying the e13 task-conservation invariant
-/// (`exec_tasks_spawned == exec_tasks_executed`, both nonzero).
-fn fake_exec_telemetry() -> TelemetryRecord {
-    TelemetryRecord {
-        counters: vec![
-            ("exec_tasks_spawned".to_string(), 500),
-            ("exec_tasks_executed".to_string(), 500),
-            ("exec_steal_hit".to_string(), 3),
-            ("exec_steal_miss".to_string(), 11),
-            ("exec_parks".to_string(), 2),
-        ],
-    }
+/// `fake_sample` renamed to `name`.
+fn named(experiment: &str, name: &str, threads: usize) -> Sample {
+    let mut s = fake_sample(experiment, threads);
+    s.impl_name = name.to_string();
+    s
 }
 
-/// A channel record satisfying the e14 message-conservation invariant
-/// (`chan_sends == chan_recvs + chan_drained_at_drop`, sends nonzero).
-fn fake_chan_telemetry() -> TelemetryRecord {
-    TelemetryRecord {
-        counters: vec![
-            ("chan_sends".to_string(), 800),
-            ("chan_recvs".to_string(), 793),
-            ("chan_drained_at_drop".to_string(), 7),
-            ("chan_parks_send".to_string(), 4),
-            ("chan_parks_recv".to_string(), 9),
-        ],
-    }
+fn reparse(report: &Report) -> Json {
+    Json::parse(&report.to_json().to_string_pretty()).expect("emitted JSON must parse")
 }
 
 #[test]
 fn emitted_json_round_trips_and_validates() {
     let mut report = Report::new("quick", Warmup::quick());
-    for id in ALL_EXPERIMENTS {
+    for (id, _) in EXPERIMENTS {
         report.push(fake_sample(id, 1));
         report.push(fake_sample(id, 8));
     }
@@ -243,44 +218,24 @@ fn emitted_json_round_trips_and_validates() {
     // The e11 resize sweep must compare both map implementations and
     // record its doubling count (schema v3).
     for name in ["resizing", "striped"] {
-        let mut s = fake_sample("e11", 1);
-        s.impl_name = name.to_string();
-        report.push(s);
+        report.push(named("e11", name, 1));
     }
     report.push_extra("e11_resizing_doublings", 48.0);
-    // The e12 contention sweep must cover its three implementations, and
-    // with telemetry_enabled = 1 every e12 sample must carry a conserved
-    // counter record (schema v4).
-    for name in E12_IMPLS {
-        let mut s = fake_sample("e12", 1);
-        s.impl_name = name.to_string();
-        report.push(s);
-    }
-    // The e13 executor sweep must cover both workloads, every sample
-    // carrying a task-conserving record (schema v5).
-    for name in E13_WORKLOADS {
-        let mut s = fake_sample("e13", 1);
-        s.impl_name = name.to_string();
-        report.push(s);
-    }
-    // The e14 channel sweep must cover both variants, every sample
-    // carrying a message-conserving record (schema v6).
-    for name in E14_WORKLOADS {
-        let mut s = fake_sample("e14", 1);
-        s.impl_name = name.to_string();
-        report.push(s);
+    // With telemetry_enabled = 1 every sample must carry a conserved
+    // counter record, E12's sources included (schema v4/v7).
+    report.push(named("e2", "treiber (EBR)", 1));
+    report.push(named("e9", "ttas+backoff", 1));
+    for s in &mut report.samples {
+        s.telemetry = Some(fake_telemetry());
     }
     report.push_extra("telemetry_enabled", 1.0);
 
-    let text = report.to_json().to_string_pretty();
-    let doc = Json::parse(&text).expect("emitted JSON must parse");
+    let doc = reparse(&report);
     let samples = validate_schema(&doc).expect("emitted JSON must satisfy the schema");
-    validate_coverage(&samples).expect("all twelve experiments present");
+    validate_coverage(&samples).expect("all eleven experiments present");
     validate_e10_backends(&samples).expect("all four reclamation backends present");
     validate_e11_resize(&doc, &samples).expect("resize sweep covers both maps and grew");
-    validate_e12_contention(&doc, &samples).expect("contention sweep carries its records");
-    validate_e13_executor(&doc, &samples).expect("executor sweep conserves tasks");
-    validate_e14_channel(&doc, &samples).expect("channel sweep conserves messages");
+    validate_telemetry(&doc, &samples).expect("every sample carries its record");
 
     // Field-for-field round trip.
     assert_eq!(samples.len(), report.samples.len());
@@ -289,7 +244,7 @@ fn emitted_json_round_trips_and_validates() {
     }
     // Document metadata survives too.
     assert_eq!(doc.get("mode").and_then(Json::as_str), Some("quick"));
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(6));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(7));
     assert!(doc
         .get("host")
         .and_then(|h| h.get("hardware_threads"))
@@ -313,7 +268,7 @@ fn schema_validation_rejects_bad_documents() {
     // Missing experiments -> coverage failure.
     let mut report = Report::new("quick", Warmup::quick());
     report.push(fake_sample("e1", 1));
-    let doc = Json::parse(&report.to_json().to_string_pretty()).unwrap();
+    let doc = reparse(&report);
     let samples = validate_schema(&doc).expect("schema itself is fine");
     assert!(validate_coverage(&samples).unwrap_err().contains("e2"));
 
@@ -324,8 +279,16 @@ fn schema_validation_rejects_bad_documents() {
     // Empty samples.
     let mut empty = Report::new("quick", Warmup::quick());
     empty.extras.clear();
-    let doc = Json::parse(&empty.to_json().to_string_pretty()).unwrap();
-    assert!(validate_schema(&doc).unwrap_err().contains("empty"));
+    assert!(validate_schema(&reparse(&empty))
+        .unwrap_err()
+        .contains("empty"));
+
+    // An experiment id outside e1–e11, such as a pre-v7 executor cell.
+    let mut retired = Report::new("quick", Warmup::quick());
+    retired.push(fake_sample("e13", 1));
+    assert!(validate_schema(&reparse(&retired))
+        .unwrap_err()
+        .contains("unknown experiment"));
 
     // Non-monotone percentiles.
     let mut bad = Report::new("quick", Warmup::quick());
@@ -333,41 +296,41 @@ fn schema_validation_rejects_bad_documents() {
     s.p50_ns = 10_000;
     s.p90_ns = 5;
     bad.push(s);
-    let doc = Json::parse(&bad.to_json().to_string_pretty()).unwrap();
-    assert!(validate_schema(&doc).unwrap_err().contains("monotone"));
+    assert!(validate_schema(&reparse(&bad))
+        .unwrap_err()
+        .contains("monotone"));
 
     // An e10 sample without its reclamation-backend tag.
     let mut untagged = Report::new("quick", Warmup::quick());
     let mut s = fake_sample("e10", 1);
     s.reclaimer = None;
     untagged.push(s);
-    let doc = Json::parse(&untagged.to_json().to_string_pretty()).unwrap();
-    assert!(validate_schema(&doc).unwrap_err().contains("reclaimer"));
+    assert!(validate_schema(&reparse(&untagged))
+        .unwrap_err()
+        .contains("reclaimer"));
 
     // An unknown backend name is rejected outright.
     let mut unknown = Report::new("quick", Warmup::quick());
     unknown.push(fake_sample("e10", 1).with_reclaimer("qsbr"));
-    let doc = Json::parse(&unknown.to_json().to_string_pretty()).unwrap();
-    assert!(validate_schema(&doc).unwrap_err().contains("qsbr"));
+    assert!(validate_schema(&reparse(&unknown))
+        .unwrap_err()
+        .contains("qsbr"));
 
     // A sweep that skipped a backend fails the e10 coverage check.
     let mut partial = Report::new("quick", Warmup::quick());
     for backend in ["ebr", "hazard", "leak"] {
         partial.push(fake_sample("e10", 1).with_reclaimer(backend));
     }
-    let doc = Json::parse(&partial.to_json().to_string_pretty()).unwrap();
-    let samples = validate_schema(&doc).expect("schema itself is fine");
+    let samples = validate_schema(&reparse(&partial)).expect("schema itself is fine");
     assert!(validate_e10_backends(&samples)
         .unwrap_err()
         .contains("debug"));
 
     // An e11 sweep without the striped baseline fails the resize check.
     let mut resize = Report::new("quick", Warmup::quick());
-    let mut s = fake_sample("e11", 1);
-    s.impl_name = "resizing".to_string();
-    resize.push(s);
+    resize.push(named("e11", "resizing", 1));
     resize.push_extra("e11_resizing_doublings", 48.0);
-    let doc = Json::parse(&resize.to_json().to_string_pretty()).unwrap();
+    let doc = reparse(&resize);
     let samples = validate_schema(&doc).expect("schema itself is fine");
     assert!(validate_e11_resize(&doc, &samples)
         .unwrap_err()
@@ -375,12 +338,10 @@ fn schema_validation_rejects_bad_documents() {
 
     // A sweep whose resizable map never grew is rejected even with both
     // implementations present.
-    let mut s = fake_sample("e11", 1);
-    s.impl_name = "striped".to_string();
-    resize.push(s);
+    resize.push(named("e11", "striped", 1));
     resize.extras.clear();
     resize.push_extra("e11_resizing_doublings", 2.0);
-    let doc = Json::parse(&resize.to_json().to_string_pretty()).unwrap();
+    let doc = reparse(&resize);
     let samples = validate_schema(&doc).expect("schema itself is fine");
     assert!(validate_e11_resize(&doc, &samples)
         .unwrap_err()
@@ -393,24 +354,106 @@ fn schema_validation_rejects_bad_documents() {
     let mut t = fake_telemetry();
     t.counters.retain(|(name, _)| name != "cas_failure");
     skewed.push(fake_sample("e1", 1).with_telemetry(t));
-    let doc = Json::parse(&skewed.to_json().to_string_pretty()).unwrap();
-    assert!(validate_schema(&doc).unwrap_err().contains("not conserved"));
+    assert!(validate_schema(&reparse(&skewed))
+        .unwrap_err()
+        .contains("not conserved"));
+}
 
-    // A document claiming telemetry_enabled = 1 whose e12 samples carry
-    // no records fails the contention check.
-    let mut bare = Report::new("quick", Warmup::quick());
-    for name in E12_IMPLS {
-        let mut s = fake_sample("e12", 1);
-        s.impl_name = name.to_string();
-        s.telemetry = None;
-        bare.push(s);
-    }
-    bare.push_extra("telemetry_enabled", 1.0);
-    let doc = Json::parse(&bare.to_json().to_string_pretty()).unwrap();
-    let samples = validate_schema(&doc).expect("schema itself is fine");
-    assert!(validate_e12_contention(&doc, &samples)
+#[test]
+fn out_of_range_percentages_are_rejected_not_truncated() {
+    let mut report = Report::new("quick", Warmup::quick());
+    report.push(fake_sample("e4", 1));
+    let text = report.to_json().to_string_pretty();
+    assert!(text.contains(r#""read_pct": 50"#));
+
+    // 300 must not wrap to 44.
+    let doc = Json::parse(&text.replace(r#""read_pct": 50"#, r#""read_pct": 300"#)).unwrap();
+    let err = validate_schema(&doc).unwrap_err();
+    assert!(err.contains("read_pct") && err.contains("300"), "{err}");
+
+    // Each in range, but 90% reads + 25% inserts is not a mix.
+    let doc = Json::parse(&text.replace(r#""read_pct": 50"#, r#""read_pct": 90"#)).unwrap();
+    let err = validate_schema(&doc).unwrap_err();
+    assert!(err.contains("exceeds 100"), "{err}");
+}
+
+#[test]
+fn validate_telemetry_requires_the_flag_and_every_record() {
+    let mut report = Report::new("quick", Warmup::quick());
+    report.push(fake_sample("e1", 1));
+    let doc = reparse(&report);
+    let samples = validate_schema(&doc).unwrap();
+    assert!(validate_telemetry(&doc, &samples)
+        .unwrap_err()
+        .contains("telemetry_enabled missing"));
+
+    // A default build: the flag is 0 and bare samples are fine.
+    report.push_extra("telemetry_enabled", 0.0);
+    let doc = reparse(&report);
+    validate_telemetry(&doc, &samples).expect("no records required when disabled");
+
+    // telemetry_enabled = 1 with one bare sample.
+    report.extras.clear();
+    report.push_extra("telemetry_enabled", 1.0);
+    let doc = reparse(&report);
+    assert!(validate_telemetry(&doc, &samples)
         .unwrap_err()
         .contains("no telemetry record"));
+
+    // An E12 source whose record never saw the counter E12 divides by.
+    report.samples[0] = named("e2", "treiber (EBR)", 1).with_telemetry(TelemetryRecord {
+        counters: vec![("retired_ebr".to_string(), 5)],
+    });
+    let doc = reparse(&report);
+    let samples = validate_schema(&doc).unwrap();
+    assert!(validate_telemetry(&doc, &samples)
+        .unwrap_err()
+        .contains("no cas_attempt"));
+}
+
+#[test]
+fn render_prints_one_table_per_cell_group() {
+    let mut report = Report::new("quick", Warmup::quick());
+    for read_pct in [0, 90] {
+        for threads in [1, 2] {
+            let mut s = named("e4", "lazy", threads);
+            s.read_pct = read_pct;
+            s.insert_pct = 5;
+            report.push(s);
+        }
+    }
+    for backend in ["ebr", "hazard"] {
+        report.push(named("e10", "harris-michael", 1).with_reclaimer(backend));
+    }
+    report.push_extra("e10_hazard_garbage_after_100k_churn", 0.0);
+    report.push(named("e2", "treiber (EBR)", 1));
+    report.push(named("e2", "coarse", 1));
+    report.push(named("e9", "ttas+backoff", 1));
+    report.push_extra("telemetry_enabled", 0.0);
+
+    let out = render(&reparse(&report)).expect("valid document renders");
+    // The ratio sweep splits by read_pct; columns are thread counts.
+    assert!(out.contains("### E4 — list-based sets (Mops/s) — 0% reads\n"));
+    assert!(out.contains("### E4 — list-based sets (Mops/s) — 90% reads\n"));
+    assert!(out.contains(
+        "| implementation | 1 thr | 2 thr |\n|---|---|---|\n| lazy | 12.346 | 12.346 |\n"
+    ));
+    // E10 rows are labelled by backend, its extra follows its table.
+    assert!(out.contains(
+        "| ebr | 12.346 |\n| hazard | 12.346 |\n\ne10_hazard_garbage_after_100k_churn: 0\n"
+    ));
+    assert!(out.contains("\ntelemetry_enabled: 0\n"));
+    // No records, no E12.
+    assert!(!out.contains("E12"), "{out}");
+
+    // With records on the sources, E12 derives its two tables from them.
+    report.samples[6] = report.samples[6].clone().with_telemetry(fake_telemetry());
+    report.samples[8] = report.samples[8].clone().with_telemetry(fake_telemetry());
+    let out = render(&reparse(&report)).expect("valid document renders");
+    assert!(out.contains("### E12 — CAS failure rate (% of attempts)\n"));
+    assert!(out.contains("| treiber (EBR) | 10.000 |\n"));
+    assert!(out.contains("| ttas+backoff | 0.175 |\n"));
+    assert!(!out.contains("| coarse | 10.000"));
 }
 
 #[test]

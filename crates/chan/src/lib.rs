@@ -26,8 +26,9 @@
 //! decrements; a receiver may report `Closed` only after it observes, in
 //! order, an empty buffer, the closed flag, `inflight == 0`, and — the
 //! step the planted regression removes — **one final dequeue** that is
-//! still empty. While `inflight != 0` the receiver *spins* (each
-//! sender's window is a handful of instructions with no parking) rather
+//! still empty. While `inflight != 0` the receiver *backs off* (spins,
+//! then yields: each sender's window is a handful of instructions with
+//! no parking, but its sender can be descheduled inside it) rather
 //! than report `Empty`: a receive that has seen the closed flag must
 //! answer `Received` or `Closed`, since `Empty` after `close` has
 //! returned admits no linearization. In the `SeqCst` total order,
@@ -88,7 +89,7 @@ use cds_core::ConcurrentQueue;
 use cds_obs::Event;
 use cds_queue::{BoundedQueue, MsQueue};
 use cds_reclaim::{Ebr, Reclaimer};
-use cds_sync::{Parked, Parker};
+use cds_sync::{Backoff, CachePadded, Parked, Parker};
 
 /// Error returned by [`Channel::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,17 +216,20 @@ struct SelectWaiter {
 
 const SELECT_OPEN: usize = usize::MAX;
 
+/// `inflight`, `sent`, `received` and the two cache-line-aligned
+/// parkers each own a line: senders and receivers write different ones,
+/// so a waiter's spin reads no line the other side is writing.
 struct Inner<T: Send + 'static, R: Reclaimer> {
     buffer: Buffer<T, R>,
     closed: AtomicBool,
     /// Senders inside their check-flag-then-publish window; the receiver
     /// side of the close protocol (see the crate docs) may only report
     /// `Closed` after observing this at zero.
-    inflight: AtomicUsize,
+    inflight: CachePadded<AtomicUsize>,
     /// Model counters for conservation checks: every successful send /
     /// receive, independent of the telemetry feature.
-    sent: AtomicU64,
-    received: AtomicU64,
+    sent: CachePadded<AtomicU64>,
+    received: CachePadded<AtomicU64>,
     /// Eventcount bounded senders park on when the ring is full.
     send_parker: Parker,
     /// Eventcount receivers park on when the buffer is empty.
@@ -275,11 +279,12 @@ impl<T: Send + 'static, R: Reclaimer> Inner<T, R> {
     /// *open*: once this attempt has seen `closed`, reporting `Empty`
     /// would not be linearizable (a `try_recv` that starts after
     /// `close` returned must answer `Received` or `Closed`). So when
-    /// senders are still in flight we spin — their critical section is
-    /// a handful of instructions with no parking, so the wait is
+    /// senders are still in flight we back off — their critical section
+    /// is a handful of instructions with no parking, so the wait is
     /// bounded — until each has either published its message or
     /// observed the closed flag, and only then run the final drain.
     fn try_recv_inner(&self) -> Result<T, TryRecvError> {
+        let backoff = Backoff::new();
         loop {
             if let Some(v) = self.buffer.try_dequeue() {
                 self.on_received();
@@ -297,11 +302,13 @@ impl<T: Send + 'static, R: Reclaimer> Inner<T, R> {
                 // `Blocked`: re-running this loop before the sender
                 // moves is a pure recheck (an empty-buffer dequeue
                 // mutates nothing), so the systematic explorer may
-                // park us until another thread steps.
-                stress::yield_point_tagged(stress::YieldTag::Blocked(
-                    &self.inflight as *const AtomicUsize as usize,
+                // park us until another thread steps. The snooze yields
+                // the CPU once its spins run out: a sender descheduled
+                // inside its window needs it on a host with fewer cores
+                // than threads.
+                backoff.snooze_tagged(stress::YieldTag::Blocked(
+                    &*self.inflight as *const AtomicUsize as usize,
                 ));
-                std::hint::spin_loop();
                 continue;
             }
             if armed(Fault::CloseSkipsFinalDrain) {
@@ -415,9 +422,9 @@ impl<T: Send + 'static, R: Reclaimer> Channel<T, R> {
             inner: Arc::new(Inner {
                 buffer,
                 closed: AtomicBool::new(false),
-                inflight: AtomicUsize::new(0),
-                sent: AtomicU64::new(0),
-                received: AtomicU64::new(0),
+                inflight: CachePadded::new(AtomicUsize::new(0)),
+                sent: CachePadded::new(AtomicU64::new(0)),
+                received: CachePadded::new(AtomicU64::new(0)),
                 send_parker: Parker::new(),
                 recv_parker: Parker::new(),
                 select_count: AtomicUsize::new(0),
@@ -756,6 +763,24 @@ impl<T: Send + 'static, R: Reclaimer> fmt::Debug for Select<'_, T, R> {
 mod tests {
     use super::*;
     use std::thread;
+
+    #[test]
+    fn writer_words_and_parkers_sit_on_lines_of_their_own() {
+        let ch = bounded::<u32>(2);
+        let inner = &*ch.inner;
+        let at = [
+            &*inner.inflight as *const AtomicUsize as usize,
+            &*inner.sent as *const AtomicU64 as usize,
+            &*inner.received as *const AtomicU64 as usize,
+            &inner.send_parker as *const Parker as usize,
+            &inner.recv_parker as *const Parker as usize,
+        ];
+        for (i, a) in at.iter().enumerate() {
+            for b in &at[i + 1..] {
+                assert!(a.abs_diff(*b) >= 128, "{a:#x} and {b:#x} share a line");
+            }
+        }
+    }
 
     #[test]
     fn bounded_round_trip() {

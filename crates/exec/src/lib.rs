@@ -13,13 +13,13 @@
 //!   ([`cds_queue::MsQueue`]) instead of blocking — `spawn` never waits.
 //! * Idle workers probe victims in seeded-random order with
 //!   [`cds_queue::Stealer::steal_batch_and_pop`] (up to half the victim's
-//!   tasks, amortizing the probe), escalate through
-//!   [`cds_sync::Backoff`], and finally **park**: one
-//!   [`Parker::park_unless`] round on the shared [`cds_sync::Parker`]
-//!   eventcount, whose re-check is the shutdown flag plus every task
+//!   tasks, amortizing the probe) and, finding nothing, **wait**: one
+//!   [`Parker::wait_until`] on the shared [`cds_sync::Parker`]
+//!   eventcount, whose attempt is the shutdown flag plus every task
 //!   source. A spawner makes its task visible and calls
-//!   [`Parker::notify`]. (The protocol and its lost-wakeup argument are
-//!   described once, in the module docs of `crates/sync/src/parker.rs`.)
+//!   [`Parker::notify`]. (The protocol, its lost-wakeup argument and the
+//!   spin-then-park wait policy are described once, in the module docs
+//!   of `crates/sync/src/parker.rs`.)
 //! * The whole pool is generic over `R:`[`Reclaimer`] like the structures
 //!   it composes, so the deque buffers and overflow nodes are managed by
 //!   whichever backend the application standardized on.
@@ -67,7 +67,7 @@ use cds_core::ConcurrentQueue;
 use cds_obs::Event;
 use cds_queue::{BoundedQueue, ChaseLevDeque, MsQueue, Steal, Stealer, Worker};
 use cds_reclaim::{Ebr, Reclaimer};
-use cds_sync::Backoff;
+use cds_sync::{Backoff, CachePadded, Parker};
 
 /// A unit of work: a boxed closure run exactly once on some pool thread.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -96,22 +96,17 @@ impl Default for ExecConfig {
     }
 }
 
-/// The eventcount the workers park on — the shared
-/// [`cds_sync::Parker`], which `cds-chan` also blocks on.
-///
-/// Public so the lincheck suite can model-check the protocol directly
-/// (an eventcount spec runs it under both the PCT and the systematic
-/// exploration schedulers); executor users never need it.
-pub use cds_sync::Parker;
-
-/// State shared by the pool handle and every worker thread.
+/// State shared by the pool handle and every worker thread. `spawned`
+/// (spawners write it), `executed` (workers write it) and the `parker`
+/// each own a cache line, so a waiting worker's spin reads no line its
+/// spawner is writing.
 struct Shared<R: Reclaimer> {
     injector: BoundedQueue<Task>,
     overflow: MsQueue<Task, R>,
     stealers: Vec<Stealer<Task, R>>,
     parker: Parker,
-    spawned: AtomicU64,
-    executed: AtomicU64,
+    spawned: CachePadded<AtomicU64>,
+    executed: CachePadded<AtomicU64>,
     shutdown: AtomicBool,
     seed: u64,
 }
@@ -315,18 +310,11 @@ fn worker_loop<R: Reclaimer>(
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if !backoff.is_completed() {
-                    backoff.snooze();
-                    continue;
-                }
-                // Backoff exhausted: park unless the post-prepare re-check
-                // sees shutdown or work in any task source.
                 stress::yield_point();
-                shared.parker.park_unless(None, Event::ExecParks, || {
+                shared.parker.wait_until(None, Event::ExecParks, || {
                     (shared.shutdown.load(Ordering::SeqCst) || shared.has_visible_work(index))
                         .then_some(())
                 });
-                backoff.reset();
             }
         }
     }
@@ -384,8 +372,8 @@ impl<R: Reclaimer> Executor<R> {
             overflow: MsQueue::with_reclaimer(),
             stealers,
             parker: Parker::new(),
-            spawned: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
+            spawned: CachePadded::new(AtomicU64::new(0)),
+            executed: CachePadded::new(AtomicU64::new(0)),
             shutdown: AtomicBool::new(false),
             seed: cfg.seed,
         });
@@ -698,6 +686,17 @@ mod tests {
         run::<cds_reclaim::Hazard>();
         run::<cds_reclaim::Leak>();
         run::<cds_reclaim::DebugReclaim>();
+    }
+
+    #[test]
+    fn counters_and_parker_sit_on_lines_of_their_own() {
+        let pool = Executor::new(1);
+        let spawned = &*pool.shared.spawned as *const AtomicU64 as usize;
+        let executed = &*pool.shared.executed as *const AtomicU64 as usize;
+        let parker = &pool.shared.parker as *const Parker as usize;
+        for (a, b) in [(spawned, executed), (spawned, parker), (executed, parker)] {
+            assert!(a.abs_diff(b) >= 128, "{a:#x} and {b:#x} share a line");
+        }
     }
 
     #[test]

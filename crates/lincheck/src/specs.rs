@@ -305,7 +305,7 @@ impl Spec for CounterSpec {
 }
 
 /// Eventcount (gate) operations, modelling the prepare/re-check/commit
-/// protocol of `cds_exec`'s `Parker`: a `Signal` publishes a flag and
+/// protocol of `cds_sync::Parker`: a `Signal` publishes a flag and
 /// wakes waiters; an `Await` announces intent to sleep (`prepare`),
 /// re-checks the flag, and either commits to having been woken or backs
 /// out (`cancel`). `Await` never actually blocks — bounded windows need

@@ -110,6 +110,10 @@ events! {
     SeqlockWrite => "seqlock_write", Sum;
     // One `Backoff::spin`/`snooze` round anywhere in the family.
     BackoffRound => "backoff_round", Sum;
+    // One `Parker::wait_until` met by its spin before the first park: a
+    // wait that cost its waker no futex wake (committed parks are the
+    // `exec_parks` / `chan_parks_*` counts).
+    ParkerSpinWins => "parker_spin_wins", Sum;
 
     // --- Lock-free structures: unified CAS accounting plus per-structure
     // retry counters. Every instrumented compare-exchange records exactly

@@ -119,13 +119,6 @@ impl Backoff {
             self.step.set(step + 1);
         }
     }
-
-    /// Returns `true` once spinning has escalated far enough that the caller
-    /// should consider blocking (e.g. parking the thread) instead.
-    #[inline]
-    pub fn is_completed(&self) -> bool {
-        self.step.get() > YIELD_LIMIT
-    }
 }
 
 impl Default for Backoff {
@@ -146,10 +139,15 @@ impl fmt::Debug for Backoff {
 mod tests {
     use super::*;
 
+    /// Whether snoozing has escalated all the way to yielding.
+    fn completed(b: &Backoff) -> bool {
+        b.step.get() > YIELD_LIMIT
+    }
+
     #[test]
     fn starts_incomplete() {
         let b = Backoff::new();
-        assert!(!b.is_completed());
+        assert!(!completed(&b));
     }
 
     #[test]
@@ -158,7 +156,7 @@ mod tests {
         for _ in 0..=YIELD_LIMIT {
             b.snooze();
         }
-        assert!(b.is_completed());
+        assert!(completed(&b));
     }
 
     #[test]
@@ -167,9 +165,9 @@ mod tests {
         for _ in 0..=YIELD_LIMIT {
             b.snooze();
         }
-        assert!(b.is_completed());
+        assert!(completed(&b));
         b.reset();
-        assert!(!b.is_completed());
+        assert!(!completed(&b));
     }
 
     #[test]
@@ -180,7 +178,7 @@ mod tests {
         for _ in 0..1000 {
             b.spin();
         }
-        assert!(!b.is_completed());
+        assert!(!completed(&b));
     }
 
     #[test]

@@ -25,12 +25,31 @@
 //!
 //! Callers do not sequence those steps by hand: a waiter calls
 //! [`Parker::park_unless`] (one prepare / re-check / cancel-or-commit
-//! round) or [`Parker::wait_until`] (attempt, then such rounds until the
-//! attempt succeeds or the deadline passes), and a waker calls
-//! [`Parker::notify`] (the fence plus the conditional wake). The split
-//! [`prepare`](Parker::prepare) / [`cancel`](Parker::cancel) /
+//! round) or [`Parker::wait_until`] (attempt, a short spin, then such
+//! rounds until the attempt succeeds or the deadline passes), and a
+//! waker calls [`Parker::notify`] (the fence plus the conditional wake).
+//! The split [`prepare`](Parker::prepare) / [`cancel`](Parker::cancel) /
 //! [`park`](Parker::park) steps stay public for code that measures or
 //! model-checks them one at a time.
+//!
+//! # Wait policy
+//!
+//! [`Parker::wait_until`] is the one wait policy of the executor and the
+//! channels. After its first failed attempt it re-runs the attempt
+//! between [`Backoff::snooze`] rounds for a budget of twice the
+//! `Parker`'s recent average wait, clamped to `SPIN_FLOOR ..= SPIN_CAP`
+//! (2 to 20 µs), and only then parks; once waits average `SPIN_CAP` or
+//! more it parks at once. A spinning waiter is not counted in `waiters`,
+//! so a wake that lands during the spin costs its waker a fence and a
+//! load instead of a futex wake. Under an active stress scheduler there
+//! is no spin and no clock read: the attempt sequence is the park rounds'
+//! alone, and the post-prepare re-check already interleaves every
+//! attempt a spin would have made.
+//!
+//! A `Parker` is aligned to its own cache line (128 bytes, as
+//! [`CachePadded`](crate::CachePadded)): `notify` reads `waiters` on
+//! every wake, only waiters write it, and the spin must not pull a line
+//! its waker is writing.
 
 use cds_atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use cds_obs::Event;
@@ -38,6 +57,7 @@ use std::fmt;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::Backoff;
 use cds_atomic::stress;
 use cds_atomic::stress::YieldTag;
 
@@ -47,6 +67,24 @@ use cds_atomic::stress::YieldTag;
 /// scheduler, so "timeout" becomes "this many scheduling opportunities
 /// passed without a wake".
 const STRESS_TIMEOUT_YIELDS: u32 = 64;
+
+/// Shortest spin [`Parker::wait_until`] runs before its first park (a
+/// `Parker` with no wait history starts here): long enough for a few
+/// re-tries, short against a park.
+const SPIN_FLOOR: Duration = Duration::from_micros(2);
+
+/// Longest spin [`Parker::wait_until`] runs before its first park; no
+/// spin at all while recent waits average this or more.
+///
+/// Two to three park-to-wake round trips: on the 2-vCPU reference host
+/// a one-way hand-off through a committed park and a futex wake costs
+/// 7.4 to 10.3 µs (`chan.handoff_us` of the gate benchmark). A wait that ends
+/// within the budget saves that round trip for both sides; one that
+/// outlasts it pays the spin on top of the park, so the spin is worth
+/// it only while typical waits are a small multiple of the park cost.
+/// Waits averaging past 20 µs (e.g. a client waiting out ~250 µs
+/// requests) are left to park at once.
+const SPIN_CAP: Duration = Duration::from_micros(20);
 
 /// How one [`Parker::park_unless`] round ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,9 +100,11 @@ pub enum Parked<T> {
 
 /// An eventcount: the prepare / re-check / commit parking protocol.
 ///
-/// See the module docs for the lost-wakeup argument. The lincheck suite
-/// model-checks this protocol directly (an eventcount spec runs it
-/// under both the PCT and the systematic exploration schedulers).
+/// See the module docs for the lost-wakeup argument and the wait
+/// policy. The lincheck suite model-checks this protocol directly (an
+/// eventcount spec runs it under both the PCT and the systematic
+/// exploration schedulers).
+#[repr(align(128))]
 pub struct Parker {
     /// Bumped by every unpark; a parked waiter sleeps only while the
     /// epoch still equals the ticket it drew at prepare time.
@@ -72,6 +112,11 @@ pub struct Parker {
     /// Threads between prepare and wake; lets the wake fast path skip
     /// the mutex when nobody can be parked.
     waiters: AtomicUsize,
+    /// Moving average (weight 1/8) of the total wait of recent blocking
+    /// [`wait_until`](Self::wait_until) calls, in nanoseconds; sizes the
+    /// spin. A statistic that publishes nothing, so `Relaxed`, and only
+    /// waiters write it.
+    avg_wait_ns: AtomicU64,
     lock: Mutex<()>,
     cvar: Condvar,
 }
@@ -82,6 +127,7 @@ impl Parker {
         Parker {
             epoch: AtomicU64::new(0),
             waiters: AtomicUsize::new(0),
+            avg_wait_ns: AtomicU64::new(0),
             lock: Mutex::new(()),
             cvar: Condvar::new(),
         }
@@ -204,7 +250,8 @@ impl Parker {
     }
 
     /// Blocks until `attempt` produces a value (`Some`) or `deadline`
-    /// passes (`None`): tries once, then alternates
+    /// passes (`None`): tries once, spins for the budget the recent waits
+    /// allow (see the module docs' wait policy), then alternates
     /// [`park_unless`](Self::park_unless) rounds — with the attempt as
     /// the re-check — and fresh attempts after each wake.
     #[inline]
@@ -214,14 +261,71 @@ impl Parker {
         parked_event: Event,
         mut attempt: impl FnMut() -> Option<T>,
     ) -> Option<T> {
+        if let Some(ready) = attempt() {
+            return Some(ready);
+        }
+        if stress::is_active() {
+            return self.park_rounds(deadline, parked_event, attempt);
+        }
+        let start = Instant::now();
+        let ready = match self.spin(start, deadline, &mut attempt) {
+            Some(ready) => {
+                cds_obs::count(Event::ParkerSpinWins);
+                Some(ready)
+            }
+            None => self.park_rounds(deadline, parked_event, attempt),
+        };
+        let waited = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let avg = self.avg_wait_ns.load(Ordering::Relaxed);
+        self.avg_wait_ns
+            .store(avg - avg / 8 + waited / 8, Ordering::Relaxed);
+        ready
+    }
+
+    /// The spin before the first park: re-runs `attempt` between
+    /// [`Backoff::snooze`] rounds until it succeeds, the budget since
+    /// `start` is spent, or `deadline` passes. No spin once recent waits
+    /// average [`SPIN_CAP`] or more.
+    fn spin<T>(
+        &self,
+        start: Instant,
+        deadline: Option<Instant>,
+        attempt: &mut impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        let avg = Duration::from_nanos(self.avg_wait_ns.load(Ordering::Relaxed));
+        if avg >= SPIN_CAP {
+            return None;
+        }
+        let budget = (2 * avg).clamp(SPIN_FLOOR, SPIN_CAP);
+        let backoff = Backoff::new();
         loop {
+            backoff.snooze();
             if let Some(ready) = attempt() {
                 return Some(ready);
             }
+            let now = Instant::now();
+            if now - start >= budget || deadline.is_some_and(|deadline| now >= deadline) {
+                return None;
+            }
+        }
+    }
+
+    /// [`park_unless`](Self::park_unless) rounds with `attempt` as the
+    /// re-check, and a fresh attempt after each wake.
+    fn park_rounds<T>(
+        &self,
+        deadline: Option<Instant>,
+        parked_event: Event,
+        mut attempt: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        loop {
             match self.park_unless(deadline, parked_event, &mut attempt) {
                 Parked::Ready(ready) => return Some(ready),
                 Parked::Woken => {}
                 Parked::TimedOut => return None,
+            }
+            if let Some(ready) = attempt() {
+                return Some(ready);
             }
         }
     }
@@ -268,6 +372,7 @@ impl fmt::Debug for Parker {
         f.debug_struct("Parker")
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .field("waiters", &self.waiters.load(Ordering::Relaxed))
+            .field("avg_wait_ns", &self.avg_wait_ns.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -351,6 +456,90 @@ mod tests {
             (calls == 2).then_some(calls)
         });
         assert_eq!(got, Some(2));
+    }
+
+    #[test]
+    fn parker_owns_its_cache_line() {
+        assert!(std::mem::align_of::<Parker>() >= 128);
+    }
+
+    #[test]
+    fn a_short_wait_is_met_by_the_spin_without_a_park() {
+        let p = Parker::new();
+        let wins = || cds_obs::Snapshot::take().get(Event::ParkerSpinWins);
+        let wins_before = wins();
+        let (mut calls, mut prepared) = (0, false);
+        let patience = Instant::now().checked_add(Duration::from_secs(5));
+        // Ready on the first re-try, one pause hint after the failed
+        // attempt; a fresh `Parker` spins 2 µs before it prepares a park.
+        let got = p.wait_until(patience, Event::ExecParks, || {
+            calls += 1;
+            prepared |= p.waiters.load(Ordering::SeqCst) != 0;
+            (calls == 2).then_some(calls)
+        });
+        assert_eq!(got, Some(2));
+        assert!(!prepared, "the wait prepared a park");
+        if cds_obs::enabled() {
+            assert!(wins() > wins_before, "the spin win was not counted");
+        }
+    }
+
+    #[test]
+    fn a_deadline_that_passes_mid_spin_ends_the_wait() {
+        let p = Parker::new();
+        // Recent waits of 9 µs: an 18 µs budget, well past the deadline.
+        p.avg_wait_ns.store(9_000, Ordering::Relaxed);
+        let deadline = Instant::now() + Duration::from_micros(3);
+        let (mut calls, mut late) = (0, 0);
+        let got = p.wait_until(Some(deadline), Event::ExecParks, || {
+            calls += 1;
+            late += u32::from(calls > 1 && Instant::now() >= deadline);
+            None::<()>
+        });
+        assert_eq!(got, None);
+        assert!(Instant::now() >= deadline);
+        // The spin's attempt that crosses the deadline, then the
+        // post-prepare re-check; a spin that ran on to its budget would
+        // keep attempting past the deadline.
+        assert!(late <= 2, "{late} attempts after the deadline");
+    }
+
+    #[test]
+    fn long_waits_turn_the_spin_off() {
+        let p = Parker::new();
+        let posted = AtomicU64::new(0);
+        let notified = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 1..=4 {
+                    // Post 1 ms after the waiter has prepared its park.
+                    while p.waiters.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                    posted.store(round, Ordering::SeqCst);
+                    p.notify();
+                    notified.store(round, Ordering::SeqCst);
+                }
+            });
+            for round in 1..=4 {
+                // A notify still running from the last round could move
+                // the epoch under this round's ticket: wait it out.
+                while notified.load(Ordering::SeqCst) + 1 < round {
+                    std::thread::yield_now();
+                }
+                let mut calls = 0;
+                p.wait_until(None, Event::ExecParks, || {
+                    calls += 1;
+                    (posted.load(Ordering::SeqCst) >= round).then_some(())
+                });
+                if round == 4 {
+                    // First try, post-prepare re-check, post-wake attempt:
+                    // three 1 ms waits leave no spin budget.
+                    assert!(calls <= 3, "{calls} attempts after three long waits");
+                }
+            }
+        });
     }
 
     #[test]

@@ -1,6 +1,9 @@
 use cds_atomic::{AtomicUsize, Ordering};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
+use std::iter::Chain;
+use std::mem::{size_of, ManuallyDrop, MaybeUninit};
+use std::{ptr, slice};
 
 use cds_core::stress::{armed, Fault};
 use cds_core::ConcurrentMap;
@@ -23,23 +26,144 @@ const MAX_LOAD_FACTOR: usize = 4;
 /// so the migration finishes even if the triggering thread dies.
 const HELP_BATCH: usize = 2;
 
-/// One bucket: a small open-addressing-free chain of entries plus the
-/// migration flag that makes bucket moves idempotent.
+/// Bytes of entries a bucket holds in place: one cache line.
+const INLINE_BYTES: usize = 64;
+
+/// The inline slots' storage: one cache line, or one entry where an entry
+/// is larger than that. Only ever used through a `*mut (K, V)` cast.
+union Slots<K, V> {
+    _line: [u64; INLINE_BYTES / 8],
+    _one: ManuallyDrop<(K, V)>,
+}
+
+/// A bucket's entries, inline slots first.
+type Entries<'a, K, V> = Chain<slice::Iter<'a, (K, V)>, slice::Iter<'a, (K, V)>>;
+
+/// One bucket: the first [`INLINE`](Self::INLINE) entries live in the
+/// bucket itself, the rest spill to a `Vec`, plus the migration flag that
+/// makes bucket moves idempotent.
+///
+/// `len` counts the initialised inline slots, `0..len`; `spill` holds
+/// entries only while every inline slot is full. One byte for `len` keeps
+/// it beside `migrated` in one padding word: for `u64 → u64` the bucket
+/// is 24 + 8 + 64 bytes, 104 with its mutex. The fields are in the order
+/// an operation reads them, after the lock word: the spill header and the
+/// flags, then the slots, so a hit in the first slot reads the first 56
+/// bytes of the mutex.
+#[repr(C)]
 struct Bucket<K, V> {
-    entries: Vec<(K, V)>,
+    spill: Vec<(K, V)>,
+    len: u8,
     /// Set (under this bucket's lock) once the entries have been moved to
     /// the successor table. Every operation re-checks this after locking
     /// any bucket and restarts if set — that re-check is the linchpin of
     /// the migration protocol (see the type-level docs).
     migrated: bool,
+    inline: MaybeUninit<Slots<K, V>>,
 }
 
 impl<K, V> Bucket<K, V> {
+    /// Entries one cache line holds, clamped to 1..=8: a larger entry
+    /// still gets one slot, and a tiny one no more than a short scan.
+    const INLINE: usize = {
+        let size = size_of::<(K, V)>();
+        if size == 0 || size * 8 <= INLINE_BYTES {
+            8
+        } else if size > INLINE_BYTES {
+            1
+        } else {
+            INLINE_BYTES / size
+        }
+    };
+
     fn new() -> Self {
         Bucket {
-            entries: Vec::new(),
+            spill: Vec::new(),
+            len: 0,
             migrated: false,
+            inline: MaybeUninit::uninit(),
         }
+    }
+
+    fn slots(&mut self) -> *mut (K, V) {
+        self.inline.as_mut_ptr().cast()
+    }
+
+    fn iter(&self) -> Entries<'_, K, V> {
+        // SAFETY: slots `0..len` are initialised, and `Slots` is aligned
+        // for `(K, V)` and holds `INLINE >= len` of them.
+        let inline = unsafe {
+            slice::from_raw_parts(self.inline.as_ptr().cast::<(K, V)>(), self.len as usize)
+        };
+        inline.iter().chain(&self.spill)
+    }
+
+    fn push(&mut self, entry: (K, V)) {
+        let n = self.len as usize;
+        if n < Self::INLINE {
+            // SAFETY: slot `n` is in bounds and uninitialised.
+            unsafe { self.slots().add(n).write(entry) };
+            self.len += 1;
+        } else {
+            self.spill.push(entry);
+        }
+    }
+
+    /// Removes the `i`-th entry of [`iter`](Self::iter), filling its place
+    /// with the last entry: the spill's last, if any, moves inline.
+    fn swap_remove(&mut self, i: usize) -> (K, V) {
+        let n = self.len as usize;
+        if i >= n {
+            return self.spill.swap_remove(i - n);
+        }
+        let slots = self.slots();
+        // SAFETY: slot `i < len` is initialised. It is refilled, or the
+        // last inline entry moves into it and `len` drops, before return.
+        unsafe {
+            let out = slots.add(i).read();
+            match self.spill.pop() {
+                Some(last) => slots.add(i).write(last),
+                None => {
+                    self.len -= 1;
+                    ptr::copy(slots.add(n - 1), slots.add(i), 1);
+                }
+            }
+            out
+        }
+    }
+
+    /// Moves every entry of `other` into this bucket.
+    fn append(&mut self, mut other: Self) {
+        if self.len == 0 {
+            // Empty, as a bucket move's destination is: take `other`
+            // whole, spill and all.
+            other.migrated = self.migrated;
+            *self = other;
+            return;
+        }
+        while let Some(entry) = other.pop() {
+            self.push(entry);
+        }
+    }
+
+    /// Removes the last entry.
+    fn pop(&mut self) -> Option<(K, V)> {
+        if let Some(entry) = self.spill.pop() {
+            return Some(entry);
+        }
+        let n = self.len.checked_sub(1)?;
+        self.len = n;
+        // SAFETY: slot `n` was initialised and is now outside `0..len`.
+        Some(unsafe { self.slots().add(n as usize).read() })
+    }
+}
+
+impl<K, V> Drop for Bucket<K, V> {
+    fn drop(&mut self) {
+        let len = self.len as usize;
+        // SAFETY: slots `0..len` are initialised and dropped once here;
+        // `spill` drops its own.
+        unsafe { ptr::drop_in_place(ptr::slice_from_raw_parts_mut(self.slots(), len)) };
     }
 }
 
@@ -94,6 +218,27 @@ struct Shard<K, V> {
 /// bits). When an insert observes the shard over [`MAX_LOAD_FACTOR`], it
 /// allocates a table of twice as many buckets and CASes it into the
 /// current table's `next` pointer. Nothing is copied at that point.
+///
+/// # Buckets
+///
+/// A bucket holds its first entries in place: a cache line of inline
+/// slots, a `Vec` spill used only once every slot is full, and a one-byte
+/// count of filled slots beside the `migrated` flag. An operation scans
+/// the memory its bucket lock sits next to, a bucket's first insert
+/// allocates nothing, and a bucket move splits the source into two
+/// buckets on the stack instead of two heap `Vec`s. The slot count
+/// follows the entry size (64 bytes' worth, clamped to 1..=8): the
+/// average chain is 2 to 4 entries at this load factor, so for `u64 →
+/// u64` four slots hold most chains, while a fixed count would make large
+/// entries bloat every empty bucket and small ones scan past a line. It
+/// is not a setting.
+///
+/// The price is memory in empty buckets. For `u64 → u64` a bucket with
+/// its mutex is 104 bytes; a bucket holding a `Vec` was 40 plus a heap
+/// buffer once it held anything. A doubling allocates the whole successor
+/// up front while the old table is still live, so the peak of a growing
+/// map rises a little (DESIGN.md, "Cooperative incremental resize", has
+/// the figures).
 ///
 /// # Migration protocol
 ///
@@ -298,13 +443,14 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         }
         cds_core::stress::yield_point();
 
-        // Split the source run by the new table's extra hash bit. Holding
-        // the source lock for the whole move means no operation can
-        // observe the entries "in neither table": any operation for these
-        // keys must pass through this same source bucket first.
-        let mut low: Vec<(K, V)> = Vec::new();
-        let mut high: Vec<(K, V)> = Vec::new();
-        for (k, v) in src.entries.drain(..) {
+        // Split the source run by the new table's extra hash bit, into
+        // two buckets on this stack. Holding the source lock for the whole
+        // move means no operation can observe the entries "in neither
+        // table": any operation for these keys must pass through this
+        // same source bucket first.
+        let mut low = Bucket::new();
+        let mut high = Bucket::new();
+        while let Some((k, v)) = src.pop() {
             let h = self.hash(&k) as usize;
             debug_assert_eq!(h & (m - 1), idx);
             if h & new.mask() == idx {
@@ -321,27 +467,21 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
             src.migrated = true;
             drop(src);
             cds_core::stress::yield_point();
-            {
-                let mut dst = new.buckets[idx].lock();
-                dst.entries.extend(low);
-            }
+            new.buckets[idx].lock().append(low);
             cds_core::stress::yield_point();
-            {
-                let mut dst = new.buckets[idx + m].lock();
-                dst.entries.extend(high);
-            }
+            new.buckets[idx + m].lock().append(high);
         } else {
             // New-table locks after the old-table lock, in index order.
             {
                 let mut dst = new.buckets[idx].lock();
                 debug_assert!(!dst.migrated);
-                dst.entries.extend(low);
+                dst.append(low);
             }
             cds_core::stress::yield_point();
             {
                 let mut dst = new.buckets[idx + m].lock();
                 debug_assert!(!dst.migrated);
-                dst.entries.extend(high);
+                dst.append(high);
             }
             src.migrated = true;
             drop(src);
@@ -519,11 +659,11 @@ where
         let mut slot = Some((key, value));
         self.with_bucket(hash, |bucket, shard| {
             let (key, value) = slot.take().expect("closure runs once per loop pass");
-            if bucket.entries.iter().any(|(k, _)| *k == key) {
+            if bucket.iter().any(|(k, _)| *k == key) {
                 slot = Some((key, value));
                 (false, false)
             } else {
-                bucket.entries.push((key, value));
+                bucket.push((key, value));
                 // Both counters move inside the bucket's critical section:
                 // the map-wide `len` transition is the linearization point.
                 shard.size.fetch_add(1, Ordering::Relaxed);
@@ -536,9 +676,9 @@ where
     fn remove(&self, key: &K) -> bool {
         let hash = self.hash(key);
         self.with_bucket(hash, |bucket, shard| {
-            match bucket.entries.iter().position(|(k, _)| k == key) {
+            match bucket.iter().position(|(k, _)| k == key) {
                 Some(i) => {
-                    bucket.entries.swap_remove(i);
+                    bucket.swap_remove(i);
                     shard.size.fetch_sub(1, Ordering::Relaxed);
                     self.len.fetch_sub(1, Ordering::Relaxed);
                     (true, false)
@@ -553,7 +693,6 @@ where
         self.with_bucket(hash, |bucket, _| {
             (
                 bucket
-                    .entries
                     .iter()
                     .find(|(k, _)| k == key)
                     .map(|(_, v)| v.clone()),
@@ -565,7 +704,7 @@ where
     fn contains_key(&self, key: &K) -> bool {
         let hash = self.hash(key);
         self.with_bucket(hash, |bucket, _| {
-            (bucket.entries.iter().any(|(k, _)| k == key), false)
+            (bucket.iter().any(|(k, _)| k == key), false)
         })
     }
 
@@ -595,14 +734,14 @@ where
             for bucket in table.buckets.iter() {
                 let b = bucket.lock();
                 if !b.migrated {
-                    keys.extend(b.entries.iter().map(|(k, _)| k.clone()));
+                    keys.extend(b.iter().map(|(k, _)| k.clone()));
                 }
             }
             // SAFETY: guard-protected.
             if let Some(next) = unsafe { next.as_ref() } {
                 for bucket in next.buckets.iter() {
                     let b = bucket.lock();
-                    keys.extend(b.entries.iter().map(|(k, _)| k.clone()));
+                    keys.extend(b.iter().map(|(k, _)| k.clone()));
                 }
             }
         }
@@ -658,6 +797,101 @@ where
 mod tests {
     use super::*;
     use cds_reclaim::{DebugReclaim, Hazard, Leak};
+    use std::hash::Hasher;
+
+    #[test]
+    fn inline_slots_follow_the_entry_size() {
+        assert_eq!(Bucket::<u64, u64>::INLINE, 4);
+        assert_eq!(Bucket::<u16, u32>::INLINE, 8);
+        assert_eq!(Bucket::<u64, String>::INLINE, 2);
+        assert_eq!(Bucket::<u64, [u8; 100]>::INLINE, 1);
+        assert_eq!(Bucket::<(), ()>::INLINE, 8);
+        assert_eq!(size_of::<Bucket<u64, u64>>(), 96);
+    }
+
+    /// A bucket behaves as one `Vec` of its inline slots then its spill,
+    /// with `String` payloads so that a lost or doubled entry is a leak
+    /// or a double free.
+    #[test]
+    fn bucket_matches_a_vec_across_the_spill_boundary() {
+        let mut bucket: Bucket<u64, String> = Bucket::new();
+        let mut model: Vec<(u64, String)> = Vec::new();
+        let entry = |i: u64| (i, format!("v{i}"));
+        let check = |bucket: &Bucket<u64, String>, model: &[(u64, String)]| {
+            assert!(bucket.iter().eq(model.iter()));
+            assert!(
+                bucket.spill.is_empty() || bucket.len as usize == Bucket::<u64, String>::INLINE
+            );
+        };
+        for i in 0..7 {
+            bucket.push(entry(i));
+            model.push(entry(i));
+            check(&bucket, &model);
+        }
+        // Inline slot, spilled slot, the last slot, and an inline slot
+        // again once nothing is spilled.
+        for i in [0, 4, 4, 1, 2, 0] {
+            assert_eq!(bucket.swap_remove(i), model.swap_remove(i));
+            check(&bucket, &model);
+        }
+        for i in 7..12 {
+            bucket.push(entry(i));
+            model.push(entry(i));
+        }
+        check(&bucket, &model);
+        assert_eq!(bucket.pop(), model.pop());
+        let mut other: Bucket<u64, String> = Bucket::new();
+        other.push(entry(20));
+        bucket.append(other);
+        model.push(entry(20));
+        let mut got: Vec<_> = bucket.iter().cloned().collect();
+        got.sort();
+        model.sort();
+        assert_eq!(got, model);
+        // Dropped here with entries inline and spilled.
+    }
+
+    /// Sends every key to one of three buckets, so chains spill.
+    #[derive(Clone, Default)]
+    struct ThreeBuckets;
+
+    #[derive(Default)]
+    struct ByteSum(u64);
+
+    impl Hasher for ByteSum {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0 += bytes.iter().map(|&b| b as u64).sum::<u64>();
+        }
+        fn finish(&self) -> u64 {
+            self.0 % 3
+        }
+    }
+
+    impl BuildHasher for ThreeBuckets {
+        type Hasher = ByteSum;
+        fn build_hasher(&self) -> ByteSum {
+            ByteSum::default()
+        }
+    }
+
+    #[test]
+    fn spilled_buckets_migrate_and_drop_their_entries() {
+        let m: ResizingMap<String, String, ThreeBuckets> =
+            ResizingMap::with_config_and_hasher(1, 1, ThreeBuckets);
+        for i in 0..200u32 {
+            assert!(m.insert(i.to_string(), format!("v{i}")));
+        }
+        assert!(m.doublings() >= 3, "got {} doublings", m.doublings());
+        for i in (0..200u32).step_by(3) {
+            assert!(m.remove(&i.to_string()));
+        }
+        for i in 0..200u32 {
+            let want = (i % 3 != 0).then(|| format!("v{i}"));
+            assert_eq!(m.get(&i.to_string()), want, "key {i}");
+        }
+        assert_eq!(m.len(), 133);
+        // Dropped here with spilled chains in three buckets.
+    }
 
     #[test]
     fn grows_through_many_doublings() {

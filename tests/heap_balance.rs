@@ -1,8 +1,9 @@
-//! Heap balance of the lock-free sets: after two threads churn a structure
-//! with inserts and removes on overlapping keys, the structure is dropped
-//! and the reclaimer drained, every allocation the run made must be freed
-//! again. A drop-counted payload cannot see a leak of the structure's own
-//! bookkeeping (a descriptor, a tower); a counting global allocator can.
+//! Heap balance of the lock-free sets and the resizing map: after two
+//! threads churn a structure with inserts and removes on overlapping keys,
+//! the structure is dropped and the reclaimer drained, every allocation
+//! the run made must be freed again. A drop-counted payload cannot see a
+//! leak of the structure's own bookkeeping (a descriptor, a tower, a
+//! retired table, a bucket's spill); a counting global allocator can.
 //!
 //! The allowance is a small constant that does not grow with the number of
 //! operations: thread-local and queue capacity that the first use of a
@@ -21,7 +22,7 @@ use cds_atomic::raw::{AtomicIsize, Ordering};
 use cds_core::stress::SplitMix64;
 use cds_core::{ConcurrentMap, ConcurrentSet};
 use cds_list::HarrisMichaelList;
-use cds_map::SplitOrderedHashMap;
+use cds_map::{ResizingMap, SplitOrderedHashMap};
 use cds_reclaim::{Ebr, Hazard, Reclaimer};
 use cds_skiplist::LockFreeSkipList;
 use cds_tree::LockFreeBst;
@@ -203,5 +204,28 @@ fn lock_free_bst_frees_what_it_allocates() {
         set_op,
         LockFreeBst::<u64, Hazard>::with_reclaimer,
         set_op,
+    );
+}
+
+/// Keys one `ResizingMap` operation covers: 128 × 16 keys over 16 shards
+/// that start at one bucket each make dozens of doublings, so a leak per
+/// doubling (a table not retired) clears the allowance too.
+const MAP_BLOCK: u64 = 16;
+
+fn map_block_op<M: ConcurrentMap<u64, u64>>(m: &M, insert: bool, key: u64) {
+    for k in key * MAP_BLOCK..(key + 1) * MAP_BLOCK {
+        map_op(m, insert, k);
+    }
+}
+
+#[test]
+fn resizing_map_frees_what_it_allocates() {
+    // Retired tables, and chains spilled past their inline slots.
+    both_backends(
+        "ResizingMap",
+        || ResizingMap::<u64, u64, _, Ebr>::with_config(16, 1),
+        map_block_op,
+        || ResizingMap::<u64, u64, _, Hazard>::with_config(16, 1),
+        map_block_op,
     );
 }

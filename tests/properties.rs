@@ -9,6 +9,7 @@
 //! `CDS_PROP_SEED=<seed> cargo test <name>`.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hasher};
 
 use cds_core::{
     ConcurrentMap, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentSet, ConcurrentStack,
@@ -175,7 +176,66 @@ fn maps_match_hashmap() {
         check::<cds_map::CoarseMap<u16, u32>>(ops);
         check::<cds_map::StripedHashMap<u16, u32>>(ops);
         check::<cds_map::SplitOrderedHashMap<u16, u32>>(ops);
+        check::<cds_map::ResizingMap<u16, u32>>(ops);
+        check::<CrowdedResizingMap>(ops);
     });
+}
+
+/// Sends every key to one of three hashes, so `ResizingMap` chains run
+/// past their inline slots into the spill, and bucket moves carry spilled
+/// chains.
+#[derive(Clone, Default)]
+struct ThreeHashes;
+
+#[derive(Default)]
+struct ThreeHasher(u64);
+
+impl Hasher for ThreeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.wrapping_mul(31).wrapping_add(b as u64);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0 % 3
+    }
+}
+
+impl BuildHasher for ThreeHashes {
+    type Hasher = ThreeHasher;
+    fn build_hasher(&self) -> ThreeHasher {
+        ThreeHasher::default()
+    }
+}
+
+/// A one-shard, one-bucket `ResizingMap` on [`ThreeHashes`].
+struct CrowdedResizingMap(cds_map::ResizingMap<u16, u32, ThreeHashes>);
+
+impl Default for CrowdedResizingMap {
+    fn default() -> Self {
+        CrowdedResizingMap(cds_map::ResizingMap::with_config_and_hasher(
+            1,
+            1,
+            ThreeHashes,
+        ))
+    }
+}
+
+impl ConcurrentMap<u16, u32> for CrowdedResizingMap {
+    const NAME: &'static str = "resizing (three hashes)";
+
+    fn insert(&self, key: u16, value: u32) -> bool {
+        self.0.insert(key, value)
+    }
+    fn remove(&self, key: &u16) -> bool {
+        self.0.remove(key)
+    }
+    fn get(&self, key: &u16) -> Option<u32> {
+        self.0.get(key)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
 }
 
 #[test]

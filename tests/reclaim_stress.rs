@@ -17,7 +17,9 @@ mod common;
 use cds_atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cds_core::{ConcurrentQueue, ConcurrentSet, ConcurrentStack};
+use cds_core::{ConcurrentMap, ConcurrentQueue, ConcurrentSet, ConcurrentStack};
+use cds_map::ResizingMap;
+use cds_reclaim::Reclaimer;
 use common::serial;
 
 /// A payload that counts its drops. Panics (via the test harness) if the
@@ -35,6 +37,13 @@ impl Tracked {
             id,
             drops: Arc::clone(drops),
         }
+    }
+}
+
+/// A clone is a new payload: `map_churn` counts the ones `get` returns.
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        Tracked::new(self.id, &self.drops)
     }
 }
 
@@ -65,7 +74,6 @@ impl Ord for Tracked {
 /// collector, the hazard domain, and the debug quarantine — so deferred
 /// destructors run before we audit the drop counter.
 fn quiesce_reclaimers() {
-    use cds_reclaim::Reclaimer;
     for _ in 0..8 {
         let guard = cds_reclaim::epoch::pin();
         guard.flush();
@@ -185,6 +193,80 @@ fn set_churn<S: ConcurrentSet<Tracked> + Default + 'static>() {
         "leak or double free in {}",
         S::NAME
     );
+}
+
+/// Four threads insert, remove and read `Tracked` values in a map that
+/// starts at one bucket, so it doubles many times under them; the main
+/// thread then fills it to more than two entries per bucket and drops it.
+/// Each payload is created by an insert or returned by a `get`, and must
+/// drop exactly once: rejected by a duplicate insert, removed, or with
+/// the map.
+fn map_churn<R: Reclaimer>() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let created = Arc::new(AtomicUsize::new(0));
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 3_000;
+    const KEYS: u64 = 2_048;
+    {
+        let m: Arc<ResizingMap<u64, Tracked, _, R>> = Arc::new(ResizingMap::with_config(1, 1));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let m = Arc::clone(&m);
+                let drops = Arc::clone(&drops);
+                let created = Arc::clone(&created);
+                std::thread::spawn(move || {
+                    let mut x = (t + 1) * 0x9e3779b9;
+                    for _ in 0..PER_THREAD {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        // The key from high bits, the operation from low
+                        // ones, so that every key meets every operation.
+                        let k = (x >> 32) % KEYS;
+                        match x % 6 {
+                            0 => {
+                                m.remove(&k);
+                            }
+                            1 => {
+                                let got = m.get(&k);
+                                created.fetch_add(got.is_some() as usize, Ordering::SeqCst);
+                            }
+                            _ => {
+                                created.fetch_add(1, Ordering::SeqCst);
+                                m.insert(k, Tracked::new(k, &drops));
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(m.doublings() >= 8, "{} doublings", m.doublings());
+        // Past two entries per bucket on average, some bucket has spilled
+        // (a `(u64, Tracked)` entry is 24 bytes, two to a cache line).
+        let mut k = KEYS;
+        while m.len() <= 2 * m.capacity() {
+            created.fetch_add(1, Ordering::SeqCst);
+            assert!(m.insert(k, Tracked::new(k, &drops)));
+            k += 1;
+        }
+    }
+    quiesce_reclaimers();
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        created.load(Ordering::SeqCst),
+        "leak or double free in ResizingMap on {}",
+        R::NAME
+    );
+}
+
+#[test]
+fn resizing_map_accounts_for_every_payload() {
+    let _g = serial();
+    map_churn::<cds_reclaim::Ebr>();
+    map_churn::<cds_reclaim::Hazard>();
 }
 
 #[test]

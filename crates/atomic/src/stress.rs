@@ -3,13 +3,13 @@
 //!
 //! The scheduler sits at the bottom of the crate DAG (it needs only `std`
 //! and [`crate::raw`]), so every layer above calls it directly: the
-//! facade's atomics, `cds-sync`'s `Backoff`/`Parker`/spin locks, the
-//! `parking_lot` shim, and the structure crates (through the
-//! `cds_core::stress` re-export).
+//! facade's atomics, `cds-sync`'s `Backoff`/`Parker`/locks (the
+//! blocking `cds_sync::Mutex` included), and the structure crates
+//! (through the `cds_core::stress` re-export).
 //!
 //! The structure crates are instrumented with [`yield_point`] calls at
-//! their interesting interleaving points — lock acquisitions (via the
-//! `parking_lot` shim), CAS retry loops, and publication points. In a
+//! their interesting interleaving points — lock acquisitions (via
+//! `cds_sync::Mutex`), CAS retry loops, and publication points. In a
 //! normal build the call compiles to an empty inline function and costs
 //! nothing. With the `stress` feature enabled *and* a scheduler installed,
 //! every registered worker *pauses* at each yield point and one engine
@@ -307,8 +307,8 @@ pub fn op_boundary() {
 }
 
 /// Whether a stress scheduler is installed and driving yield points.
-/// Code that would block in the kernel (`Parker`, the `parking_lot`
-/// shim) asks this and spins through yield points instead — nothing may
+/// Code that would block in the kernel (`Parker`, `cds_sync::Mutex`)
+/// asks this and spins through yield points instead — nothing may
 /// sleep while a deterministic schedule is running. Constant `false`
 /// without the `stress` feature, where yield points are inert.
 #[inline]

@@ -105,8 +105,9 @@ pub struct ExploreBounds {
     /// the C11-permitted read-from candidates (see
     /// [`super::weak`](super::weak) module docs). Only meaningful for
     /// targets whose synchronization goes entirely through
-    /// `cds-atomic`; lock-based structures synchronize through the
-    /// `parking_lot` shim, which the model cannot see.
+    /// `cds-atomic`. That includes the lock-based structures, whose
+    /// `cds_sync::Mutex` lock word is a facade atomic; the plain data a
+    /// lock guards is not modeled and always reads the latest value.
     pub weak_memory: bool,
     /// With `weak_memory`: a load may read one of at most this many of
     /// the newest stores to its location (the staleness search bound).
@@ -691,10 +692,13 @@ static WEAK_ON: AtomicBool = AtomicBool::new(false);
 /// The facade's gate: whether the calling thread is a registered worker
 /// of an active weak window. `false` for every other thread and mode —
 /// the driver doing setup/teardown runs at real-memory semantics, which
-/// is correct: real memory always holds the latest value.
+/// is correct: real memory always holds the latest value. `false` too
+/// for a worker that is unwinding: the destructors an aborted execution
+/// unwinds through (a lock guard's unlock) must not reach a yield point,
+/// which would panic again inside the unwind.
 #[inline]
 pub(crate) fn weak_active() -> bool {
-    WEAK_ON.load(Ordering::Acquire) && super::current_slot().is_some()
+    WEAK_ON.load(Ordering::Acquire) && super::current_slot().is_some() && !std::thread::panicking()
 }
 
 /// Yield point before an instrumented access; `addr` is 0 for fences.

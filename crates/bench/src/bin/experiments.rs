@@ -287,20 +287,14 @@ fn e9_locks(ctx: &mut Ctx) {
     bench_raw::<cds_sync::TicketLock>(ctx, &cells, "ticket");
     bench_raw::<cds_sync::ClhLock>(ctx, &cells, "clh");
     bench_raw::<cds_sync::McsLock>(ctx, &cells, "mcs");
+    bench_raw::<cds_sync::ParkingLock>(ctx, &cells, "parking");
 
+    // The outside baseline: the standard library's blocking mutex.
     for &w in &cells {
         ctx.measure("e9", "std::sync::Mutex", None, w, |w, warm| {
             let lock = Arc::new(std::sync::Mutex::new(0u64));
             lock_run(w.threads, w.ops_per_thread, warm, move || {
                 *lock.lock().unwrap() += 1;
-            })
-        });
-    }
-    for &w in &cells {
-        ctx.measure("e9", "parking_lot::Mutex", None, w, |w, warm| {
-            let lock = Arc::new(parking_lot::Mutex::new(0u64));
-            lock_run(w.threads, w.ops_per_thread, warm, move || {
-                *lock.lock() += 1;
             })
         });
     }

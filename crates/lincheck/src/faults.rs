@@ -3,11 +3,11 @@
 //! Two fault classes from the Rust-concurrency failure catalogue
 //! (Saligrama et al.) are covered:
 //!
-//! * **Poisoned-lock recovery** — the workspace's `parking_lot` shim
-//!   recovers the inner `std` lock when a holder panics, matching real
-//!   `parking_lot`'s non-poisoning semantics. [`crash_worker`] drives a
-//!   worker that dies mid-operation so tests can assert the structure
-//!   stays usable afterwards.
+//! * **A holder that panics** — `cds_sync::Mutex`, the lock every
+//!   lock-based structure uses, does not poison: a guard dropped during
+//!   unwinding releases the lock. [`crash_worker`] drives a worker that
+//!   dies mid-operation so tests can assert the structure stays usable
+//!   afterwards.
 //! * **Contention storms** — [`with_contention_storm`] hammers a
 //!   structure from background threads while the caller runs a checked
 //!   workload in the foreground.
@@ -93,9 +93,9 @@ impl StormHandle {
 /// returns `true` if the worker panicked.
 ///
 /// The canonical use is planting a panic *inside* a lock-based
-/// structure's critical section (or while holding a `parking_lot` shim
-/// guard) and then asserting the structure still works — the shim's
-/// poisoned-lock recovery is what makes that pass.
+/// structure's critical section (or while holding a `cds_sync::Mutex`
+/// guard) and then asserting the structure still works — the guard
+/// releasing the lock during unwinding is what makes that pass.
 pub fn crash_worker<T>(target: &T, f: impl FnOnce(&T) + Send) -> bool
 where
     T: Sync,

@@ -43,9 +43,9 @@
 //! * [`stress`] drives whole structures through seeded, PCT-style
 //!   scheduled rounds (`cds_core::stress`) and re-prints the seed of any
 //!   failing schedule so it can be replayed deterministically.
-//! * [`faults`] injects contention storms, and the workspace's
-//!   `parking_lot` shim performs poisoned-lock recovery so lock-based
-//!   structures can be tested across worker panics.
+//! * [`faults`] injects contention storms and worker panics; the
+//!   family's `cds_sync::Mutex` does not poison, so lock-based
+//!   structures can be tested across them.
 //! * [`shrink_history`] minimizes a failing window to a locally minimal
 //!   non-linearizable sub-history before it is reported.
 //! * [`prop`] is a small seeded property-testing harness (generation +

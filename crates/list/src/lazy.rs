@@ -4,7 +4,7 @@ use std::fmt;
 
 use cds_core::ConcurrentSet;
 use cds_reclaim::epoch::{self, Atomic, Guard, Owned, Shared};
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 use crate::Bound;
 

@@ -3,7 +3,7 @@ use std::fmt;
 use std::hash::Hash;
 
 use cds_core::ConcurrentMap;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// A `HashMap` behind one mutex: the coarse-grained baseline (E5).
 ///

@@ -10,7 +10,7 @@ use cds_core::ConcurrentMap;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
 use cds_sync::Backoff;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// Default shard count (power of two).
 const SHARDS: usize = 8;
@@ -807,6 +807,13 @@ mod tests {
         assert_eq!(Bucket::<u64, [u8; 100]>::INLINE, 1);
         assert_eq!(Bucket::<(), ()>::INLINE, 8);
         assert_eq!(size_of::<Bucket<u64, u64>>(), 96);
+    }
+
+    #[test]
+    fn a_bucket_with_its_lock_is_104_bytes() {
+        // One byte of lock word, padded to the bucket's alignment: the
+        // same footprint as with `std::sync::Mutex`.
+        assert_eq!(size_of::<Mutex<Bucket<u64, u64>>>(), 104);
     }
 
     /// A bucket behaves as one `Vec` of its inline slots then its spill,

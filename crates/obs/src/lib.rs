@@ -114,6 +114,8 @@ events! {
     // wait that cost its waker no futex wake (committed parks are the
     // `exec_parks` / `chan_parks_*` counts).
     ParkerSpinWins => "parker_spin_wins", Sum;
+    // One committed park of a `ParkingLock` waiter (`cds_sync::Mutex`).
+    MutexParks => "mutex_parks", Sum;
 
     // --- Lock-free structures: unified CAS accounting plus per-structure
     // retry counters. Every instrumented compare-exchange records exactly

@@ -2,7 +2,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use cds_core::ConcurrentPriorityQueue;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// A hand-rolled array binary min-heap.
 struct MinHeap<T> {

@@ -3,7 +3,7 @@ use std::fmt;
 use std::ptr;
 
 use cds_core::ConcurrentQueue;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 struct Node<T> {
     /// `None` only for the sentinel.

@@ -1,7 +1,7 @@
 use std::fmt;
 
 use cds_core::ConcurrentSet;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 use crate::SeqSkipList;
 

@@ -1,7 +1,7 @@
 use std::fmt;
 
 use cds_core::ConcurrentStack;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// A coarse-grained lock-based stack: a `Vec` behind one mutex.
 ///

@@ -11,6 +11,7 @@
 use cds_atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
 use crate::{Backoff, CachePadded};
 
@@ -36,7 +37,9 @@ const DONE: u8 = 2;
 struct Slot<Op, Res> {
     state: AtomicU8,
     op: UnsafeCell<Option<Op>>,
-    res: UnsafeCell<Option<Res>>,
+    /// The op's result, or the payload of its panic, which the
+    /// submitting thread re-raises.
+    res: UnsafeCell<Option<std::thread::Result<Res>>>,
 }
 
 // How many publication slots; threads beyond this share via modulo and a
@@ -64,6 +67,11 @@ fn thread_index() -> usize {
 /// Operations are applied only while holding the combiner lock, so each
 /// takes effect atomically: the construction is linearizable whenever the
 /// wrapped structure is a correct sequential object.
+///
+/// An operation that panics does not take the combiner down with it: the
+/// combiner catches the panic, hands the payload back through the slot
+/// and goes on with the scan, and `apply` re-raises it in the thread that
+/// submitted the operation, after releasing its slot.
 ///
 /// # Example
 ///
@@ -172,7 +180,7 @@ impl<S: FcStructure> FlatCombining<S> {
             }
         };
         claim.store(false, Ordering::Release);
-        result
+        result.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// Services every pending slot. Caller must hold the combiner flag.
@@ -184,7 +192,7 @@ impl<S: FcStructure> FlatCombining<S> {
             if slot.state.load(Ordering::Acquire) == PENDING {
                 // SAFETY: PENDING hands the op cell to the combiner.
                 let op = unsafe { (*slot.op.get()).take() }.expect("pending slot holds an op");
-                let res = data.apply(op);
+                let res = panic::catch_unwind(AssertUnwindSafe(|| data.apply(op)));
                 // SAFETY: the res cell belongs to the combiner until DONE.
                 unsafe { *slot.res.get() = Some(res) };
                 slot.state.store(DONE, Ordering::Release);
@@ -240,6 +248,7 @@ mod tests {
         type Res = i64;
 
         fn apply(&mut self, delta: i64) -> i64 {
+            assert!(delta >= 0, "negative delta");
             self.0 += delta;
             self.0
         }
@@ -271,6 +280,36 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(fc.with(|s| s.0), 8_000);
+    }
+
+    #[test]
+    fn a_panicking_op_is_raised_in_its_submitter_and_others_complete() {
+        let fc = Arc::new(FlatCombining::new(SeqAdder(0)));
+        let raised = panic::catch_unwind(AssertUnwindSafe(|| fc.apply(-1)))
+            .expect_err("the panic reached its submitter");
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"negative delta"));
+        // A combiner flag or slot claim left set would make every later
+        // `apply` spin forever: hence the deadline.
+        let (done, finished) = std::sync::mpsc::channel();
+        for t in 0..4 {
+            let (fc, done) = (Arc::clone(&fc), done.clone());
+            std::thread::spawn(move || {
+                for i in 0..100 {
+                    if t == 0 && i == 50 {
+                        let raised = panic::catch_unwind(AssertUnwindSafe(|| fc.apply(-1)));
+                        assert!(raised.is_err());
+                    }
+                    fc.apply(1);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..4 {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("an apply after a panicking op did not complete");
+        }
+        assert_eq!(fc.with(|s| s.0), 400);
     }
 
     #[test]

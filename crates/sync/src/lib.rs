@@ -13,7 +13,9 @@
 //!   (Mellor-Crummey & Scott), local spinning even without cache coherence;
 //! * [`RwSpinLock`] — a reader-writer spin lock;
 //! * [`SeqLock`] — sequence lock for small `Copy` data, allowing wait-free
-//!   optimistic reads.
+//!   optimistic reads;
+//! * [`ParkingLock`] — the blocking lock behind [`Mutex`], the family's
+//!   one mutex: every lock-based structure locks through it.
 //!
 //! All mutual-exclusion locks implement the [`RawLock`] trait so that client
 //! code (and the benchmark harness) can be generic over the locking
@@ -74,6 +76,7 @@ mod flat;
 mod lock;
 mod mcs;
 mod parker;
+mod parking;
 mod raw;
 mod rwlock;
 mod seqlock;
@@ -89,6 +92,7 @@ pub use flat::{FcStructure, FlatCombining};
 pub use lock::{Lock, LockGuard};
 pub use mcs::McsLock;
 pub use parker::{Parked, Parker};
+pub use parking::{Mutex, MutexGuard, ParkingLock};
 pub use raw::RawLock;
 pub use rwlock::{RwReadGuard, RwSpinLock, RwWriteGuard};
 pub use seqlock::SeqLock;
@@ -108,6 +112,7 @@ mod tests {
         assert_send_sync::<TicketLock>();
         assert_send_sync::<ClhLock>();
         assert_send_sync::<McsLock>();
+        assert_send_sync::<ParkingLock>();
         assert_send_sync::<RwSpinLock>();
         assert_send_sync::<SeqLock<u64>>();
         assert_send_sync::<Lock<TasLock, Vec<u8>>>();

@@ -127,8 +127,9 @@ impl<L: RawLock, T: fmt::Debug> fmt::Debug for LockGuard<'_, L, T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ClhLock, Lock, McsLock, TasLock, TicketLock, TtasLock};
+    use crate::{ClhLock, Lock, McsLock, Mutex, ParkingLock, TasLock, TicketLock, TtasLock};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn exercise<L: crate::RawLock + 'static>() {
         let shared = Arc::new(Lock::<L, u64>::new(0));
@@ -155,6 +156,47 @@ mod tests {
         exercise::<TicketLock>();
         exercise::<ClhLock>();
         exercise::<McsLock>();
+        exercise::<ParkingLock>();
+    }
+
+    #[test]
+    fn parking_lock_waiters_park_while_the_holder_sleeps() {
+        let parks = || cds_obs::Snapshot::take().get(cds_obs::Event::MutexParks);
+        let parks_before = parks();
+        let shared = Mutex::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..4 {
+                        let mut guard = shared.lock();
+                        let seen = *guard;
+                        // A 1 ms hold outlasts any spin: the others park.
+                        std::thread::sleep(Duration::from_millis(1));
+                        *guard = seen + 1;
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.into_inner(), 32);
+        if cds_obs::enabled() {
+            assert!(parks() > parks_before, "no waiter parked");
+        }
+    }
+
+    #[test]
+    fn guard_releases_the_lock_during_unwinding() {
+        let m = Mutex::new(7);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = m.lock();
+                panic!("die holding the lock");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(died);
+        // No poisoning: the next holder takes the data over as it was left.
+        assert_eq!(*m.try_lock().expect("unwinding released the lock"), 7);
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub struct Parker {
 
 impl Parker {
     /// Creates an eventcount with no waiters and epoch zero.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Parker {
             epoch: AtomicU64::new(0),
             waiters: AtomicUsize::new(0),

@@ -2,7 +2,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use cds_core::ConcurrentSet;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 struct Node<T> {
     key: T,

@@ -1,6 +1,7 @@
 //! Repo lint: every crate performs its atomic operations through the
 //! `cds-atomic` facade, never `std::sync::atomic` / `core::sync::atomic`
-//! directly.
+//! directly, and locks through `cds_sync::Mutex`, never a `std::sync`
+//! `Mutex`, `RwLock` or `Condvar`.
 //!
 //! Why this is load-bearing: the weak-memory explorer can only model (and
 //! the region race detector can only police) traffic that goes through
@@ -11,25 +12,18 @@
 //! scheduler's own state, telemetry shards, test-harness bookkeeping)
 //! uses `cds_atomic::raw`, which is a deliberate, greppable, self-
 //! documenting exception — and is why the lint bans the std *path*
-//! rather than atomics in general.
+//! rather than atomics in general. A std lock is a lock word the model
+//! cannot see at all; `cds_sync::Mutex` keeps its word on the facade.
 //!
-//! The allowlist lives in `tests/atomics_allowlist.txt` (one
-//! repo-relative path per line, `#` comments). Entries must exist and
-//! must still contain a direct import, so the list cannot rot.
+//! The allowlists live in `tests/atomics_allowlist.txt` and
+//! `tests/std_locks_allowlist.txt` (one repo-relative path per line, `#`
+//! comments giving the reason). Entries must exist and must still break
+//! the rule, so the lists cannot rot.
 
 use std::path::{Path, PathBuf};
 
-/// Files allowed to name `std::sync::atomic` directly.
-const ALLOWLIST: &str = include_str!("atomics_allowlist.txt");
-
-fn allowlisted() -> Vec<String> {
-    ALLOWLIST
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(String::from)
-        .collect()
-}
+/// The std lock types the lock lint flags (their guards come with them).
+const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("crates dir readable") {
@@ -44,18 +38,11 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// True if `line` reaches for a std/core atomic path outside a comment.
-/// Doc comments and `//` comments may mention the path (e.g. to explain
-/// this very rule); code may not.
-fn names_std_atomic(line: &str) -> bool {
-    let code = line.split("//").next().unwrap_or("");
-    code.contains("std::sync::atomic") || code.contains("core::sync::atomic")
-}
-
-#[test]
-fn no_direct_std_atomics_outside_the_facade() {
+/// Checks every `crates/*/src/**/*.rs` file against one rule: `hits`
+/// returns the (1-based) lines of a file that break it, and the files
+/// named in the allowlist `file` (whose text is `allowlist`) may.
+fn lint(file: &str, allowlist: &str, hits: impl Fn(&str) -> Vec<usize>, fix: &str) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let allow = allowlisted();
     let mut sources = Vec::new();
     for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
         let src = entry.expect("dir entry").path().join("src");
@@ -69,52 +56,115 @@ fn no_direct_std_atomics_outside_the_facade() {
         sources.len()
     );
 
+    let allow: Vec<&str> = allowlist
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let mut used = vec![false; allow.len()];
     let mut violations = Vec::new();
-    let mut used_allow = vec![false; allow.len()];
     for path in &sources {
         let rel = path
             .strip_prefix(root)
             .expect("source under repo root")
             .to_string_lossy()
             .replace('\\', "/");
-        let allowed = allow.iter().position(|a| *a == rel);
-        let content = std::fs::read_to_string(path).expect("source readable");
-        let mut hits = Vec::new();
-        for (i, line) in content.lines().enumerate() {
-            if names_std_atomic(line) {
-                hits.push(i + 1);
-            }
-        }
-        match allowed {
-            Some(idx) if !hits.is_empty() => used_allow[idx] = true,
+        let lines = hits(&std::fs::read_to_string(path).expect("source readable"));
+        match allow.iter().position(|a| *a == rel) {
+            Some(idx) if !lines.is_empty() => used[idx] = true,
             Some(_) => violations.push(format!(
-                "{rel}: allowlisted but has no direct std atomic import — remove it from \
-                 tests/atomics_allowlist.txt"
+                "{rel}: allowlisted but no longer breaks the rule — remove it from {file}"
             )),
-            None => {
-                for line in hits {
-                    violations.push(format!(
-                        "{rel}:{line}: direct std/core::sync::atomic use — go through \
-                         `cds_atomic` (instrumented) or `cds_atomic::raw` (deliberately \
-                         un-modeled infrastructure), or add the file to \
-                         tests/atomics_allowlist.txt with a comment saying why"
-                    ));
-                }
-            }
+            None => violations.extend(lines.iter().map(|line| {
+                format!("{rel}:{line}: {fix}, or add the file to {file} with a comment saying why")
+            })),
         }
     }
-    for (idx, used) in used_allow.iter().enumerate() {
+    for (entry, used) in allow.iter().zip(used) {
         if !used {
             violations.push(format!(
-                "tests/atomics_allowlist.txt names `{}`, which does not exist or was never \
-                 matched — stale entry",
-                allow[idx]
+                "{file} names `{entry}`, which does not exist or was never matched — stale entry"
             ));
         }
     }
     assert!(
         violations.is_empty(),
-        "atomics lint failed:\n  {}",
+        "lint failed:\n  {}",
         violations.join("\n  ")
     );
+}
+
+/// The code of each line, without its `//` comment: comments may mention
+/// a banned path (e.g. to explain this very rule); code may not.
+fn code_lines(content: &str) -> impl Iterator<Item = &str> {
+    content
+        .lines()
+        .map(|line| line.split("//").next().unwrap_or(""))
+}
+
+/// Lines that reach for a std/core atomic path.
+fn std_atomic_lines(content: &str) -> Vec<usize> {
+    (1..)
+        .zip(code_lines(content))
+        .filter(|(_, code)| {
+            code.contains("std::sync::atomic") || code.contains("core::sync::atomic")
+        })
+        .map(|(line, _)| line)
+        .collect()
+}
+
+/// Lines that name a std lock through a `std::sync::` path:
+/// `std::sync::Mutex::new(..)` or a `use std::sync::{..}` list naming
+/// one, which may span lines.
+fn std_lock_lines(content: &str) -> Vec<usize> {
+    let code = code_lines(content).collect::<Vec<_>>().join("\n");
+    let mut hits = Vec::new();
+    for (at, _) in code.match_indices("std::sync::") {
+        let rest = &code[at + "std::sync::".len()..];
+        let names = match rest.strip_prefix('{') {
+            Some(list) => &list[..list.find('}').unwrap_or(list.len())],
+            None => rest,
+        };
+        let named = names.split(',').any(|item| {
+            let item = item.trim_start();
+            let end = item
+                .find(|c: char| !c.is_alphanumeric() && c != '_')
+                .unwrap_or(item.len());
+            LOCK_TYPES.contains(&&item[..end])
+        });
+        if named {
+            hits.push(code[..at].matches('\n').count() + 1);
+        }
+    }
+    hits
+}
+
+#[test]
+fn no_direct_std_atomics_outside_the_facade() {
+    lint(
+        "tests/atomics_allowlist.txt",
+        include_str!("atomics_allowlist.txt"),
+        std_atomic_lines,
+        "direct std/core::sync::atomic use — go through `cds_atomic` (instrumented) or \
+         `cds_atomic::raw` (deliberately un-modeled infrastructure)",
+    );
+}
+
+#[test]
+fn no_std_locks_outside_the_allowlist() {
+    lint(
+        "tests/std_locks_allowlist.txt",
+        include_str!("std_locks_allowlist.txt"),
+        std_lock_lines,
+        "std lock — lock through `cds_sync::Mutex` (its word is a facade atomic)",
+    );
+}
+
+#[test]
+fn std_lock_lines_finds_paths_and_use_lists() {
+    let src = "use std::sync::{\n    Arc,\n    Condvar,\n};\n\
+               let m = std::sync::Mutex::new(0); // std::sync::RwLock\n\
+               use std::sync::Arc;\n\
+               use cds_sync::Mutex;\n";
+    assert_eq!(std_lock_lines(src), [1, 5]);
 }

@@ -432,9 +432,9 @@ fn explore_bounded_queue_window_and_cap1_regression() {
 #[test]
 fn explore_two_lock_queue_window() {
     // Lock-based structure: the window explores every interleaving of the
-    // head/tail lock acquisitions (through the instrumented parking_lot
-    // shim), proving the two-lock protocol linearizable, not just
-    // deadlock-free.
+    // head/tail lock acquisitions (`cds_sync::Mutex`, whose acquire
+    // attempts are yield points under the scheduler), proving the
+    // two-lock protocol linearizable, not just deadlock-free.
     let ops = [
         vec![QueueOp::Enqueue(1), QueueOp::Dequeue],
         vec![QueueOp::Enqueue(2)],
@@ -733,6 +733,36 @@ fn weak_ms_queue_window_and_relaxed_link_plant() {
         }
         other => panic!("expected the replay to reproduce the race, got {other:?}"),
     }
+}
+
+#[test]
+fn weak_two_lock_queue_window() {
+    // The lock word is a facade atomic, so the model sees each lock's
+    // Acquire CAS and Release unlock, and the cross-lock `next` link the
+    // enqueuer stores and the dequeuer loads. Every reads-from choice of
+    // every schedule must linearize. The head and tail pointers inside
+    // the locks are plain data: the model runs their accesses but does
+    // not give them weak values.
+    // Every unlock ends in the parker's fence, which is dependent on
+    // every step, so the full space runs past 100k schedules: like the
+    // resizing-map window, this one pins a deterministic DFS prefix.
+    let opts = ExploreOptions {
+        max_executions: 10_000,
+        ..weak_opts(true)
+    };
+    let ops = [
+        vec![QueueOp::Enqueue(1), QueueOp::Dequeue],
+        vec![QueueOp::Enqueue(2)],
+    ];
+    let report = explore(
+        QueueSpec::<u64>::default(),
+        &opts,
+        &ops,
+        cds_queue::TwoLockQueue::<u64>::new,
+        exec_queue,
+    )
+    .unwrap_or_else(|f| panic!("weak two-lock queue window not linearizable: {f:?}"));
+    assert_pinned_capped("two_lock_queue_weak", &report, &opts);
 }
 
 #[test]

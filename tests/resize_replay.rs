@@ -11,7 +11,7 @@ use cds_atomic::{AtomicBool, Ordering};
 
 use cds_lincheck::specs::{MapOp, MapRes, MapSpec};
 use cds_lincheck::stress::{replay, stress, StressOptions};
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// A deliberately broken miniature of the migration protocol: the
 /// migrating thread **releases the source lock while the entries are in

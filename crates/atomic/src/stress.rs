@@ -4,8 +4,7 @@
 //! The scheduler sits at the bottom of the crate DAG (it needs only `std`
 //! and [`crate::raw`]), so every layer above calls it directly: the
 //! facade's atomics, `cds-sync`'s `Backoff`/`Parker`/locks (the
-//! blocking `cds_sync::Mutex` included), and the structure crates
-//! (through the `cds_core::stress` re-export).
+//! blocking `cds_sync::Mutex` included), and the structure crates.
 //!
 //! The structure crates are instrumented with [`yield_point`] calls at
 //! their interesting interleaving points — lock acquisitions (via
@@ -62,9 +61,6 @@ use std::sync::{Mutex, MutexGuard};
 pub mod explore;
 #[cfg(feature = "stress")]
 mod weak;
-
-#[cfg(feature = "stress")]
-pub use explore::{check_region, publish_region};
 
 /// Access tag carried by a yield point, describing what the step after
 /// the yield is about to do to shared state.
@@ -306,6 +302,32 @@ pub fn op_boundary() {
     explore::op_boundary();
 }
 
+/// Reports that the heap region `[base, base + len)` was made reachable
+/// from shared memory (e.g. a node linked into a structure), so the
+/// weak-memory race detector can check later non-atomic accesses to it.
+/// A no-op outside weak explore windows, and an empty inline function
+/// without the `stress` feature, so callers need not gate it.
+#[inline(always)]
+pub fn publish_region(base: usize, len: usize) {
+    #[cfg(feature = "stress")]
+    explore::publish_region(base, len);
+    #[cfg(not(feature = "stress"))]
+    let _ = (base, len);
+}
+
+/// Checks that the calling thread is synchronized with the publication
+/// of `[addr, addr + len)` before a non-atomic access. Inside a weak
+/// window with race detection on, a detected race panics
+/// deterministically; in every other configuration this is a no-op, so
+/// callers need not gate it.
+#[inline(always)]
+pub fn check_region(addr: usize, len: usize) {
+    #[cfg(feature = "stress")]
+    explore::check_region(addr, len);
+    #[cfg(not(feature = "stress"))]
+    let _ = (addr, len);
+}
+
 /// Whether a stress scheduler is installed and driving yield points.
 /// Code that would block in the kernel (`Parker`, `cds_sync::Mutex`)
 /// asks this and spins through yield points instead — nothing may
@@ -348,10 +370,10 @@ pub enum Fault {
     /// The claim→publish windows of `BoundedQueue::try_enqueue` /
     /// `try_dequeue` contain an extra yield point, so a schedule can
     /// preempt a thread *between* claiming a position and touching the
-    /// slot's value. Combined with `BoundedQueue::with_capacity_unchecked`
-    /// this re-arms the capacity-1 overwrite fixed in an earlier
-    /// revision. (Always-on, the extra yields would perturb every pinned
-    /// schedule.)
+    /// slot's value, and `BoundedQueue::with_capacity` skips its two-slot
+    /// floor. Together, on a capacity-1 ring, they re-arm the overwrite
+    /// fixed in an earlier revision. (Always-on, the extra yields would
+    /// perturb every pinned schedule.)
     ClaimWindowYields,
     /// `ResizingMap::migrate_bucket` publishes the source bucket's
     /// `migrated` flag and releases its lock *before* the drained entries

@@ -113,8 +113,8 @@ pub struct ExploreBounds {
     /// the newest stores to its location (the staleness search bound).
     pub weak_window: usize,
     /// With `weak_memory`: loom-style publication/race checking of
-    /// non-atomic node payloads (`cds-reclaim` calls [`publish_region`]
-    /// and [`check_region`]). A detected race panics the worker
+    /// non-atomic node payloads (`cds-reclaim` calls [`super::publish_region`]
+    /// and [`super::check_region`]). A detected race panics the worker
     /// deterministically instead of producing a linearizability verdict.
     pub detect_races: bool,
 }
@@ -759,10 +759,8 @@ pub(crate) fn weak_fence(order: Ordering) {
     with_weak(|st, slot| st.weak().fence(slot, order));
 }
 
-/// Reports that the heap region `[base, base + len)` was made reachable
-/// from shared memory (e.g. a node linked into a structure). No-op
-/// outside weak windows.
-pub fn publish_region(base: usize, len: usize) {
+/// [`super::publish_region`] under `stress`. No-op outside weak windows.
+pub(super) fn publish_region(base: usize, len: usize) {
     if !WEAK_ON.load(Ordering::Acquire) {
         return;
     }
@@ -776,11 +774,8 @@ pub fn publish_region(base: usize, len: usize) {
     }
 }
 
-/// Checks that the current thread is synchronized with the publication
-/// of `[addr, addr + len)` before a non-atomic access. No-op outside weak
-/// windows; panics deterministically on a detected race inside one with
-/// race detection enabled.
-pub fn check_region(addr: usize, len: usize) {
+/// [`super::check_region`] under `stress`. No-op outside weak windows.
+pub(super) fn check_region(addr: usize, len: usize) {
     if !WEAK_ON.load(Ordering::Acquire) {
         return;
     }

@@ -84,7 +84,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cds_core::stress::{self, armed, Fault};
+use cds_atomic::stress::{self, armed, Fault};
 use cds_core::ConcurrentQueue;
 use cds_obs::Event;
 use cds_queue::{BoundedQueue, MsQueue};

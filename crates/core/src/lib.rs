@@ -40,14 +40,6 @@
 
 mod bound;
 
-/// The stress scheduler (re-export of [`cds_atomic::stress`], where it
-/// lives beside the atomics it drives).
-pub use cds_atomic::stress;
-
-/// Contention telemetry (re-export of [`cds_obs`]): allocation-free event
-/// counters compiled in by the `telemetry` feature, no-ops otherwise.
-pub use cds_obs as telemetry;
-
 pub use bound::Bound;
 
 /// A thread-safe last-in-first-out stack.

@@ -109,14 +109,13 @@ impl ConcurrentCounter for CombiningTreeCounter {
         let mut carry = delta;
         let mut index = self.leaf_index();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let node = &self.nodes[index];
-            let elected = node
+            if node
                 .combining
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok();
-            cds_obs::cas_outcome(elected);
-            if elected {
+                .is_ok()
+            {
                 // We are the combiner here: absorb parked deltas and climb.
                 carry += node.pending.swap(0, Ordering::AcqRel);
                 node.combining.store(false, Ordering::Release);

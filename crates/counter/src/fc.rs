@@ -59,12 +59,10 @@ impl ConcurrentCounter for FcCounter {
     const NAME: &'static str = "flat-combining";
 
     fn add(&self, delta: i64) {
-        cds_core::stress::yield_point();
         self.fc.apply(delta);
     }
 
     fn get(&self) -> i64 {
-        cds_core::stress::yield_point();
         self.fc.apply(0)
     }
 }

@@ -80,7 +80,7 @@ impl ConcurrentCounter for ShardedCounter {
     const NAME: &'static str = "sharded";
 
     fn add(&self, delta: i64) {
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         self.my_shard().fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -88,7 +88,7 @@ impl ConcurrentCounter for ShardedCounter {
         self.shards
             .iter()
             .map(|s| {
-                cds_core::stress::yield_point();
+                cds_atomic::stress::yield_point();
                 s.load(Ordering::Acquire)
             })
             .sum()

@@ -62,7 +62,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
-use cds_core::stress;
+use cds_atomic::stress;
 use cds_core::ConcurrentQueue;
 use cds_obs::Event;
 use cds_queue::{BoundedQueue, ChaseLevDeque, MsQueue, Steal, Stealer, Worker};
@@ -328,7 +328,7 @@ fn worker_loop<R: Reclaimer>(
 ///
 /// # Stress scheduling
 ///
-/// Under an installed [`cds_core::stress`] scheduler the workers register
+/// Under an installed [`cds_atomic::stress`] scheduler the workers register
 /// as threads `0..threads`, so a test driving the pool should register
 /// its own thread at an index `>= threads` and must not run a second
 /// registered pool concurrently.

@@ -3,7 +3,7 @@
 //!
 //! Where [`stress`](crate::stress) samples schedules at random (PCT),
 //! this module enumerates them *systematically* via
-//! `cds_core::stress::explore`: depth-first over scheduling decisions with
+//! `cds_atomic::stress::explore`: depth-first over scheduling decisions with
 //! sleep-set pruning, so a window of `t` threads × `k` fixed operations is
 //! either proven linearizable over **all** explored interleavings or
 //! yields a concrete counterexample — deterministically, with no seed.
@@ -23,7 +23,7 @@
 //! [`ExploreOptions::weak_window`]), so ordering bugs — a demoted
 //! release, a relaxed publish — become enumerable behaviors instead of
 //! rare hardware events. Real-time completion edges are inserted at
-//! operation boundaries ([`cds_core::stress::op_boundary`]): a store is
+//! operation boundaries ([`cds_atomic::stress::op_boundary`]): a store is
 //! guaranteed visible to every operation that *begins* after the storing
 //! operation *returned*, matching linearizability's real-time order, so
 //! only genuinely concurrent operations exhibit weak behavior.
@@ -34,8 +34,8 @@
 
 use std::fmt::Debug;
 
-use cds_core::stress::explore as exp;
-use cds_core::stress::explore::{ExploreBounds, Outcome};
+use cds_atomic::stress::explore as exp;
+use cds_atomic::stress::explore::{ExploreBounds, Outcome};
 
 use crate::trace::Trace;
 use crate::{check_linearizable, run_window, shrink_history, Operation, Spec};
@@ -234,18 +234,7 @@ where
         let run = explorer.begin();
         let (history, panic_msg) = run_window(ops, &setup, &exec);
         let outcome = explorer.finish(run);
-        let trace = if opts.weak_memory {
-            Trace::V3 {
-                threads,
-                steps: explorer.last_schedule(),
-                reads: explorer.last_reads(),
-            }
-        } else {
-            Trace::V2 {
-                threads,
-                steps: explorer.last_schedule(),
-            }
-        };
+        let trace = last_trace(&explorer, threads, opts);
         if let Some(message) = panic_msg {
             eprintln!("explore: worker panicked ({message}); schedule {trace}");
             return Err(Box::new(ExploreError::Panicked { trace, message }));
@@ -286,6 +275,21 @@ fn bounds_of(opts: &ExploreOptions) -> ExploreBounds {
         weak_memory: opts.weak_memory,
         weak_window: opts.weak_window,
         detect_races: opts.detect_races,
+    }
+}
+
+/// The trace of the execution `e` just finished: v3 (with its read
+/// choices) in a weak-memory window, v2 otherwise.
+fn last_trace(e: &exp::Explorer, threads: usize, opts: &ExploreOptions) -> Trace {
+    let steps = e.last_schedule();
+    if opts.weak_memory {
+        Trace::V3 {
+            threads,
+            steps,
+            reads: e.last_reads(),
+        }
+    } else {
+        Trace::V2 { threads, steps }
     }
 }
 
@@ -409,19 +413,7 @@ where
         let (_history, panic_msg): (Vec<Operation<Op, Res>>, _) = run_window(ops, setup, exec);
         let _ = explorer.finish(run);
         if let Some(message) = panic_msg {
-            let trace = if opts.weak_memory {
-                Trace::V3 {
-                    threads,
-                    steps: explorer.last_schedule(),
-                    reads: explorer.last_reads(),
-                }
-            } else {
-                Trace::V2 {
-                    threads,
-                    steps: explorer.last_schedule(),
-                }
-            };
-            return Some((trace, message));
+            return Some((last_trace(&explorer, threads, opts), message));
         }
         if explorer.executions() >= opts.max_executions || !explorer.advance() {
             return None;

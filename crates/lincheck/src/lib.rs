@@ -41,7 +41,7 @@
 //! # Beyond checking: stress, faults, shrinking
 //!
 //! * [`stress`] drives whole structures through seeded, PCT-style
-//!   scheduled rounds (`cds_core::stress`) and re-prints the seed of any
+//!   scheduled rounds (`cds_atomic::stress`) and re-prints the seed of any
 //!   failing schedule so it can be replayed deterministically.
 //! * [`faults`] injects contention storms and worker panics; the
 //!   family's `cds_sync::Mutex` does not poison, so lock-based
@@ -93,7 +93,7 @@ pub mod stress;
 pub mod trace;
 
 use cds_atomic::raw::{AtomicU64, Ordering};
-use cds_core::stress as sched;
+use cds_atomic::stress as sched;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hash;

@@ -13,7 +13,7 @@
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-pub use cds_core::stress::{mix_seed, SplitMix64};
+pub use cds_atomic::stress::{mix_seed, SplitMix64};
 
 /// The generator handed to property input builders; a thin seeded PRNG.
 pub type Prng = SplitMix64;

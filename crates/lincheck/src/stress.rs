@@ -4,7 +4,7 @@
 //! Each round:
 //!
 //! 1. derives a round seed from the root seed,
-//! 2. installs the `cds_core::stress` scheduler (live when the `stress`
+//! 2. installs the `cds_atomic::stress` scheduler (live when the `stress`
 //!    feature is enabled; inert otherwise — the round still runs, just
 //!    without controlled preemption),
 //! 3. draws each worker's operations from its per-thread seeded stream
@@ -52,8 +52,8 @@
 
 use std::fmt::Debug;
 
-use cds_core::stress as sched;
-use cds_core::stress::{mix_seed, SplitMix64, StressConfig};
+use cds_atomic::stress as sched;
+use cds_atomic::stress::{mix_seed, SplitMix64, StressConfig};
 
 use crate::{check_linearizable, env_seed, run_window, shrink_history, Operation, Spec};
 
@@ -69,7 +69,7 @@ pub struct StressOptions {
     pub rounds: usize,
     /// Root seed; override with `CDS_STRESS_SEED` to replay a whole run.
     pub seed: u64,
-    /// Scheduler priority-change period (see `cds_core::stress`).
+    /// Scheduler priority-change period (see `cds_atomic::stress`).
     pub change_period: u64,
 }
 

@@ -99,7 +99,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for HarrisMichaelList<
         let guard = R::enter_blanket();
         let mut curr = self.head.load(Ordering::Acquire, &guard);
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let curr_ref = match unsafe { curr.as_ref() } {
                 None => return false,
                 Some(c) => c,

@@ -33,7 +33,7 @@
 use cds_atomic::Ordering;
 use std::cmp::Ordering as CmpOrdering;
 
-use cds_core::stress;
+use cds_atomic::stress;
 use cds_obs::Event;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::ReclaimGuard;
@@ -100,14 +100,11 @@ pub unsafe fn find<'g, N: Node, G: ReclaimGuard>(
     }
 }
 
-/// One `AcqRel` CAS on a link, with its outcome recorded.
+/// One `AcqRel` CAS on a link.
 #[inline]
 fn cas<N, G>(link: &Atomic<N>, current: Shared<'_, N>, new: Shared<'_, N>, guard: &G) -> bool {
-    let swapped = link
-        .compare_exchange(current, new, Ordering::AcqRel, Ordering::Relaxed, guard)
-        .is_ok();
-    cds_obs::cas_outcome(swapped);
-    swapped
+    link.compare_exchange(current, new, Ordering::AcqRel, Ordering::Relaxed, guard)
+        .is_ok()
 }
 
 /// Physical delete: swings `prev` from the marked `curr` to its

@@ -5,7 +5,7 @@ use std::iter::Chain;
 use std::mem::{size_of, ManuallyDrop, MaybeUninit};
 use std::{ptr, slice};
 
-use cds_core::stress::{armed, Fault};
+use cds_atomic::stress::{armed, Fault};
 use cds_core::ConcurrentMap;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
@@ -436,12 +436,12 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         let m = old.buckets.len();
         debug_assert_eq!(new.buckets.len(), 2 * m);
 
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         let mut src = old.buckets[idx].lock();
         if src.migrated {
             return false;
         }
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
 
         // Split the source run by the new table's extra hash bit, into
         // two buckets on this stack. Holding the source lock for the whole
@@ -466,9 +466,9 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
             // and finds the entries in neither place.
             src.migrated = true;
             drop(src);
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             new.buckets[idx].lock().append(low);
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             new.buckets[idx + m].lock().append(high);
         } else {
             // New-table locks after the old-table lock, in index order.
@@ -477,7 +477,7 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
                 debug_assert!(!dst.migrated);
                 dst.append(low);
             }
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             {
                 let mut dst = new.buckets[idx + m].lock();
                 debug_assert!(!dst.migrated);
@@ -490,16 +490,15 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
 
         // Count the transition exactly once (we own the false→true edge).
         if old.done.fetch_add(1, Ordering::AcqRel) + 1 == m {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             // Every bucket has moved: promote the successor. Operations
             // that start after this CAS can no longer reach `old`, which
             // is precisely the retire contract.
-            let promoted = shard
+            if shard
                 .current
                 .compare_exchange(old_ptr, new_ptr, Ordering::AcqRel, Ordering::Acquire, guard)
-                .is_ok();
-            cds_obs::cas_outcome(promoted);
-            if promoted {
+                .is_ok()
+            {
                 cds_obs::count(cds_obs::Event::ResizePromoterWins);
                 self.doublings.fetch_add(1, Ordering::Relaxed);
                 // SAFETY: non-null, allocated via Atomic/Owned, severed
@@ -556,7 +555,7 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         // SAFETY: protected by the caller's blanket guard.
         let table = unsafe { table_ptr.deref() };
         let fresh = Owned::new(Table::new(table.buckets.len() * 2)).into_shared(guard);
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         match table.next.compare_exchange(
             Shared::null(),
             fresh,
@@ -564,12 +563,8 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
             Ordering::Acquire,
             guard,
         ) {
-            Ok(_) => {
-                cds_obs::cas_outcome(true);
-                fresh
-            }
+            Ok(_) => fresh,
             Err(existing) => {
-                cds_obs::cas_outcome(false);
                 // Another thread won the install; free our candidate —
                 // it was never published.
                 // SAFETY: `fresh` lost the CAS and is ours alone.
@@ -593,7 +588,7 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         let guard = R::enter_blanket();
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let table_ptr = shard.current.load(Ordering::Acquire, &guard);
             // SAFETY: `current` is never null; the blanket guard keeps the
             // table alive even if it is concurrently promoted away.
@@ -619,7 +614,7 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
 
             let idx = hash as usize & target.mask();
             let mut bucket = target.buckets[idx].lock();
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             if bucket.migrated {
                 // We locked a stale generation (its entries already moved
                 // on): restart from the shard root.

@@ -286,7 +286,7 @@ where
         }
         // The node is live but not yet counted: a remove of it may count
         // first (see `size`).
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         let size = self.size.fetch_add(1, Ordering::Relaxed) + 1;
         // Grow: double the bucket count when the load factor is exceeded.
         let buckets = self.bucket_count.load(Ordering::Relaxed);

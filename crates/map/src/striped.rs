@@ -116,7 +116,7 @@ impl<K: Hash + Eq, V, S: BuildHasher> StripedHashMap<K, V, S> {
 
     /// Doubles the table if it still has `old_len` buckets.
     fn resize(&self, old_len: usize) {
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         // Acquire every stripe in index order (deadlock-free).
         let _guards: Vec<_> = self.locks.iter().map(|l| l.lock()).collect();
         // SAFETY: all stripes held — exclusive access to the table.
@@ -128,7 +128,7 @@ impl<K: Hash + Eq, V, S: BuildHasher> StripedHashMap<K, V, S> {
         let new_table: Vec<UnsafeCell<Vec<(K, V)>>> =
             (0..new_len).map(|_| UnsafeCell::new(Vec::new())).collect();
         for bucket in table.drain(..) {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             for (k, v) in bucket.into_inner() {
                 let idx = self.hash(&k) % new_len;
                 // SAFETY: new_table is local to this call.

@@ -118,8 +118,9 @@ events! {
     MutexParks => "mutex_parks", Sum;
 
     // --- Lock-free structures: unified CAS accounting plus per-structure
-    // retry counters. Every instrumented compare-exchange records exactly
-    // one attempt and exactly one outcome, so
+    // retry counters. Every compare-exchange on a `cds_reclaim::epoch`
+    // `Atomic` records exactly one attempt and exactly one outcome, inside
+    // `Atomic::compare_exchange`, so
     // `cas_success + cas_failure == cas_attempt` always holds.
     CasAttempt => "cas_attempt", Sum;
     CasSuccess => "cas_success", Sum;

@@ -3,7 +3,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
 
-use cds_core::stress::{armed, Fault};
+use cds_atomic::stress::{armed, Fault};
 use cds_core::ConcurrentQueue;
 use cds_sync::{Backoff, CachePadded};
 
@@ -54,7 +54,7 @@ unsafe impl<T: Send> Sync for BoundedQueue<T> {}
 #[inline]
 fn claim_window_yield() {
     if armed(Fault::ClaimWindowYields) {
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
     }
 }
 
@@ -71,26 +71,16 @@ impl<T> BoundedQueue<T> {
     /// next producer could claim the slot while the consumer is still
     /// reading it and overwrite an undelivered value. Two slots keep the
     /// stamps one lap apart, which is what the protocol's full/empty
-    /// discrimination relies on.
+    /// discrimination relies on. While [`Fault::ClaimWindowYields`] is
+    /// armed the floor is skipped, so a capacity-1 ring re-arms that
+    /// collision for the exploration suite to find.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_slots(capacity, 2)
-    }
-
-    /// Like [`with_capacity`](Self::with_capacity) but *without* the
-    /// minimum-capacity clamp: a capacity-1 ring is built as requested,
-    /// re-arming the sequence-stamp collision documented there. Exists
-    /// solely so the exploration suite can prove the systematic scheduler
-    /// finds that historical bug; never use it for real queues.
-    #[cfg(feature = "stress")]
-    #[doc(hidden)]
-    pub fn with_capacity_unchecked(capacity: usize) -> Self {
-        Self::with_slots(capacity, 1)
-    }
-
-    /// A ring of `capacity` slots, rounded up to a power of two of at
-    /// least `min_slots`.
-    fn with_slots(capacity: usize, min_slots: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        let min_slots = if armed(Fault::ClaimWindowYields) {
+            1
+        } else {
+            2
+        };
         let capacity = capacity.next_power_of_two().max(min_slots);
         let buffer: Box<[Slot<T>]> = (0..capacity)
             .map(|i| Slot {
@@ -148,7 +138,7 @@ impl<T> BoundedQueue<T> {
         let backoff = Backoff::new();
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let slot = &self.buffer[pos & self.mask];
             let seq = slot.sequence.load(Ordering::Acquire);
             match seq as isize - pos as isize {
@@ -197,7 +187,7 @@ impl<T> BoundedQueue<T> {
                     // SeqCst for freshness; see the dequeue-side wait.
                     let wait = Backoff::new();
                     while (slot.sequence.load(Ordering::SeqCst) as isize) < pos as isize {
-                        wait.snooze_tagged(cds_core::stress::YieldTag::Blocked(
+                        wait.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(
                             &slot.sequence as *const _ as usize,
                         ));
                     }
@@ -223,7 +213,7 @@ impl<T> BoundedQueue<T> {
         let backoff = Backoff::new();
         let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let slot = &self.buffer[pos & self.mask];
             let seq = slot.sequence.load(Ordering::Acquire);
             match seq as isize - (pos + 1) as isize {
@@ -271,7 +261,7 @@ impl<T> BoundedQueue<T> {
                     // read-from branch per re-check.
                     let wait = Backoff::new();
                     while (slot.sequence.load(Ordering::SeqCst) as isize) < (pos + 1) as isize {
-                        wait.snooze_tagged(cds_core::stress::YieldTag::Blocked(
+                        wait.snooze_tagged(cds_atomic::stress::YieldTag::Blocked(
                             &slot.sequence as *const _ as usize,
                         ));
                     }
@@ -297,7 +287,7 @@ impl<T: Send> ConcurrentQueue<T> for BoundedQueue<T> {
         let mut value = value;
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             match self.try_enqueue(value) {
                 Ok(()) => return,
                 Err(v) => value = v,

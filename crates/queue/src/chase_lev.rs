@@ -184,7 +184,7 @@ impl<T, R: Reclaimer> Worker<T, R> {
     /// Pushes `value` at the bottom (owner end).
     pub fn push(&self, value: T) {
         let d = &*self.deque;
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         let b = d.bottom.load(Ordering::Relaxed);
         let t = d.top.load(Ordering::Acquire);
         // Only the owner replaces and retires buffers, so its own loads
@@ -230,7 +230,7 @@ impl<T, R: Reclaimer> Worker<T, R> {
         let guard = ();
         let buf = d.buffer.load(Ordering::Relaxed, &guard);
         d.bottom.store(b, Ordering::Relaxed);
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         // The fence orders our bottom store against the top load: either a
         // racing thief sees the lowered bottom, or we see its advanced top.
         fence(Ordering::SeqCst);
@@ -325,7 +325,7 @@ impl<T, R: Reclaimer> Stealer<T, R> {
     /// Attempts to steal the oldest element (FIFO end).
     pub fn steal(&self) -> Steal<T> {
         let d = &*self.deque;
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         let t = d.top.load(Ordering::Acquire);
         // Order the top load before the bottom load (pairs with the owner's
         // SeqCst fence in `pop`).
@@ -384,7 +384,7 @@ impl<T, R: Reclaimer> Stealer<T, R> {
     /// batch early with whatever was already moved to `dest`.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T, R>) -> Steal<T> {
         let d = &*self.deque;
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         let mut t = d.top.load(Ordering::Acquire);
         // Order the top load before the bottom load (pairs with the owner's
         // SeqCst fence in `pop`).
@@ -402,7 +402,7 @@ impl<T, R: Reclaimer> Stealer<T, R> {
         let mut taken = 0usize;
         while taken < target {
             if taken > 0 {
-                cds_core::stress::yield_point();
+                cds_atomic::stress::yield_point();
                 // Another thief advancing top past our cursor means our
                 // next CAS would fail; stop with what we have.
                 if d.top.load(Ordering::Acquire) != t {

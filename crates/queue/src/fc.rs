@@ -79,12 +79,10 @@ impl<T: Send> ConcurrentQueue<T> for FcQueue<T> {
     const NAME: &'static str = "flat-combining";
 
     fn enqueue(&self, value: T) {
-        cds_core::stress::yield_point();
         self.fc.apply(Op::Enqueue(value));
     }
 
     fn dequeue(&self) -> Option<T> {
-        cds_core::stress::yield_point();
         self.fc.apply(Op::Dequeue)
     }
 

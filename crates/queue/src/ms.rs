@@ -3,7 +3,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
-use cds_core::stress::{armed, Fault};
+use cds_atomic::stress::{armed, Fault};
 use cds_core::ConcurrentQueue;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
@@ -103,6 +103,14 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
         q
     }
 
+    /// Swings the tail from `from` to `to`. Losing is fine: someone else
+    /// moved it forward.
+    fn swing_tail<G>(&self, from: Shared<'_, Node<T>>, to: Shared<'_, Node<T>>, guard: &G) {
+        let _ = self
+            .tail
+            .compare_exchange(from, to, Ordering::Release, Ordering::Relaxed, guard);
+    }
+
     fn enqueue_internal<G: ReclaimGuard>(&self, value: T, guard: &G) {
         let node = Owned::new(Node {
             value: MaybeUninit::new(value),
@@ -111,7 +119,7 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
         .into_shared(guard);
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             // Protect-validate the tail before dereferencing it.
             let tail = guard.protect(SLOT_ANCHOR, &self.tail, Ordering::Acquire);
             // SAFETY: protected above; the tail is never null.
@@ -120,11 +128,7 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
             if !next.is_null() {
                 // Tail is lagging: help swing it and retry. `next` is not
                 // dereferenced, so it needs no protection.
-                let swung = self
-                    .tail
-                    .compare_exchange(tail, next, Ordering::Release, Ordering::Relaxed, guard)
-                    .is_ok();
-                cds_obs::cas_outcome(swung);
+                self.swing_tail(tail, next, guard);
                 cds_obs::count(cds_obs::Event::MsQueueRetry);
                 continue;
             }
@@ -133,8 +137,7 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
             // CAS can only succeed while `t` is the live tail.
             // Release (unless the planted demotion is armed): this CAS is
             // the publication point of the node and its payload.
-            let linked = t
-                .next
+            if t.next
                 .compare_exchange(
                     Shared::null(),
                     node,
@@ -142,15 +145,10 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
                     Ordering::Relaxed,
                     guard,
                 )
-                .is_ok();
-            cds_obs::cas_outcome(linked);
-            if linked {
-                // Linked; swing the tail (failure is fine — someone helped).
-                let swung = self
-                    .tail
-                    .compare_exchange(tail, node, Ordering::Release, Ordering::Relaxed, guard)
-                    .is_ok();
-                cds_obs::cas_outcome(swung);
+                .is_ok()
+            {
+                // Linked; swing the tail.
+                self.swing_tail(tail, node, guard);
                 return;
             }
             cds_obs::count(cds_obs::Event::MsQueueRetry);
@@ -161,7 +159,7 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
     fn dequeue_internal<G: ReclaimGuard>(&self, guard: &G) -> Option<T> {
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             // Protect-validate the head before dereferencing it.
             let head = guard.protect(SLOT_ANCHOR, &self.head, Ordering::Acquire);
             // SAFETY: protected above; the head is never null.
@@ -183,18 +181,13 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
             // never lags behind the head.
             let tail = self.tail.load(Ordering::Relaxed, guard);
             if head == tail {
-                let swung = self
-                    .tail
-                    .compare_exchange(tail, next, Ordering::Release, Ordering::Relaxed, guard)
-                    .is_ok();
-                cds_obs::cas_outcome(swung);
+                self.swing_tail(tail, next, guard);
             }
-            let unlinked = self
+            if self
                 .head
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Relaxed, guard)
-                .is_ok();
-            cds_obs::cas_outcome(unlinked);
-            if unlinked {
+                .is_ok()
+            {
                 // SAFETY: winning the head CAS gives us unique rights to
                 // `next`'s value (it becomes the new sentinel); the old
                 // sentinel may still be read by peers, so retire it.

@@ -149,7 +149,7 @@ impl<T> SpscProducer<T> {
         let mut value = value;
         let backoff = cds_sync::Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             match self.try_push(value) {
                 Ok(()) => return,
                 Err(v) => value = v,

@@ -97,7 +97,9 @@ impl<T> Atomic<T> {
     /// Compare-and-exchanges `current` for `new`.
     ///
     /// On failure returns the actual value observed. Both the pointer and
-    /// the tag participate in the comparison.
+    /// the tag participate in the comparison. Records the attempt and its
+    /// outcome in the `cas_*` telemetry counters, so the structures built
+    /// on this pointer never count their own.
     pub fn compare_exchange<'g, G>(
         &self,
         current: Shared<'_, T>,
@@ -106,13 +108,11 @@ impl<T> Atomic<T> {
         failure: Ordering,
         _guard: &'g G,
     ) -> Result<Shared<'g, T>, Shared<'g, T>> {
-        match self
+        let result = self
             .data
-            .compare_exchange(current.data, new.data, success, failure)
-        {
-            Ok(d) => Ok(Shared::from_data(d)),
-            Err(d) => Err(Shared::from_data(d)),
-        }
+            .compare_exchange(current.data, new.data, success, failure);
+        cds_obs::cas_outcome(result.is_ok());
+        result.map(Shared::from_data).map_err(Shared::from_data)
     }
 
     /// Bitwise-ors the tag bits with `tag`, returning the previous value.
@@ -215,7 +215,6 @@ impl<T> Owned<T> {
     pub fn into_shared<'g, G>(self, _guard: &'g G) -> Shared<'g, T> {
         let data = self.data;
         std::mem::forget(self);
-        #[cfg(feature = "stress")]
         cds_atomic::stress::publish_region(
             decompose::<T>(data).0 as usize,
             std::mem::size_of::<T>(),
@@ -345,7 +344,6 @@ impl<'g, T> Shared<'g, T> {
     pub unsafe fn deref(&self) -> &'g T {
         let (raw, _) = decompose::<T>(self.data);
         debug_assert!(!raw.is_null(), "deref of null Shared");
-        #[cfg(feature = "stress")]
         cds_atomic::stress::check_region(raw as usize, std::mem::size_of::<T>());
         // SAFETY: per the caller contract above.
         unsafe { &*raw }
@@ -358,7 +356,6 @@ impl<'g, T> Shared<'g, T> {
     /// Same contract as [`deref`](Shared::deref) for the non-null case.
     pub unsafe fn as_ref(&self) -> Option<&'g T> {
         let (raw, _) = decompose::<T>(self.data);
-        #[cfg(feature = "stress")]
         if !raw.is_null() {
             cds_atomic::stress::check_region(raw as usize, std::mem::size_of::<T>());
         }
@@ -404,6 +401,15 @@ impl<T> fmt::Debug for Shared<'_, T> {
 mod tests {
     use super::*;
     use crate::epoch;
+    use cds_obs::{Event, Snapshot};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that compare-exchange an `Atomic`: the CAS
+    /// counters are process-wide, and one test asserts exact deltas.
+    fn cas_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn tag_round_trip() {
@@ -431,6 +437,7 @@ mod tests {
 
     #[test]
     fn compare_exchange_checks_tag() {
+        let _cas = cas_lock();
         let guard = epoch::pin();
         let a = Atomic::new(1u64);
         let p = a.load(Ordering::Relaxed, &guard);
@@ -444,6 +451,31 @@ mod tests {
                 &guard
             )
             .is_err());
+        drop(guard);
+        unsafe { drop(a.into_owned()) };
+    }
+
+    #[test]
+    fn compare_exchange_counts_its_own_outcome() {
+        let _cas = cas_lock();
+        let guard = epoch::pin();
+        let a = Atomic::new(1u64);
+        let p = a.load(Ordering::Relaxed, &guard);
+        let base = Snapshot::take();
+        let won = a.compare_exchange(
+            p,
+            p.with_tag(1),
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+            &guard,
+        );
+        let lost = a.compare_exchange(p, p, Ordering::AcqRel, Ordering::Relaxed, &guard);
+        let d = Snapshot::take().delta(&base);
+        assert!(won.is_ok() && lost.is_err());
+        let expected = |n| if cds_obs::enabled() { n } else { 0 };
+        assert_eq!(d.get(Event::CasAttempt), expected(2));
+        assert_eq!(d.get(Event::CasSuccess), expected(1));
+        assert_eq!(d.get(Event::CasFailure), expected(1));
         drop(guard);
         unsafe { drop(a.into_owned()) };
     }

@@ -145,7 +145,7 @@ impl<T: Ord + Send + Sync> ConcurrentSet<T> for LazySkipList<T> {
         let mut value_slot = Some(value);
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let key = value_slot.as_ref().expect("value present until success");
             let (lfound, preds, succs) = self.find(key, &guard);
             if let Some(l) = lfound {
@@ -156,7 +156,7 @@ impl<T: Ord + Send + Sync> ConcurrentSet<T> for LazySkipList<T> {
                     while !node.fully_linked.load(Ordering::Acquire) {
                         // Yield first: under the stress scheduler this wait
                         // depends on the linking thread getting to run.
-                        cds_core::stress::yield_point();
+                        cds_atomic::stress::yield_point();
                         backoff.snooze();
                     }
                     return false;
@@ -229,7 +229,7 @@ impl<T: Ord + Send + Sync> ConcurrentSet<T> for LazySkipList<T> {
         let mut is_marked = false;
         let mut top = 0;
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let (lfound, preds, succs) = self.find(value, &guard);
             if !is_marked {
                 let l = match lfound {

@@ -44,8 +44,9 @@ impl<T> Node<T> {
             .0
     }
 
-    /// Allocates a node holding `key` with `height` null forward pointers.
-    fn alloc(key: Bound<T>, height: usize) -> *mut Self {
+    /// Allocates a node holding `key` with `height` null forward pointers;
+    /// returns it with its size in bytes.
+    fn alloc(key: Bound<T>, height: usize) -> (*mut Self, usize) {
         debug_assert!((1..=HEIGHT).contains(&height));
         let layout = Self::layout(height);
         // SAFETY: the layout has a non-zero size (the header holds
@@ -65,7 +66,7 @@ impl<T> Node<T> {
                 tower.add(l).write(Atomic::null());
             }
         }
-        node
+        (node, layout.size())
     }
 
     /// Drops the key in place and frees the node, with the layout
@@ -86,14 +87,11 @@ impl<T> Node<T> {
         }
     }
 
-    /// Makes a node reachable as a `Shared`. Under weak-memory exploration
-    /// this declares the whole allocation a published region, as
-    /// `Owned::into_shared` does for a boxed node.
-    fn share<'g>(node: *mut Self, height: usize) -> Shared<'g, Self> {
-        #[cfg(feature = "stress")]
-        cds_atomic::stress::publish_region(node as usize, Self::layout(height).size());
-        #[cfg(not(feature = "stress"))]
-        let _ = height;
+    /// Makes a node of `size` bytes reachable as a `Shared`. Under
+    /// weak-memory exploration this declares the whole allocation a
+    /// published region, as `Owned::into_shared` does for a boxed node.
+    fn share<'g>(node: *mut Self, size: usize) -> Shared<'g, Self> {
+        cds_atomic::stress::publish_region(node as usize, size);
         Shared::from_raw(node)
     }
 
@@ -201,7 +199,7 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
     /// Creates an empty set on the reclamation backend `R`.
     pub fn with_reclaimer() -> Self {
         LockFreeSkipList {
-            head: Node::alloc(Bound::NegInf, HEIGHT),
+            head: Node::alloc(Bound::NegInf, HEIGHT).0,
             _reclaimer: std::marker::PhantomData,
         }
     }
@@ -237,7 +235,7 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
     /// successors per level, snipping every marked node encountered.
     fn find<'g, G: ReclaimGuard>(&self, key: &T, guard: &'g G) -> FindResult<'g, T> {
         'retry: loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let mut preds = [Shared::null(); HEIGHT];
             let mut succs = [Shared::null(); HEIGHT];
             let mut pred = self.head(guard);
@@ -250,7 +248,7 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                     .load(Ordering::Acquire, guard)
                     .with_tag(0);
                 loop {
-                    cds_core::stress::yield_point();
+                    cds_atomic::stress::yield_point();
                     let curr_ref = match unsafe { curr.as_ref() } {
                         None => break, // level exhausted
                         Some(c) => c,
@@ -261,7 +259,7 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                     let next = unsafe { Node::next(curr, l) }.load(Ordering::Acquire, guard);
                     if next.tag() == MARK {
                         // curr is deleted at this level: snip it.
-                        let snipped = unsafe { Node::next(pred, l) }
+                        if unsafe { Node::next(pred, l) }
                             .compare_exchange(
                                 curr.with_tag(0),
                                 next.with_tag(0),
@@ -269,9 +267,8 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                                 Ordering::Relaxed,
                                 guard,
                             )
-                            .is_ok();
-                        cds_obs::cas_outcome(snipped);
-                        if snipped {
+                            .is_ok()
+                        {
                             curr = next.with_tag(0);
                         } else {
                             cds_obs::count(cds_obs::Event::SkiplistRetry);
@@ -311,7 +308,7 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
             .load(Ordering::Acquire, &guard)
             .with_tag(0);
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let curr_ref = unsafe { curr.as_ref() }?;
             // SAFETY: pinned; `curr` was linked at level 0.
             unsafe { Self::mark_upper_levels(curr, &guard) };
@@ -323,7 +320,7 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                 curr = next.with_tag(0);
                 continue;
             }
-            let claimed = bottom
+            if bottom
                 .compare_exchange(
                     next,
                     next.with_tag(MARK),
@@ -331,9 +328,8 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                     Ordering::Relaxed,
                     &guard,
                 )
-                .is_ok();
-            cds_obs::cas_outcome(claimed);
-            if claimed {
+                .is_ok()
+            {
                 let key = curr_ref
                     .key
                     .finite()
@@ -361,12 +357,12 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
             // SAFETY: `l` is within the tower.
             let level = unsafe { Node::next(node, l) };
             loop {
-                cds_core::stress::yield_point();
+                cds_atomic::stress::yield_point();
                 let next = level.load(Ordering::Acquire, guard);
                 if next.tag() == MARK {
                     break;
                 }
-                let marked = level
+                if level
                     .compare_exchange(
                         next,
                         next.with_tag(MARK),
@@ -374,9 +370,8 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                         Ordering::Relaxed,
                         guard,
                     )
-                    .is_ok();
-                cds_obs::cas_outcome(marked);
-                if marked {
+                    .is_ok()
+                {
                     break;
                 }
                 cds_obs::count(cds_obs::Event::SkiplistRetry);
@@ -444,7 +439,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
         let guard = R::enter_blanket();
         let backoff = Backoff::new();
         let height = random_level() + 1;
-        let node = Node::alloc(Bound::Finite(value), height);
+        let (node, size) = Node::alloc(Bound::Finite(value), height);
         // SAFETY: the key is never written again and lives as long as the
         // node, which is ours until published and then protected by the
         // guard; it is not used after the duplicate path frees the node.
@@ -454,7 +449,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
             .expect("finite by construction");
         // Link at level 0 first (the linearization point).
         let node_shared = loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let (found, preds, succs) = self.find(key, &guard);
             if found {
                 // SAFETY: never published.
@@ -465,7 +460,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 // SAFETY: our own node; `l < height`.
                 unsafe { Node::next(Shared::from_raw(node), l) }.store(succ, Ordering::Relaxed);
             }
-            let staged = Node::share(node, height);
+            let staged = Node::share(node, size);
             // SAFETY: pinned; `preds[0]` reaches level 0.
             match unsafe { Node::next(preds[0], 0) }.compare_exchange(
                 succs[0],
@@ -475,11 +470,9 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 &guard,
             ) {
                 Ok(_) => {
-                    cds_obs::cas_outcome(true);
                     break staged;
                 }
                 Err(_) => {
-                    cds_obs::cas_outcome(false);
                     cds_obs::count(cds_obs::Event::SkiplistRetry);
                     backoff.spin();
                 }
@@ -492,7 +485,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
             // SAFETY: pinned (the node is published now); `l < height`.
             let level = unsafe { Node::next(node_shared, l) };
             loop {
-                cds_core::stress::yield_point();
+                cds_atomic::stress::yield_point();
                 let cur_next = level.load(Ordering::Acquire, &guard);
                 if cur_next.tag() == MARK {
                     // Concurrently deleted; `release` below settles who
@@ -502,7 +495,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 let succ = succs[l];
                 if succ != cur_next {
                     // Refresh our forward pointer before exposing the level.
-                    let refreshed = level
+                    if level
                         .compare_exchange(
                             cur_next,
                             succ,
@@ -510,9 +503,8 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                             Ordering::Relaxed,
                             &guard,
                         )
-                        .is_ok();
-                    cds_obs::cas_outcome(refreshed);
-                    if !refreshed {
+                        .is_err()
+                    {
                         cds_obs::count(cds_obs::Event::SkiplistRetry);
                         continue; // re-examine (possibly marked now)
                     }
@@ -523,7 +515,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                     break;
                 }
                 // SAFETY: pinned; `preds[l]` reaches level `l`.
-                let linked = unsafe { Node::next(preds[l], l) }
+                if unsafe { Node::next(preds[l], l) }
                     .compare_exchange(
                         succ,
                         node_shared,
@@ -531,9 +523,8 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                         Ordering::Relaxed,
                         &guard,
                     )
-                    .is_ok();
-                cds_obs::cas_outcome(linked);
-                if linked {
+                    .is_ok()
+                {
                     break; // level linked
                 }
                 cds_obs::count(cds_obs::Event::SkiplistRetry);
@@ -566,12 +557,12 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
         let bottom = unsafe { Node::next(victim, 0) };
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let next = bottom.load(Ordering::Acquire, &guard);
             if next.tag() == MARK {
                 return false; // another remover won
             }
-            let won = bottom
+            if bottom
                 .compare_exchange(
                     next,
                     next.with_tag(MARK),
@@ -579,9 +570,8 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                     Ordering::Relaxed,
                     &guard,
                 )
-                .is_ok();
-            cds_obs::cas_outcome(won);
-            if won {
+                .is_ok()
+            {
                 // SAFETY: pinned; our CAS marked it at level 0.
                 unsafe { self.release(victim, value, &guard) };
                 return true;
@@ -602,7 +592,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 .load(Ordering::Acquire, &guard)
                 .with_tag(0);
             loop {
-                cds_core::stress::yield_point();
+                cds_atomic::stress::yield_point();
                 let curr_ref = match unsafe { curr.as_ref() } {
                     None => break,
                     Some(c) => c,

@@ -119,7 +119,7 @@ impl<T> EliminationArray<T> {
             // No-op outside stress builds (the spin budget *is* the
             // elimination window); under the scheduler this lets a popper
             // run mid-window, so elimination stays reachable.
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             core::hint::spin_loop();
         }
 
@@ -147,7 +147,7 @@ impl<T> EliminationArray<T> {
         // may be paused between its claim CAS and its TAKEN store, and is
         // granted no step while a bare spin here keeps this thread running.
         while offer.state.load(Ordering::Acquire) != TAKEN {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             core::hint::spin_loop();
         }
         Ok(())
@@ -257,7 +257,7 @@ impl<T: Send + 'static> ConcurrentStack<T> for EliminationBackoffStack<T> {
         cds_obs::count(cds_obs::Event::ElimPush);
         let mut value = value;
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             match self.stack.try_push(value) {
                 Ok(()) => return,
                 Err(v) => value = v,
@@ -279,7 +279,7 @@ impl<T: Send + 'static> ConcurrentStack<T> for EliminationBackoffStack<T> {
     fn pop(&self) -> Option<T> {
         cds_obs::count(cds_obs::Event::ElimPop);
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             if let Ok(result) = self.stack.try_pop() {
                 return result;
             }

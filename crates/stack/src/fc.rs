@@ -78,12 +78,10 @@ impl<T: Send> ConcurrentStack<T> for FcStack<T> {
     const NAME: &'static str = "flat-combining";
 
     fn push(&self, value: T) {
-        cds_core::stress::yield_point();
         self.fc.apply(Op::Push(value));
     }
 
     fn pop(&self) -> Option<T> {
-        cds_core::stress::yield_point();
         self.fc.apply(Op::Pop)
     }
 

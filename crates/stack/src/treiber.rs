@@ -4,7 +4,7 @@ use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::ptr;
 
-use cds_core::stress::{armed, Fault};
+use cds_atomic::stress::{armed, Fault};
 use cds_core::ConcurrentStack;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
@@ -102,7 +102,7 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
     fn push_node<G: ReclaimGuard>(&self, node: Shared<'_, Node<T>>, guard: &G) {
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             // No protection: `head` is linked, never dereferenced.
             let head = self.head.load(Ordering::Relaxed, guard);
             // SAFETY: `node` is ours until the CAS below publishes it.
@@ -110,12 +110,11 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
             // Release: publish the node's initialization with the link
             // (`publish_ordering` is `Release` unless the planted
             // demotion is armed under stress).
-            let linked = self
+            if self
                 .head
                 .compare_exchange(head, node, publish_ordering(), Ordering::Relaxed, guard)
-                .is_ok();
-            cds_obs::cas_outcome(linked);
-            if linked {
+                .is_ok()
+            {
                 return;
             }
             cds_obs::count(cds_obs::Event::TreiberRetry);
@@ -136,11 +135,10 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
         let head = self.head.load(Ordering::Relaxed, &guard);
         // SAFETY: `node` is unpublished.
         unsafe { node.deref() }.next.store(head, Ordering::Relaxed);
-        let result =
-            self.head
-                .compare_exchange(head, node, Ordering::Release, Ordering::Relaxed, &guard);
-        cds_obs::cas_outcome(result.is_ok());
-        match result {
+        match self
+            .head
+            .compare_exchange(head, node, Ordering::Release, Ordering::Relaxed, &guard)
+        {
             Ok(_) => Ok(()),
             Err(_) => {
                 // SAFETY: the node was never published; we still own it.
@@ -164,11 +162,10 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
             Some(n) => n,
         };
         let next = node.next.load(Ordering::Relaxed, &guard);
-        let result =
-            self.head
-                .compare_exchange(head, next, Ordering::AcqRel, Ordering::Relaxed, &guard);
-        cds_obs::cas_outcome(result.is_ok());
-        match result {
+        match self
+            .head
+            .compare_exchange(head, next, Ordering::AcqRel, Ordering::Relaxed, &guard)
+        {
             Ok(_) => {
                 // SAFETY: as in `pop_node`.
                 unsafe {
@@ -184,7 +181,7 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
     fn pop_node<G: ReclaimGuard>(&self, guard: &G) -> Option<T> {
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             // Protect-validate the head before dereferencing it. `next` is
             // written once before the node is published and never again,
             // so reading it through the protected node cannot be stale:
@@ -195,12 +192,11 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
             // SAFETY: protected above; it was allocated by `push`.
             let node = unsafe { head.as_ref() }?;
             let next = node.next.load(Ordering::Relaxed, guard);
-            let unlinked = self
+            if self
                 .head
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Relaxed, guard)
-                .is_ok();
-            cds_obs::cas_outcome(unlinked);
-            if unlinked {
+                .is_ok()
+            {
                 // SAFETY: winning the CAS makes us the unique owner of the
                 // value; the node itself may still be read by concurrent
                 // poppers, so its destruction goes through the reclaimer.

@@ -140,8 +140,10 @@ impl<S: FcStructure> FlatCombining<S> {
     }
 
     /// Applies `op`, possibly by combining it with other threads' pending
-    /// operations.
+    /// operations. Begins with a scheduling point, so every wrapper op is
+    /// preemptible before it claims a slot.
     pub fn apply(&self, op: S::Op) -> S::Res {
+        cds_atomic::stress::yield_point();
         let idx = thread_index() % SLOTS;
         // Claim the slot (threads sharing a slot take turns).
         let claim = &self.claims[idx];

@@ -163,7 +163,7 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
         let mut pupdate = Shared::null();
         let mut l = self.root.load(Ordering::Acquire, guard);
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             // SAFETY: pinned; nodes are epoch-managed.
             let l_ref = unsafe { l.deref() };
             let Some(int) = &l_ref.inner else { break };
@@ -206,11 +206,8 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
         } else {
             &int.right
         };
-        let swung = side
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Relaxed, guard)
-            .is_ok();
-        cds_obs::cas_outcome(swung);
-        swung
+        side.compare_exchange(old, new, Ordering::AcqRel, Ordering::Relaxed, guard)
+            .is_ok()
     }
 
     /// Helps whatever operation the update word `word` describes.
@@ -288,7 +285,6 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
             guard,
         ) {
             Ok(_) => {
-                cds_obs::cas_outcome(true);
                 // SAFETY: our mark CAS displaced the Clean descriptor; no
                 // other CAS can (the Mark word is permanent).
                 unsafe { Self::retire_displaced(expected, guard) };
@@ -296,7 +292,6 @@ impl<T: Ord + Clone, R: Reclaimer> LockFreeBst<T, R> {
                 true
             }
             Err(actual) => {
-                cds_obs::cas_outcome(false);
                 if actual == mark_word {
                     // Another helper already marked it for this very op.
                     self.help_marked(op, guard);
@@ -398,7 +393,7 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
         let backoff = Backoff::new();
         let mut value_slot = Some(value);
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let key = value_slot.as_ref().expect("present until success");
             let s = self.search(key, &guard);
             // SAFETY: pinned.
@@ -466,14 +461,12 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                 &guard,
             ) {
                 Ok(_) => {
-                    cds_obs::cas_outcome(true);
                     // SAFETY: we displaced the previous Clean descriptor.
                     unsafe { Self::retire_displaced(s.pupdate, &guard) };
                     self.help_insert(op, &guard);
                     return true;
                 }
                 Err(actual) => {
-                    cds_obs::cas_outcome(false);
                     cds_obs::count(cds_obs::Event::BstRetry);
                     // Reclaim the unpublished allocations and recover the key.
                     // SAFETY: none of these were published.
@@ -498,7 +491,7 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
         let guard = R::enter_blanket();
         let backoff = Backoff::new();
         loop {
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             let s = self.search(value, &guard);
             // SAFETY: pinned.
             if unsafe { s.l.deref() }.key.cmp_key(value) != CmpOrdering::Equal {
@@ -534,7 +527,6 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                 &guard,
             ) {
                 Ok(_) => {
-                    cds_obs::cas_outcome(true);
                     // SAFETY: we displaced the previous Clean descriptor.
                     unsafe { Self::retire_displaced(s.gpupdate, &guard) };
                     if self.help_delete(op, &guard) {
@@ -547,7 +539,6 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                     backoff.spin();
                 }
                 Err(actual) => {
-                    cds_obs::cas_outcome(false);
                     cds_obs::count(cds_obs::Event::BstRetry);
                     // SAFETY: unpublished.
                     unsafe { drop(op.into_owned()) };

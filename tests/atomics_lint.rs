@@ -1,7 +1,11 @@
 //! Repo lint: every crate performs its atomic operations through the
 //! `cds-atomic` facade, never `std::sync::atomic` / `core::sync::atomic`
 //! directly, and locks through `cds_sync::Mutex`, never a `std::sync`
-//! `Mutex`, `RwLock` or `Condvar`.
+//! `Mutex`, `RwLock` or `Condvar`. And each instrument has one switch,
+//! in the crate that owns it: only `cds-atomic` (`stress`), `cds-obs`
+//! (`telemetry`) and `cds-lincheck` (whose `explore` driver needs the
+//! scheduler's gated API) gate code on a feature, and only they, the
+//! root and `cds-bench` declare features.
 //!
 //! Why this is load-bearing: the weak-memory explorer can only model (and
 //! the region race detector can only police) traffic that goes through
@@ -157,6 +161,75 @@ fn no_std_locks_outside_the_allowlist() {
         include_str!("std_locks_allowlist.txt"),
         std_lock_lines,
         "std lock — lock through `cds_sync::Mutex` (its word is a facade atomic)",
+    );
+}
+
+/// The files that may gate code on an instrument's feature: the crates
+/// that own a switch. Every other crate calls the instruments
+/// unconditionally; their inert forms compile away.
+const SWITCH_OWNERS: &str = "\
+# The stress scheduler and the facade atomics it instruments.
+crates/atomic/src/lib.rs
+crates/atomic/src/stress.rs
+# The telemetry counters.
+crates/obs/src/lib.rs
+# The `explore` driver, built on the scheduler's stress-only API.
+crates/lincheck/src/lib.rs
+";
+
+/// Lines that test the `stress` or `telemetry` feature (`cfg`,
+/// `cfg_attr` or `cfg!`).
+fn instrument_feature_lines(content: &str) -> Vec<usize> {
+    (1..)
+        .zip(code_lines(content))
+        .filter(|(_, code)| {
+            let code: String = code.split_whitespace().collect();
+            code.contains(r#"feature="stress""#) || code.contains(r#"feature="telemetry""#)
+        })
+        .map(|(line, _)| line)
+        .collect()
+}
+
+#[test]
+fn instrument_switches_stay_in_their_crates() {
+    lint(
+        "SWITCH_OWNERS (tests/atomics_lint.rs)",
+        SWITCH_OWNERS,
+        instrument_feature_lines,
+        "feature-gated instrument — call the `cds_atomic::stress` / `cds_obs` API \
+         unconditionally (its inert form costs nothing)",
+    );
+}
+
+#[test]
+fn only_the_switch_crates_declare_features() {
+    const ALLOWED: [&str; 5] = [
+        "Cargo.toml",
+        "crates/atomic/Cargo.toml",
+        "crates/obs/Cargo.toml",
+        "crates/lincheck/Cargo.toml",
+        "crates/bench/Cargo.toml",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let name = entry.expect("dir entry").file_name();
+        manifests.push(format!("crates/{}/Cargo.toml", name.to_string_lossy()));
+    }
+    assert!(manifests.len() > 10, "found too few manifests");
+    let offenders: Vec<&String> = manifests
+        .iter()
+        .filter(|rel| !ALLOWED.contains(&rel.as_str()))
+        .filter(|rel| {
+            let text = std::fs::read_to_string(root.join(rel)).expect("manifest readable");
+            text.lines().any(|l| l.trim() == "[features]")
+        })
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "{offenders:?} declare [features]: an instrument's switch lives only on the crate \
+         that owns it (`cds-atomic/stress`, `cds-obs/telemetry`), forwarded by the root, \
+         `cds-lincheck` and `cds-bench`"
     );
 }
 

@@ -25,9 +25,9 @@ mod common;
 use cds_atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
+use cds_atomic::stress as sched;
+use cds_atomic::stress::StressConfig;
 use cds_chan::{bounded, unbounded, Select};
-use cds_core::stress as sched;
-use cds_core::stress::StressConfig;
 use cds_obs::{Event, Snapshot};
 use common::serial;
 

@@ -6,8 +6,8 @@
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
+use cds_atomic::stress::SplitMix64;
 use cds_atomic::{AtomicBool, Ordering};
-use cds_core::stress::SplitMix64;
 use cds_core::{ConcurrentMap, ConcurrentQueue, ConcurrentStack};
 use cds_lincheck::specs::{
     EventcountOp, EventcountRes, MapOp, MapRes, QueueOp, QueueRes, SetOp, StackOp, StackRes,
@@ -141,7 +141,7 @@ pub fn exec_gate(g: &Gate, op: &EventcountOp) -> EventcountRes {
             let round = g.parker.park_unless(overdue, Event::ExecParks, || {
                 // The classic lost-wakeup window: between announcing the
                 // intent to sleep and re-checking the condition.
-                cds_core::stress::yield_point();
+                cds_atomic::stress::yield_point();
                 g.flag.load(Ordering::SeqCst).then_some(())
             });
             match round {

@@ -24,8 +24,8 @@ mod common;
 use cds_atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cds_core::stress as sched;
-use cds_core::stress::StressConfig;
+use cds_atomic::stress as sched;
+use cds_atomic::stress::StressConfig;
 use cds_exec::{ExecConfig, Executor};
 use cds_obs::{Event, Snapshot};
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};

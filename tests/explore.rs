@@ -30,7 +30,7 @@ mod common;
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
 
-use cds_core::stress::{arm, Fault};
+use cds_atomic::stress::{arm, Fault};
 use cds_core::{ConcurrentQueue, ConcurrentStack};
 use cds_lincheck::explore::{
     explore, replay_schedule, ExploreError, ExploreOptions, ExploreReport, OnStuck,
@@ -378,17 +378,18 @@ fn explore_bounded_queue_window_and_cap1_regression() {
     .unwrap_or_else(|f| panic!("bounded queue cap-2 window not linearizable: {f:?}"));
     assert_pinned("bounded_queue_cap2", &report);
 
-    // The planted regression: with a single slot (capacity floor bypassed)
-    // and the claim→publish windows made preemptible, a producer can claim
-    // the slot a dequeuer is still reading and overwrite the undelivered
-    // value. `explore` must find it with zero randomness.
+    // The planted regression: with a single slot (the armed plant skips
+    // the capacity floor) and the claim→publish windows made preemptible,
+    // a producer can claim the slot a dequeuer is still reading and
+    // overwrite the undelivered value. `explore` must find it with zero
+    // randomness.
     let _plant = arm(Fault::ClaimWindowYields);
     let ops = [
         vec![TryQueueOp::Enq(1), TryQueueOp::Enq(2)],
         vec![TryQueueOp::Deq, TryQueueOp::Deq],
     ];
     let spec = TryQueueSpec::with_capacity(1);
-    let setup = || cds_queue::BoundedQueue::<u64>::with_capacity_unchecked(1);
+    let setup = || cds_queue::BoundedQueue::<u64>::with_capacity(1);
     let result = explore(
         spec.clone(),
         &ExploreOptions {

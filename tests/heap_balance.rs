@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 
 use cds_atomic::raw::{AtomicIsize, Ordering};
-use cds_core::stress::SplitMix64;
+use cds_atomic::stress::SplitMix64;
 use cds_core::{ConcurrentMap, ConcurrentSet};
 use cds_list::HarrisMichaelList;
 use cds_map::{ResizingMap, SplitOrderedHashMap};

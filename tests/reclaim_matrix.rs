@@ -13,7 +13,7 @@
 //! ids, which the harness reports with the round seed for replay.
 //!
 //! These tests build with the `stress` feature live, so every
-//! `cds_core::stress::yield_point()` in the structures is a real
+//! `cds_atomic::stress::yield_point()` in the structures is a real
 //! PCT-style preemption point; failures print a round seed that
 //! `cds_lincheck::stress::replay` (or `CDS_STRESS_SEED=<seed>`)
 //! reproduces deterministically.
@@ -269,7 +269,7 @@ fn chase_lev_on<R: Reclaimer>(base: u64) {
             })
             .collect();
 
-        let mut rng = cds_core::stress::SplitMix64::new(seed);
+        let mut rng = cds_atomic::stress::SplitMix64::new(seed);
         for i in 0..PUSHES {
             worker.push(i);
             // Seeded interleaving: sometimes pop from the owner side so

@@ -21,7 +21,7 @@ struct RacyCounter(AtomicI64);
 impl RacyCounter {
     fn add(&self, d: i64) {
         let v = self.0.load(Ordering::SeqCst);
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         self.0.store(v + d, Ordering::SeqCst);
     }
 
@@ -30,7 +30,7 @@ impl RacyCounter {
     }
 }
 
-fn racy_gen(rng: &mut cds_core::stress::SplitMix64, _t: usize) -> CounterOp {
+fn racy_gen(rng: &mut cds_atomic::stress::SplitMix64, _t: usize) -> CounterOp {
     if rng.below(3) < 2 {
         CounterOp::Add(1 + rng.below(4) as i64)
     } else {
@@ -55,7 +55,7 @@ fn planted_race_is_found_and_seed_replays_it() {
         seed: 0xbad_c0de,
         ..StressOptions::default()
     };
-    let demotions_before = cds_core::stress::demotions();
+    let demotions_before = cds_atomic::stress::demotions();
     let failure = stress(
         CounterSpec::default(),
         &options,
@@ -65,7 +65,7 @@ fn planted_race_is_found_and_seed_replays_it() {
     )
     .expect_err("the planted lost-update race must be found");
     assert!(
-        cds_core::stress::demotions() > demotions_before,
+        cds_atomic::stress::demotions() > demotions_before,
         "no preemptions injected: is the stress feature compiled in?"
     );
 

@@ -46,7 +46,7 @@ impl RacyMigratingMap {
     fn insert(&self, k: u64, v: u64) -> bool {
         let inserted = {
             let mut t = self.table().lock();
-            cds_core::stress::yield_point();
+            cds_atomic::stress::yield_point();
             if t.iter().any(|(ek, _)| *ek == k) {
                 false
             } else {
@@ -68,7 +68,7 @@ impl RacyMigratingMap {
             let mut t = self.old.lock();
             t.drain(..).collect()
         };
-        cds_core::stress::yield_point(); // the gap a seed can schedule into
+        cds_atomic::stress::yield_point(); // the gap a seed can schedule into
         let mut n = self.new.lock();
         n.extend(moved);
         self.promoted.store(true, Ordering::Release);
@@ -76,13 +76,13 @@ impl RacyMigratingMap {
 
     fn get(&self, k: u64) -> Option<u64> {
         let t = self.table().lock();
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         t.iter().find(|(ek, _)| *ek == k).map(|(_, v)| *v)
     }
 
     fn remove(&self, k: u64) -> bool {
         let mut t = self.table().lock();
-        cds_core::stress::yield_point();
+        cds_atomic::stress::yield_point();
         match t.iter().position(|(ek, _)| *ek == k) {
             Some(i) => {
                 t.swap_remove(i);
@@ -93,7 +93,7 @@ impl RacyMigratingMap {
     }
 }
 
-fn racy_gen(rng: &mut cds_core::stress::SplitMix64, _t: usize) -> MapOp<u64, u64> {
+fn racy_gen(rng: &mut cds_atomic::stress::SplitMix64, _t: usize) -> MapOp<u64, u64> {
     let k = rng.below(4);
     match rng.below(4) {
         0..=1 => MapOp::Insert(k, rng.below(100)),
@@ -123,7 +123,7 @@ fn migration_gap_race_is_found_shrunk_and_seed_replays() {
         ops_per_thread: 8,
         ..StressOptions::default()
     };
-    let demotions_before = cds_core::stress::demotions();
+    let demotions_before = cds_atomic::stress::demotions();
     let failure = stress(
         MapSpec::<u64, u64>::default(),
         &options,
@@ -133,7 +133,7 @@ fn migration_gap_race_is_found_shrunk_and_seed_replays() {
     )
     .expect_err("the lock-gap migration race must be found");
     assert!(
-        cds_core::stress::demotions() > demotions_before,
+        cds_atomic::stress::demotions() > demotions_before,
         "no preemptions injected: is the stress feature compiled in?"
     );
 

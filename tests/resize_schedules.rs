@@ -48,7 +48,7 @@ fn window_opts(seed: u64) -> StressOptions {
 /// operations that only make sense across a resize boundary:
 /// `contains_key` (must see through a half-migrated bucket) and `len`
 /// (the map-wide counter must be linearizable mid-migration).
-fn gen_resize_map(rng: &mut cds_core::stress::SplitMix64, _t: usize) -> MapOp<u64, u64> {
+fn gen_resize_map(rng: &mut cds_atomic::stress::SplitMix64, _t: usize) -> MapOp<u64, u64> {
     let k = rng.below(12);
     match rng.below(8) {
         0..=3 => MapOp::Insert(k, rng.below(100)),

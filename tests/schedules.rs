@@ -2,7 +2,7 @@
 //!
 //! These tests build with the `stress` feature live (the root crate
 //! dev-depends on itself with `features = ["stress"]`), so every
-//! `cds_core::stress::yield_point()` planted in the structures — and every
+//! `cds_atomic::stress::yield_point()` planted in the structures — and every
 //! lock acquisition through `cds_sync::Mutex` — is a real PCT-style
 //! preemption point. Each test runs seeded rounds via
 //! `cds_lincheck::stress::stress`; a failure prints a round seed that
@@ -179,7 +179,7 @@ fn scheduled_priority_queue_and_counters_are_linearizable() {
     stress_counter::<cds_counter::FcCounter>(0xc0e2);
 }
 
-fn gen_counter(rng: &mut cds_core::stress::SplitMix64, _t: usize) -> CounterOp {
+fn gen_counter(rng: &mut cds_atomic::stress::SplitMix64, _t: usize) -> CounterOp {
     if rng.below(2) == 0 {
         CounterOp::Add(1 + rng.below(4) as i64)
     } else {
@@ -291,14 +291,14 @@ fn scheduled_parker_eventcount_is_linearizable() {
 /// `N` or a round with zero/two leaders.
 #[test]
 fn scheduled_sense_barrier_conserves_rounds() {
+    use cds_atomic::stress as sched;
     use cds_atomic::{AtomicUsize, Ordering};
-    use cds_core::stress as sched;
 
     const THREADS: usize = 3;
     const ROUNDS: usize = 6;
     let root = opts(0xba113).seed;
     for round in 0..8u64 {
-        let run = sched::install(cds_core::stress::StressConfig {
+        let run = sched::install(cds_atomic::stress::StressConfig {
             seed: sched::mix_seed(root, round),
             change_period: 3,
         });
@@ -422,12 +422,12 @@ fn scheduled_tiny_bounded_queue_is_linearizable() {
 /// both sides take the element or lose it entirely.
 #[test]
 fn scheduled_chase_lev_single_element_is_taken_exactly_once() {
-    use cds_core::stress as sched;
+    use cds_atomic::stress as sched;
     use cds_queue::{ChaseLevDeque, Steal};
 
     let root = opts(0xc4a5e).seed;
     for round in 0..32u64 {
-        let run = sched::install(cds_core::stress::StressConfig {
+        let run = sched::install(cds_atomic::stress::StressConfig {
             seed: sched::mix_seed(root, round),
             change_period: 2,
         });
@@ -493,7 +493,7 @@ fn memoized_checker_handles_40_op_queue_window_quickly() {
             let queue = &queue;
             let recorder = &recorder;
             s.spawn(move || {
-                let mut rng = cds_core::stress::SplitMix64::new(0x40_0b5 + t);
+                let mut rng = cds_atomic::stress::SplitMix64::new(0x40_0b5 + t);
                 for _ in 0..10 {
                     if rng.below(2) == 0 {
                         let v = t << 8 | rng.below(16);
@@ -722,7 +722,7 @@ fn storm_window_is_linearizable() {
             }
         },
         |s, _| {
-            let mut rng = cds_core::stress::SplitMix64::new(0x5708);
+            let mut rng = cds_atomic::stress::SplitMix64::new(0x5708);
             for i in 0..40u64 {
                 if rng.below(2) == 0 {
                     recorder.record(StackOp::Push(i), || {

@@ -72,8 +72,9 @@ fn resize_churn<R: Reclaimer>(seed: u64) {
 }
 
 /// One scheduled insert/remove churn of a split-ordered map on `R`. Its
-/// link, mark and unlink CASes are the shared `cds_list::hm` ones, so
-/// they are counted like the Harris–Michael list's.
+/// link, mark and unlink CASes are the shared `cds_list::hm` ones; they,
+/// its segment CAS and its bucket-shortcut CAS are all epoch `Atomic`
+/// CASes, so all of them are counted.
 fn split_ordered_churn<R: Reclaimer>(seed: u64) {
     stress(
         MapSpec::<u64, u64>::default(),
@@ -93,9 +94,10 @@ fn split_ordered_churn<R: Reclaimer>(seed: u64) {
 }
 
 /// `cas_success + cas_failure == cas_attempts`, per backend. The
-/// invariant holds by construction (`cds_obs::cas_outcome` records the
-/// attempt and its outcome together), so a violation means an
-/// instrumentation site bypassed that helper.
+/// invariant holds by construction: every compare-exchange on an epoch
+/// `Atomic` records its attempt and outcome together, inside
+/// `Atomic::compare_exchange`, and nothing else records either, so a
+/// violation means a count was added outside that one seam.
 #[test]
 fn cas_counts_are_conserved_under_every_backend() {
     let _g = serial();

@@ -28,8 +28,13 @@
 //!   virtualized; RMWs (which C11 requires to read the latest write)
 //!   always observe real memory, so the model and the machine agree on
 //!   every CAS outcome.
-//! - Values cross into the model as `u64`, which every wrapped
-//!   primitive round-trips through losslessly on 64-bit targets.
+//! - Values cross into the model as `u64` (a private `Bits` trait),
+//!   which every wrapped primitive round-trips through losslessly on
+//!   64-bit targets.
+//!
+//! The eight wrapped types share one method set, stamped in by one macro:
+//! the weak-window protocol of a load, a store, a compare-exchange and a
+//! read-modify-write is each written once.
 //!
 //! Infrastructure that must *not* be modeled (the scheduler itself,
 //! telemetry counters, test harness bookkeeping) uses [`raw`], a plain
@@ -51,173 +56,184 @@ pub mod raw {
 pub mod stress;
 
 #[cfg(feature = "stress")]
-use stress::explore::{weak_active, weak_fence, weak_load, weak_pre, weak_rmw, weak_store};
+use model::*;
 
-macro_rules! int_atomic {
-    ($(#[$attr:meta])* $name:ident, $raw:ident, $prim:ty) => {
+/// The weak-memory side of a wrapped access: the machine's entry points
+/// and the `u64` every value crosses into the model as.
+#[cfg(feature = "stress")]
+mod model {
+    pub(crate) use crate::stress::explore::{
+        weak_active, weak_fence, weak_load, weak_pre, weak_rmw, weak_store,
+    };
+
+    /// A wrapped primitive's value as the model sees it. Every wrapped
+    /// primitive round-trips through `u64` losslessly on 64-bit targets.
+    pub(crate) trait Bits: Copy {
+        fn to_bits(self) -> u64;
+        fn from_bits(bits: u64) -> Self;
+    }
+
+    macro_rules! int_bits {
+        ($($prim:ty),*) => {$(
+            impl Bits for $prim {
+                #[inline(always)]
+                fn to_bits(self) -> u64 {
+                    self as u64
+                }
+                #[inline(always)]
+                fn from_bits(bits: u64) -> Self {
+                    bits as $prim
+                }
+            }
+        )*};
+    }
+
+    int_bits!(u8, u32, u64, i64, usize, isize);
+
+    /// Booleans cross as `0`/`1`.
+    impl Bits for bool {
+        #[inline(always)]
+        fn to_bits(self) -> u64 {
+            self as u64
+        }
+        #[inline(always)]
+        fn from_bits(bits: u64) -> Self {
+            bits != 0
+        }
+    }
+
+    /// Pointers cross as their address bits.
+    impl<T> Bits for *mut T {
+        #[inline(always)]
+        fn to_bits(self) -> u64 {
+            self as usize as u64
+        }
+        #[inline(always)]
+        fn from_bits(bits: u64) -> Self {
+            bits as usize as *mut T
+        }
+    }
+}
+
+/// The one method set of every wrapped type, stamped into each `impl`.
+/// Each body is the weak-window step (stress builds only) followed by
+/// the plain `std` op; `$raw` is the wrapped `std` type, `$prim` its
+/// value type.
+macro_rules! methods {
+    ($raw:ty, $prim:ty) => {
+        #[inline(always)]
+        pub const fn new(v: $prim) -> Self {
+            Self { inner: <$raw>::new(v) }
+        }
+
+        #[inline(always)]
+        #[cfg_attr(not(feature = "stress"), allow(dead_code))]
+        fn addr(&self) -> usize {
+            self as *const _ as usize
+        }
+
+        /// Consumes the atomic; exclusive access, never instrumented.
+        #[inline(always)]
+        pub fn into_inner(self) -> $prim {
+            self.inner.into_inner()
+        }
+
+        /// Mutable access; exclusive, never instrumented.
+        #[inline(always)]
+        pub fn get_mut(&mut self) -> &mut $prim {
+            self.inner.get_mut()
+        }
+
+        #[inline(always)]
+        pub fn load(&self, order: Ordering) -> $prim {
+            #[cfg(feature = "stress")]
+            if weak_active() {
+                weak_pre(self.addr(), false);
+                let cur = self.inner.load(order);
+                return Bits::from_bits(weak_load(self.addr(), order, cur.to_bits()));
+            }
+            self.inner.load(order)
+        }
+
+        #[inline(always)]
+        pub fn store(&self, val: $prim, order: Ordering) {
+            #[cfg(feature = "stress")]
+            if weak_active() {
+                weak_pre(self.addr(), true);
+                // The model needs the superseded value for lazy location
+                // init; a plain swap with the same ordering is equivalent
+                // here.
+                let prev = match order {
+                    Ordering::Release | Ordering::Relaxed => self.inner.swap(val, order),
+                    _ => self.inner.swap(val, Ordering::SeqCst),
+                };
+                weak_store(self.addr(), order, prev.to_bits(), val.to_bits());
+                return;
+            }
+            self.inner.store(val, order)
+        }
+
+        methods!(@rmw $prim, swap, |prev, val| val);
+        methods!(@cas $prim, compare_exchange);
+        methods!(@cas $prim, compare_exchange_weak);
+    };
+    // A read-modify-write that stores `$new`, computed from the value
+    // `$prev` it read and its operand `$val`.
+    (@rmw $prim:ty, $method:ident, |$prev:ident, $val:ident| $new:expr) => {
+        #[inline(always)]
+        pub fn $method(&self, $val: $prim, order: Ordering) -> $prim {
+            #[cfg(feature = "stress")]
+            if weak_active() {
+                weak_pre(self.addr(), true);
+                let $prev = self.inner.$method($val, order);
+                weak_rmw(self.addr(), order, $prev.to_bits(), Some(($new).to_bits()));
+                return $prev;
+            }
+            self.inner.$method($val, order)
+        }
+    };
+    (@cas $prim:ty, $method:ident) => {
+        #[inline(always)]
+        pub fn $method(
+            &self,
+            current: $prim,
+            new: $prim,
+            success: Ordering,
+            failure: Ordering,
+        ) -> Result<$prim, $prim> {
+            #[cfg(feature = "stress")]
+            if weak_active() {
+                weak_pre(self.addr(), true);
+                let result = self.inner.$method(current, new, success, failure);
+                // A failure is a load of the latest value with the failure
+                // ordering.
+                match result {
+                    Ok(prev) => weak_rmw(self.addr(), success, prev.to_bits(), Some(new.to_bits())),
+                    Err(prev) => weak_rmw(self.addr(), failure, prev.to_bits(), None),
+                }
+                return result;
+            }
+            self.inner.$method(current, new, success, failure)
+        }
+    };
+}
+
+/// An instrumented `std` atomic of the same name over `$prim`, with the
+/// shared method set plus the listed `fetch_*` read-modify-writes.
+macro_rules! atomic {
+    ($(#[$attr:meta])* $name:ident($prim:ty) {
+        $($op:ident: |$prev:ident, $val:ident| $new:expr),* $(,)?
+    }) => {
         $(#[$attr])*
         #[repr(transparent)]
         #[derive(Default)]
         pub struct $name {
-            inner: std::sync::atomic::$raw,
+            inner: std::sync::atomic::$name,
         }
 
         impl $name {
-            #[inline(always)]
-            pub const fn new(v: $prim) -> Self {
-                Self { inner: std::sync::atomic::$raw::new(v) }
-            }
-
-            #[inline(always)]
-            #[cfg_attr(not(feature = "stress"), allow(dead_code))]
-            fn addr(&self) -> usize {
-                self as *const _ as usize
-            }
-
-            /// Consumes the atomic; exclusive access, never instrumented.
-            #[inline(always)]
-            pub fn into_inner(self) -> $prim {
-                self.inner.into_inner()
-            }
-
-            /// Mutable access; exclusive, never instrumented.
-            #[inline(always)]
-            pub fn get_mut(&mut self) -> &mut $prim {
-                self.inner.get_mut()
-            }
-
-            #[inline(always)]
-            pub fn load(&self, order: Ordering) -> $prim {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), false);
-                    let cur = self.inner.load(order);
-                    return weak_load(self.addr(), order, cur as u64) as $prim;
-                }
-                self.inner.load(order)
-            }
-
-            #[inline(always)]
-            pub fn store(&self, val: $prim, order: Ordering) {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), true);
-                    let prev = match order {
-                        Ordering::Release | Ordering::Relaxed => {
-                            // The model needs the superseded value for
-                            // lazy location init; a plain swap with the
-                            // same ordering is equivalent here.
-                            self.inner.swap(val, order)
-                        }
-                        _ => self.inner.swap(val, Ordering::SeqCst),
-                    };
-                    weak_store(self.addr(), order, prev as u64, val as u64);
-                    return;
-                }
-                self.inner.store(val, order)
-            }
-
-            #[inline(always)]
-            pub fn swap(&self, val: $prim, order: Ordering) -> $prim {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), true);
-                    let prev = self.inner.swap(val, order);
-                    weak_rmw(self.addr(), order, prev as u64, Some(val as u64));
-                    return prev;
-                }
-                self.inner.swap(val, order)
-            }
-
-            #[inline(always)]
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), true);
-                    return match self.inner.compare_exchange(current, new, success, failure) {
-                        Ok(prev) => {
-                            weak_rmw(self.addr(), success, prev as u64, Some(new as u64));
-                            Ok(prev)
-                        }
-                        Err(prev) => {
-                            weak_rmw(self.addr(), failure, prev as u64, None);
-                            Err(prev)
-                        }
-                    };
-                }
-                self.inner.compare_exchange(current, new, success, failure)
-            }
-
-            #[inline(always)]
-            pub fn compare_exchange_weak(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), true);
-                    return match self.inner.compare_exchange_weak(current, new, success, failure) {
-                        Ok(prev) => {
-                            weak_rmw(self.addr(), success, prev as u64, Some(new as u64));
-                            Ok(prev)
-                        }
-                        Err(prev) => {
-                            weak_rmw(self.addr(), failure, prev as u64, None);
-                            Err(prev)
-                        }
-                    };
-                }
-                self.inner.compare_exchange_weak(current, new, success, failure)
-            }
-
-            int_atomic!(@rmw $prim, fetch_add, wrapping_add);
-            int_atomic!(@rmw $prim, fetch_sub, wrapping_sub);
-
-            #[inline(always)]
-            pub fn fetch_and(&self, val: $prim, order: Ordering) -> $prim {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), true);
-                    let prev = self.inner.fetch_and(val, order);
-                    weak_rmw(self.addr(), order, prev as u64, Some((prev & val) as u64));
-                    return prev;
-                }
-                self.inner.fetch_and(val, order)
-            }
-
-            #[inline(always)]
-            pub fn fetch_or(&self, val: $prim, order: Ordering) -> $prim {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), true);
-                    let prev = self.inner.fetch_or(val, order);
-                    weak_rmw(self.addr(), order, prev as u64, Some((prev | val) as u64));
-                    return prev;
-                }
-                self.inner.fetch_or(val, order)
-            }
-
-            #[inline(always)]
-            pub fn fetch_max(&self, val: $prim, order: Ordering) -> $prim {
-                #[cfg(feature = "stress")]
-                if weak_active() {
-                    weak_pre(self.addr(), true);
-                    let prev = self.inner.fetch_max(val, order);
-                    let new = if val > prev { val } else { prev };
-                    weak_rmw(self.addr(), order, prev as u64, Some(new as u64));
-                    return prev;
-                }
-                self.inner.fetch_max(val, order)
-            }
+            methods!(std::sync::atomic::$name, $prim);
+            $(methods!(@rmw $prim, $op, |$prev, $val| $new);)*
         }
 
         impl std::fmt::Debug for $name {
@@ -235,321 +251,48 @@ macro_rules! int_atomic {
             }
         }
     };
-    (@rmw $prim:ty, $method:ident, $combine:ident) => {
-        #[inline(always)]
-        pub fn $method(&self, val: $prim, order: Ordering) -> $prim {
-            #[cfg(feature = "stress")]
-            if weak_active() {
-                weak_pre(self.addr(), true);
-                let prev = self.inner.$method(val, order);
-                weak_rmw(self.addr(), order, prev as u64, Some(prev.$combine(val) as u64));
-                return prev;
+}
+
+macro_rules! int_atomic {
+    ($($name:ident($prim:ty)),*) => {$(
+        atomic!(
+            #[doc = concat!("Instrumented [`std::sync::atomic::", stringify!($name), "`].")]
+            $name($prim) {
+                fetch_add: |prev, val| prev.wrapping_add(val),
+                fetch_sub: |prev, val| prev.wrapping_sub(val),
+                fetch_and: |prev, val| prev & val,
+                fetch_or: |prev, val| prev | val,
+                fetch_max: |prev, val| prev.max(val),
             }
-            self.inner.$method(val, order)
-        }
-    };
+        );
+    )*};
 }
 
 int_atomic!(
-    /// Instrumented [`std::sync::atomic::AtomicUsize`].
-    AtomicUsize, AtomicUsize, usize
-);
-int_atomic!(
-    /// Instrumented [`std::sync::atomic::AtomicIsize`].
-    AtomicIsize, AtomicIsize, isize
-);
-int_atomic!(
-    /// Instrumented [`std::sync::atomic::AtomicU64`].
-    AtomicU64, AtomicU64, u64
-);
-int_atomic!(
-    /// Instrumented [`std::sync::atomic::AtomicI64`].
-    AtomicI64, AtomicI64, i64
-);
-int_atomic!(
-    /// Instrumented [`std::sync::atomic::AtomicU32`].
-    AtomicU32, AtomicU32, u32
-);
-int_atomic!(
-    /// Instrumented [`std::sync::atomic::AtomicU8`].
-    AtomicU8, AtomicU8, u8
+    AtomicUsize(usize),
+    AtomicIsize(isize),
+    AtomicU64(u64),
+    AtomicI64(i64),
+    AtomicU32(u32),
+    AtomicU8(u8)
 );
 
-/// Instrumented [`std::sync::atomic::AtomicBool`]. Values cross into the
-/// model as `0`/`1`.
-#[repr(transparent)]
-#[derive(Default)]
-pub struct AtomicBool {
-    inner: std::sync::atomic::AtomicBool,
-}
-
-impl AtomicBool {
-    #[inline(always)]
-    pub const fn new(v: bool) -> Self {
-        Self {
-            inner: std::sync::atomic::AtomicBool::new(v),
-        }
+atomic!(
+    /// Instrumented [`std::sync::atomic::AtomicBool`].
+    AtomicBool(bool) {
+        fetch_and: |prev, val| prev & val,
+        fetch_or: |prev, val| prev | val,
     }
+);
 
-    #[inline(always)]
-    #[cfg_attr(not(feature = "stress"), allow(dead_code))]
-    fn addr(&self) -> usize {
-        self as *const _ as usize
-    }
-
-    #[inline(always)]
-    pub fn into_inner(self) -> bool {
-        self.inner.into_inner()
-    }
-
-    #[inline(always)]
-    pub fn get_mut(&mut self) -> &mut bool {
-        self.inner.get_mut()
-    }
-
-    #[inline(always)]
-    pub fn load(&self, order: Ordering) -> bool {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), false);
-            let cur = self.inner.load(order);
-            return weak_load(self.addr(), order, cur as u64) != 0;
-        }
-        self.inner.load(order)
-    }
-
-    #[inline(always)]
-    pub fn store(&self, val: bool, order: Ordering) {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            let prev = match order {
-                Ordering::Release | Ordering::Relaxed => self.inner.swap(val, order),
-                _ => self.inner.swap(val, Ordering::SeqCst),
-            };
-            weak_store(self.addr(), order, prev as u64, val as u64);
-            return;
-        }
-        self.inner.store(val, order)
-    }
-
-    #[inline(always)]
-    pub fn swap(&self, val: bool, order: Ordering) -> bool {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            let prev = self.inner.swap(val, order);
-            weak_rmw(self.addr(), order, prev as u64, Some(val as u64));
-            return prev;
-        }
-        self.inner.swap(val, order)
-    }
-
-    #[inline(always)]
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<bool, bool> {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            return match self.inner.compare_exchange(current, new, success, failure) {
-                Ok(prev) => {
-                    weak_rmw(self.addr(), success, prev as u64, Some(new as u64));
-                    Ok(prev)
-                }
-                Err(prev) => {
-                    weak_rmw(self.addr(), failure, prev as u64, None);
-                    Err(prev)
-                }
-            };
-        }
-        self.inner.compare_exchange(current, new, success, failure)
-    }
-
-    #[inline(always)]
-    pub fn fetch_and(&self, val: bool, order: Ordering) -> bool {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            let prev = self.inner.fetch_and(val, order);
-            weak_rmw(self.addr(), order, prev as u64, Some((prev & val) as u64));
-            return prev;
-        }
-        self.inner.fetch_and(val, order)
-    }
-
-    #[inline(always)]
-    pub fn fetch_or(&self, val: bool, order: Ordering) -> bool {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            let prev = self.inner.fetch_or(val, order);
-            weak_rmw(self.addr(), order, prev as u64, Some((prev | val) as u64));
-            return prev;
-        }
-        self.inner.fetch_or(val, order)
-    }
-}
-
-impl std::fmt::Debug for AtomicBool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&self.inner, f)
-    }
-}
-
-impl From<bool> for AtomicBool {
-    #[inline(always)]
-    fn from(v: bool) -> Self {
-        Self::new(v)
-    }
-}
-
-/// Instrumented [`std::sync::atomic::AtomicPtr`]. Pointers cross into the
-/// model as their address bits.
+/// Instrumented [`std::sync::atomic::AtomicPtr`].
 #[repr(transparent)]
 pub struct AtomicPtr<T> {
     inner: std::sync::atomic::AtomicPtr<T>,
 }
 
 impl<T> AtomicPtr<T> {
-    #[inline(always)]
-    pub const fn new(p: *mut T) -> Self {
-        Self {
-            inner: std::sync::atomic::AtomicPtr::new(p),
-        }
-    }
-
-    #[inline(always)]
-    #[cfg_attr(not(feature = "stress"), allow(dead_code))]
-    fn addr(&self) -> usize {
-        self as *const _ as usize
-    }
-
-    #[inline(always)]
-    pub fn into_inner(self) -> *mut T {
-        self.inner.into_inner()
-    }
-
-    #[inline(always)]
-    pub fn get_mut(&mut self) -> &mut *mut T {
-        self.inner.get_mut()
-    }
-
-    #[inline(always)]
-    pub fn load(&self, order: Ordering) -> *mut T {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), false);
-            let cur = self.inner.load(order);
-            return weak_load(self.addr(), order, cur as usize as u64) as usize as *mut T;
-        }
-        self.inner.load(order)
-    }
-
-    #[inline(always)]
-    pub fn store(&self, val: *mut T, order: Ordering) {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            let prev = match order {
-                Ordering::Release | Ordering::Relaxed => self.inner.swap(val, order),
-                _ => self.inner.swap(val, Ordering::SeqCst),
-            };
-            weak_store(
-                self.addr(),
-                order,
-                prev as usize as u64,
-                val as usize as u64,
-            );
-            return;
-        }
-        self.inner.store(val, order)
-    }
-
-    #[inline(always)]
-    pub fn swap(&self, val: *mut T, order: Ordering) -> *mut T {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            let prev = self.inner.swap(val, order);
-            weak_rmw(
-                self.addr(),
-                order,
-                prev as usize as u64,
-                Some(val as usize as u64),
-            );
-            return prev;
-        }
-        self.inner.swap(val, order)
-    }
-
-    #[inline(always)]
-    pub fn compare_exchange(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            return match self.inner.compare_exchange(current, new, success, failure) {
-                Ok(prev) => {
-                    weak_rmw(
-                        self.addr(),
-                        success,
-                        prev as usize as u64,
-                        Some(new as usize as u64),
-                    );
-                    Ok(prev)
-                }
-                Err(prev) => {
-                    weak_rmw(self.addr(), failure, prev as usize as u64, None);
-                    Err(prev)
-                }
-            };
-        }
-        self.inner.compare_exchange(current, new, success, failure)
-    }
-
-    #[inline(always)]
-    pub fn compare_exchange_weak(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        #[cfg(feature = "stress")]
-        if weak_active() {
-            weak_pre(self.addr(), true);
-            return match self
-                .inner
-                .compare_exchange_weak(current, new, success, failure)
-            {
-                Ok(prev) => {
-                    weak_rmw(
-                        self.addr(),
-                        success,
-                        prev as usize as u64,
-                        Some(new as usize as u64),
-                    );
-                    Ok(prev)
-                }
-                Err(prev) => {
-                    weak_rmw(self.addr(), failure, prev as usize as u64, None);
-                    Err(prev)
-                }
-            };
-        }
-        self.inner
-            .compare_exchange_weak(current, new, success, failure)
-    }
+    methods!(std::sync::atomic::AtomicPtr<T>, *mut T);
 }
 
 impl<T> Default for AtomicPtr<T> {
@@ -602,34 +345,85 @@ mod tests {
 
     #[test]
     fn passthrough_semantics() {
-        let a = AtomicUsize::new(5);
-        assert_eq!(a.load(Ordering::SeqCst), 5);
-        a.store(7, Ordering::SeqCst);
-        assert_eq!(a.swap(9, Ordering::SeqCst), 7);
-        assert_eq!(
-            a.compare_exchange(9, 11, Ordering::SeqCst, Ordering::SeqCst),
-            Ok(9)
-        );
-        assert_eq!(
-            a.compare_exchange(9, 13, Ordering::SeqCst, Ordering::SeqCst),
-            Err(11)
-        );
-        assert_eq!(a.fetch_add(1, Ordering::SeqCst), 11);
-        assert_eq!(a.fetch_sub(2, Ordering::SeqCst), 12);
-        assert_eq!(a.into_inner(), 10);
+        use Ordering::{Relaxed, SeqCst};
 
-        let b = AtomicBool::new(false);
-        assert!(!b.swap(true, Ordering::SeqCst));
-        assert!(b.fetch_and(false, Ordering::SeqCst));
-        assert!(!b.load(Ordering::SeqCst));
-
-        let mut x = 1u64;
-        let p = AtomicPtr::new(&mut x as *mut u64);
-        assert_eq!(p.load(Ordering::SeqCst), &mut x as *mut u64);
-        fence(Ordering::SeqCst);
+        macro_rules! check_int {
+            ($($ty:ident),*) => {$({
+                let mut a = $ty::new(5);
+                assert_eq!(a.load(SeqCst), 5);
+                a.store(7, SeqCst);
+                assert_eq!(a.swap(9, SeqCst), 7);
+                assert_eq!(a.compare_exchange(9, 11, SeqCst, SeqCst), Ok(9));
+                assert_eq!(a.compare_exchange(9, 13, SeqCst, SeqCst), Err(11));
+                // A weak CAS may fail spuriously, never with a stale value.
+                while let Err(cur) = a.compare_exchange_weak(11, 12, SeqCst, Relaxed) {
+                    assert_eq!(cur, 11);
+                }
+                assert_eq!(a.compare_exchange_weak(11, 13, SeqCst, Relaxed), Err(12));
+                assert_eq!(a.fetch_add(1, SeqCst), 12);
+                assert_eq!(a.fetch_sub(3, SeqCst), 13);
+                assert_eq!(a.fetch_and(0b0110, SeqCst), 0b1010);
+                assert_eq!(a.fetch_or(0b1000, SeqCst), 0b0010);
+                assert_eq!(a.fetch_max(4, SeqCst), 10);
+                assert_eq!(a.fetch_max(20, SeqCst), 10);
+                *a.get_mut() += 1;
+                assert_eq!(format!("{a:?}"), "21");
+                assert_eq!(a.into_inner(), 21);
+                assert_eq!($ty::default().into_inner(), 0);
+                assert_eq!($ty::from(3).load(SeqCst), 3);
+            })*};
+        }
+        check_int!(
+            AtomicUsize,
+            AtomicIsize,
+            AtomicU64,
+            AtomicI64,
+            AtomicU32,
+            AtomicU8
+        );
 
         let i = AtomicI64::new(-3);
-        assert_eq!(i.fetch_add(1, Ordering::SeqCst), -3);
-        assert_eq!(i.load(Ordering::SeqCst), -2);
+        assert_eq!(i.fetch_add(1, SeqCst), -3);
+        assert_eq!(i.fetch_max(-5, SeqCst), -2);
+        assert_eq!(i.load(SeqCst), -2);
+        let u = AtomicU8::new(u8::MAX);
+        assert_eq!(u.fetch_add(1, SeqCst), u8::MAX);
+        assert_eq!(u.fetch_sub(1, SeqCst), 0);
+        assert_eq!(u.load(SeqCst), u8::MAX);
+
+        let mut b = AtomicBool::new(false);
+        assert!(!b.load(SeqCst));
+        b.store(true, SeqCst);
+        assert!(b.swap(false, SeqCst));
+        assert_eq!(b.compare_exchange(false, true, SeqCst, SeqCst), Ok(false));
+        assert_eq!(b.compare_exchange(false, true, SeqCst, SeqCst), Err(true));
+        while let Err(cur) = b.compare_exchange_weak(true, false, SeqCst, Relaxed) {
+            assert!(cur);
+        }
+        assert!(!b.fetch_or(true, SeqCst));
+        assert!(b.fetch_and(false, SeqCst));
+        *b.get_mut() = true;
+        assert_eq!(format!("{b:?}"), "true");
+        assert!(b.into_inner());
+        assert!(!AtomicBool::default().into_inner());
+        assert!(AtomicBool::from(true).load(SeqCst));
+
+        let (mut x, mut y) = (1u64, 2u64);
+        let (px, py) = (&mut x as *mut u64, &mut y as *mut u64);
+        let mut p = AtomicPtr::new(px);
+        assert_eq!(p.load(SeqCst), px);
+        p.store(py, SeqCst);
+        assert_eq!(p.swap(px, SeqCst), py);
+        assert_eq!(p.compare_exchange(px, py, SeqCst, SeqCst), Ok(px));
+        assert_eq!(p.compare_exchange(px, py, SeqCst, SeqCst), Err(py));
+        while let Err(cur) = p.compare_exchange_weak(py, px, SeqCst, Relaxed) {
+            assert_eq!(cur, py);
+        }
+        assert_eq!(format!("{p:?}"), format!("{px:?}"));
+        *p.get_mut() = py;
+        assert_eq!(p.into_inner(), py);
+        assert!(AtomicPtr::<u64>::default().load(SeqCst).is_null());
+
+        fence(SeqCst);
     }
 }

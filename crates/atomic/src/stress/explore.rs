@@ -1312,6 +1312,101 @@ mod tests {
         assert_eq!(*order.lock().unwrap(), recorded);
     }
 
+    /// Message passing in a weak window, once per wrapped type: thread 0
+    /// stores the data, then the flag; thread 1 loads the flag, then the
+    /// data. Returns whether some execution saw the flag set but the
+    /// data stale. Each type's values round-trip through the model's
+    /// `u64`, so a lossy conversion shows up as a wrong value read.
+    fn message_passing<A: Sync, V: Copy + PartialEq + Send + Sync + std::fmt::Debug>(
+        make: impl Fn(V) -> A,
+        store: impl Fn(&A, V, Ordering) + Sync,
+        load: impl Fn(&A, Ordering) -> V + Sync,
+        (old, new): (V, V),
+        (write, read): (Ordering, Ordering),
+    ) -> bool {
+        let bounds = ExploreBounds {
+            weak_memory: true,
+            ..ExploreBounds::default()
+        };
+        let mut ex = Explorer::new(2, bounds);
+        let mut stale = false;
+        loop {
+            let (data, flag) = (make(old), make(old));
+            let seen = std::sync::Mutex::new(None);
+            let out = run_window(&mut ex, |t| {
+                if t == 0 {
+                    store(&data, new, Ordering::Relaxed);
+                    store(&flag, new, write);
+                } else {
+                    let f = load(&flag, read);
+                    let d = load(&data, Ordering::Relaxed);
+                    *seen.lock().unwrap() = Some((f, d));
+                }
+            });
+            // A redundant execution is abandoned, perhaps before the read.
+            assert!(
+                matches!(out, Outcome::Complete | Outcome::Redundant),
+                "{out:?}"
+            );
+            if out == Outcome::Complete {
+                let (f, d) = seen.into_inner().unwrap().expect("reader ran");
+                assert!(f == old || f == new, "flag read {f:?}");
+                assert!(d == old || d == new, "data read {d:?}");
+                stale |= f == new && d == old;
+            }
+            if !ex.advance() {
+                break;
+            }
+        }
+        stale
+    }
+
+    #[test]
+    fn weak_message_passing_round_trips_every_wrapped_type() {
+        use crate as a;
+        // Values are passed as `V` and converted at the atomic, because a
+        // raw pointer is not `Sync`: `AtomicPtr` carries addresses.
+        macro_rules! litmus {
+            ($ty:ident, $old:expr, $new:expr) => {
+                litmus!($ty, $old, $new, |v| v, |v| v)
+            };
+            ($ty:ident, $old:expr, $new:expr, $to:expr, $from:expr) => {
+                for (orders, stale) in [
+                    ((Ordering::Release, Ordering::Acquire), false),
+                    ((Ordering::Relaxed, Ordering::Relaxed), true),
+                ] {
+                    assert_eq!(
+                        message_passing(
+                            |v| a::$ty::new($to(v)),
+                            |x, v, o| x.store($to(v), o),
+                            |x, o| $from(x.load(o)),
+                            ($old, $new),
+                            orders,
+                        ),
+                        stale,
+                        "{} under {orders:?}",
+                        stringify!($ty),
+                    );
+                }
+            };
+        }
+        litmus!(AtomicU8, 1, u8::MAX);
+        litmus!(AtomicU32, 1, u32::MAX);
+        litmus!(AtomicU64, 1, u64::MAX);
+        litmus!(AtomicI64, 1, i64::MIN);
+        litmus!(AtomicUsize, 1, usize::MAX);
+        litmus!(AtomicIsize, 1, -2);
+        litmus!(AtomicBool, false, true);
+        let (x, y) = (0u8, 0u8);
+        litmus!(
+            AtomicPtr,
+            &x as *const u8 as usize,
+            &y as *const u8 as usize,
+            |v: usize| v as *mut u8,
+            |p: *mut u8| p as usize
+        );
+    }
+
     /// A PCT round is open-world. Two workers wait, as pure rechecks, for
     /// stores only an *unregistered* thread makes — first as a pair, for
     /// more steps than a closed-world execution's whole budget, then one

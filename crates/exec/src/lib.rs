@@ -485,7 +485,6 @@ impl<R: Reclaimer> Executor<R> {
             if executed == spawned {
                 return;
             }
-            stress::yield_point();
             backoff.snooze();
         }
     }

@@ -34,7 +34,6 @@ use cds_atomic::Ordering;
 use std::cmp::Ordering as CmpOrdering;
 
 use cds_atomic::stress;
-use cds_obs::Event;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::ReclaimGuard;
 use cds_sync::Backoff;
@@ -83,7 +82,6 @@ pub unsafe fn find<'g, N: Node, G: ReclaimGuard>(
                     curr = next.with_tag(0);
                 } else {
                     // Someone changed `prev` under us; start over.
-                    cds_obs::count(Event::HarrisMichaelRetry);
                     continue 'retry;
                 }
             } else {
@@ -152,7 +150,6 @@ pub unsafe fn insert<'g, N: Node, G: ReclaimGuard>(
         if cas(prev, curr, staged, guard) {
             return Ok(staged);
         }
-        cds_obs::count(Event::HarrisMichaelRetry);
         // SAFETY: publish failed, the node is still ours.
         node = unsafe { staged.into_owned() };
         backoff.spin();
@@ -186,7 +183,6 @@ pub unsafe fn remove<N: Node, G: ReclaimGuard>(
         // Step 1: logical delete (the linearization point) — unless
         // someone else is deleting it right now.
         if next.tag() == MARK || !cas(curr_ref.next(), next, next.with_tag(MARK), guard) {
-            cds_obs::count(Event::HarrisMichaelRetry);
             backoff.spin();
             continue;
         }

@@ -117,19 +117,15 @@ events! {
     // One committed park of a `ParkingLock` waiter (`cds_sync::Mutex`).
     MutexParks => "mutex_parks", Sum;
 
-    // --- Lock-free structures: unified CAS accounting plus per-structure
-    // retry counters. Every compare-exchange on a `cds_reclaim::epoch`
-    // `Atomic` records exactly one attempt and exactly one outcome, inside
+    // --- Lock-free structures: unified CAS accounting. Every
+    // compare-exchange on a `cds_reclaim::epoch` `Atomic` records exactly
+    // one attempt and exactly one outcome, inside
     // `Atomic::compare_exchange`, so
-    // `cas_success + cas_failure == cas_attempt` always holds.
+    // `cas_success + cas_failure == cas_attempt` always holds. Structures
+    // count no retry events of their own: a lost CAS shows here.
     CasAttempt => "cas_attempt", Sum;
     CasSuccess => "cas_success", Sum;
     CasFailure => "cas_failure", Sum;
-    TreiberRetry => "treiber_retry", Sum;
-    MsQueueRetry => "ms_queue_retry", Sum;
-    HarrisMichaelRetry => "harris_michael_retry", Sum;
-    SkiplistRetry => "skiplist_retry", Sum;
-    BstRetry => "bst_retry", Sum;
 
     // --- Elimination-backoff stack.
     ElimPush => "elim_push", Sum;

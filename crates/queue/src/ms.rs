@@ -129,7 +129,6 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
                 // Tail is lagging: help swing it and retry. `next` is not
                 // dereferenced, so it needs no protection.
                 self.swing_tail(tail, next, guard);
-                cds_obs::count(cds_obs::Event::MsQueueRetry);
                 continue;
             }
             // Even if `t` was dequeued after the protect, its `next` became
@@ -151,7 +150,6 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
                 self.swing_tail(tail, node, guard);
                 return;
             }
-            cds_obs::count(cds_obs::Event::MsQueueRetry);
             backoff.spin();
         }
     }
@@ -171,7 +169,6 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
             // it), so the already-published hazard keeps it alive.
             let next = guard.protect_ptr(SLOT_NEXT, next);
             if self.head.load(Ordering::Acquire, guard) != head {
-                cds_obs::count(cds_obs::Event::MsQueueRetry);
                 backoff.spin();
                 continue;
             }
@@ -197,7 +194,6 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
                     return Some(value);
                 }
             }
-            cds_obs::count(cds_obs::Event::MsQueueRetry);
             backoff.spin();
         }
     }

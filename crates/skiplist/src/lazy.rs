@@ -154,9 +154,9 @@ impl<T: Ord + Send + Sync> ConcurrentSet<T> for LazySkipList<T> {
                 if !node.marked.load(Ordering::Acquire) {
                     // Present (or being inserted): wait until visible, fail.
                     while !node.fully_linked.load(Ordering::Acquire) {
-                        // Yield first: under the stress scheduler this wait
-                        // depends on the linking thread getting to run.
-                        cds_atomic::stress::yield_point();
+                        // `snooze` is a yield point: under the stress
+                        // scheduler this wait depends on the linking thread
+                        // getting to run.
                         backoff.snooze();
                     }
                     return false;

@@ -271,7 +271,6 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                         {
                             curr = next.with_tag(0);
                         } else {
-                            cds_obs::count(cds_obs::Event::SkiplistRetry);
                             continue 'retry;
                         }
                     } else if curr_ref.key.cmp_key(key) == CmpOrdering::Less {
@@ -340,7 +339,6 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
             }
             // Bottom CAS failed: either claimed or a node was inserted
             // right after curr; re-examine curr.
-            cds_obs::count(cds_obs::Event::SkiplistRetry);
         }
     }
 
@@ -374,7 +372,6 @@ impl<T: Ord, R: Reclaimer> LockFreeSkipList<T, R> {
                 {
                     break;
                 }
-                cds_obs::count(cds_obs::Event::SkiplistRetry);
             }
         }
     }
@@ -469,13 +466,8 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 Ordering::Relaxed,
                 &guard,
             ) {
-                Ok(_) => {
-                    break staged;
-                }
-                Err(_) => {
-                    cds_obs::count(cds_obs::Event::SkiplistRetry);
-                    backoff.spin();
-                }
+                Ok(_) => break staged,
+                Err(_) => backoff.spin(),
             }
         };
 
@@ -505,7 +497,6 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                         )
                         .is_err()
                     {
-                        cds_obs::count(cds_obs::Event::SkiplistRetry);
                         continue; // re-examine (possibly marked now)
                     }
                 }
@@ -527,7 +518,6 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 {
                     break; // level linked
                 }
-                cds_obs::count(cds_obs::Event::SkiplistRetry);
                 // Stale view: recompute and retry this level.
                 let (found, p, s) = self.find(key, &guard);
                 if !found {
@@ -576,7 +566,6 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 unsafe { self.release(victim, value, &guard) };
                 return true;
             }
-            cds_obs::count(cds_obs::Event::SkiplistRetry);
             backoff.spin();
         }
     }

@@ -117,7 +117,6 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
             {
                 return;
             }
-            cds_obs::count(cds_obs::Event::TreiberRetry);
             backoff.spin();
         }
     }
@@ -206,7 +205,6 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
                     return Some(value);
                 }
             }
-            cds_obs::count(cds_obs::Event::TreiberRetry);
             backoff.spin();
         }
     }

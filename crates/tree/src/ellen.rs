@@ -402,7 +402,6 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                 return false;
             }
             if s.pupdate.tag() != CLEAN {
-                cds_obs::count(cds_obs::Event::BstRetry);
                 self.help(s.pupdate, &guard);
                 continue;
             }
@@ -467,7 +466,6 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                     return true;
                 }
                 Err(actual) => {
-                    cds_obs::count(cds_obs::Event::BstRetry);
                     // Reclaim the unpublished allocations and recover the key.
                     // SAFETY: none of these were published.
                     unsafe {
@@ -500,12 +498,10 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
             // A finite leaf is at depth ≥ 2: gp exists.
             debug_assert!(!s.gp.is_null());
             if s.gpupdate.tag() != CLEAN {
-                cds_obs::count(cds_obs::Event::BstRetry);
                 self.help(s.gpupdate, &guard);
                 continue;
             }
             if s.pupdate.tag() != CLEAN {
-                cds_obs::count(cds_obs::Event::BstRetry);
                 self.help(s.pupdate, &guard);
                 continue;
             }
@@ -535,11 +531,9 @@ impl<T: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeBs
                     // Aborted (mark failed): `op` stays reachable from
                     // gp.update in the Clean state and will be retired by
                     // the next successful flag or mark there. Retry.
-                    cds_obs::count(cds_obs::Event::BstRetry);
                     backoff.spin();
                 }
                 Err(actual) => {
-                    cds_obs::count(cds_obs::Event::BstRetry);
                     // SAFETY: unpublished.
                     unsafe { drop(op.into_owned()) };
                     self.help(actual, &guard);

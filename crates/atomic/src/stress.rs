@@ -12,7 +12,7 @@
 //! normal build the call compiles to an empty inline function and costs
 //! nothing. With the `stress` feature enabled *and* a scheduler installed,
 //! every registered worker *pauses* at each yield point and one engine
-//! (in [`explore`]) grants exactly one paused worker its next step once
+//! (in `explore`) grants exactly one paused worker its next step once
 //! every registered worker has paused: at most one registered thread runs
 //! between yield points, on any number of cores and under any host load.
 //! Which paused worker steps next is the only thing the two schedulers
@@ -43,7 +43,7 @@
 //!
 //! Each yield point may carry a [`YieldTag`] describing the shared
 //! location the *next* step will touch. The PCT chooser only looks at
-//! [`YieldTag::Blocked`]; the systematic explorer ([`explore`]) derives
+//! [`YieldTag::Blocked`]; the systematic explorer (`explore`) derives
 //! its independence relation from the tags. Inside a weak-memory explore
 //! window the facade
 //! additionally makes every atomic access a tagged yield point of its
@@ -265,7 +265,7 @@ pub fn yield_point() {
 /// touches (see [`YieldTag`]).
 ///
 /// The PCT chooser only honours [`YieldTag::Blocked`]; the systematic
-/// [`explore`] scheduler derives its independence relation from the tags.
+/// `explore` scheduler derives its independence relation from the tags.
 /// Untagged points are conservatively dependent on everything, so tagging
 /// is an optimization, never a correctness requirement for instrumented
 /// code.

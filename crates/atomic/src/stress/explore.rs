@@ -92,8 +92,13 @@ const FORCED_WAKE_BOUND: u32 = 128;
 /// ever be granted again (see [`StallWatch::stalled`]).
 const STALL_LIMIT: Duration = Duration::from_secs(5);
 
+/// With [`ExploreBounds::weak_memory`]: a load may read one of at most
+/// this many of the newest stores to its location (the staleness search
+/// bound; 1 would be SC).
+pub const WEAK_WINDOW: usize = 4;
+
 /// Search bounds for one exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreBounds {
     /// Maximum scheduling decisions per execution before it is declared
     /// [`Outcome::Stuck`] (livelock/deadlock backstop). A window of `t`
@@ -102,16 +107,13 @@ pub struct ExploreBounds {
     pub max_steps: u64,
     /// Enables the weak-memory execution layer: every instrumented
     /// atomic operation becomes a tagged step, and loads branch over
-    /// the C11-permitted read-from candidates (see
-    /// [`super::weak`](super::weak) module docs). Only meaningful for
-    /// targets whose synchronization goes entirely through
+    /// the C11-permitted read-from candidates (see the `stress::weak`
+    /// module docs), at most [`WEAK_WINDOW`] per load. Only meaningful
+    /// for targets whose synchronization goes entirely through
     /// `cds-atomic`. That includes the lock-based structures, whose
     /// `cds_sync::Mutex` lock word is a facade atomic; the plain data a
     /// lock guards is not modeled and always reads the latest value.
     pub weak_memory: bool,
-    /// With `weak_memory`: a load may read one of at most this many of
-    /// the newest stores to its location (the staleness search bound).
-    pub weak_window: usize,
     /// With `weak_memory`: loom-style publication/race checking of
     /// non-atomic node payloads (`cds-reclaim` calls [`super::publish_region`]
     /// and [`super::check_region`]). A detected race panics the worker
@@ -124,7 +126,6 @@ impl Default for ExploreBounds {
         ExploreBounds {
             max_steps: 4096,
             weak_memory: false,
-            weak_window: 4,
             detect_races: false,
         }
     }
@@ -379,7 +380,7 @@ impl ExpState {
             log: Vec::new(),
             weak: bounds
                 .weak_memory
-                .then(|| WeakState::new(threads, bounds.weak_window, bounds.detect_races)),
+                .then(|| WeakState::new(threads, WEAK_WINDOW, bounds.detect_races)),
             steps: 0,
             forced_wakes: 0,
             abort: None,

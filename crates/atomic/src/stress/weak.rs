@@ -15,8 +15,8 @@
 //!   equal (per-location coherence) than the newest record it has
 //!   already observed, not older than the newest record it is
 //!   *synchronized with* (happens-before coherence), and within the
-//!   [`ExploreBounds::weak_window`](super::explore::ExploreBounds)
-//!   newest records (the search bound). Those floors make the candidate
+//!   [`WEAK_WINDOW`](super::explore::WEAK_WINDOW) newest records (the
+//!   search bound). Those floors make the candidate
 //!   set a contiguous suffix of the modification order, so a read-from
 //!   choice is just an offset the DFS can branch on.
 //! - RMWs always read the latest record (C11 atomicity); a relaxed RMW

@@ -9,7 +9,7 @@
 //! cargo run -p cds-bench --release --bin experiments -- render BENCH_experiments.json
 //! ```
 //!
-//! Every measured cell is recorded as a [`Sample`](cds_bench::Sample) —
+//! Every measured cell is recorded as a [`Sample`] —
 //! throughput plus p50/p90/p99/p99.9 sampled latency, and the cell's
 //! `cds-obs` counter delta when the `telemetry` feature is compiled in.
 //! When the run ends, the report document (see `cds_bench::report` for the

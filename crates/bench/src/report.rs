@@ -55,7 +55,7 @@
 //! Latency percentiles are bucket midpoints from the merged per-thread
 //! [`LatencyHistogram`](crate::LatencyHistogram)s (≤3% relative bucket
 //! error) and are sampled — one op in
-//! [`LATENCY_SAMPLE_EVERY`](crate::LATENCY_SAMPLE_EVERY) is timed — so the
+//! [`LATENCY_SAMPLE_EVERY`] is timed — so the
 //! timestamping cost does not poison the throughput figures.
 
 use crate::json::Json;

@@ -27,7 +27,7 @@
 //! # Termination detection
 //!
 //! [`Steal::Retry`] is never treated as emptiness (the
-//! [`Steal`](cds_queue::Steal) contract): a worker only exits on shutdown
+//! [`Steal`] contract): a worker only exits on shutdown
 //! after a scan in which every source reported empty and every steal
 //! returned `Empty` — a `Retry` means another thread took the element, so
 //! the worker rescans.

@@ -17,10 +17,10 @@
 //! history — byte-identical to the original, timestamps included, because
 //! execution under the explore scheduler is fully serialized.
 //!
-//! With [`ExploreOptions::weak_memory`] set, the DFS additionally
+//! With [`ExploreBounds::weak_memory`] set, the DFS additionally
 //! branches on which store each `Relaxed`/`Acquire` load of a
-//! [`cds_atomic`]-instrumented location observes (bounded by
-//! [`ExploreOptions::weak_window`]), so ordering bugs — a demoted
+//! [`cds_atomic`]-instrumented location observes (one of the newest
+//! [`WEAK_WINDOW`](exp::WEAK_WINDOW) stores), so ordering bugs — a demoted
 //! release, a relaxed publish — become enumerable behaviors instead of
 //! rare hardware events. Real-time completion edges are inserted at
 //! operation boundaries ([`cds_atomic::stress::op_boundary`]): a store is
@@ -35,46 +35,33 @@
 use std::fmt::Debug;
 
 use cds_atomic::stress::explore as exp;
-use cds_atomic::stress::explore::{ExploreBounds, Outcome};
+use cds_atomic::stress::explore::Outcome;
+
+pub use cds_atomic::stress::explore::ExploreBounds;
 
 use crate::trace::Trace;
-use crate::{check_linearizable, run_window, shrink_history, Operation, Spec};
+use crate::{check_linearizable, prop, run_window, shrink_history, Operation, Spec};
 
 /// Configuration of a bounded-exhaustive exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreOptions {
-    /// Per-execution scheduling-decision budget; an execution that
-    /// exceeds it is declared stuck (livelock/deadlock backstop).
-    pub max_steps: u64,
+    /// Per-execution bounds: the step budget, weak-memory read-from
+    /// branching (failures then carry v3 traces) and race detection.
+    pub bounds: ExploreBounds,
     /// Total executions budget. Exploration stops (with
     /// [`ExploreReport::exhausted`] `false`) when it is hit — a guard
     /// against windows whose schedule space is larger than intended.
     pub max_executions: u64,
     /// What a stuck execution means for the run as a whole.
     pub on_stuck: OnStuck,
-    /// Branch on weak-memory read-from choices for instrumented atomics
-    /// (see module docs). Failures carry v3 traces. Default `false`.
-    pub weak_memory: bool,
-    /// With `weak_memory`: how many per-location trailing stores a load
-    /// may observe (1 = SC). Default 4.
-    pub weak_window: usize,
-    /// With `weak_memory`: panic deterministically when a thread
-    /// dereferences a published region ([`cds_atomic::stress::publish_region`])
-    /// without having synchronized with its release — catches demoted
-    /// publication even when the stale read itself happens through a
-    /// plain (non-atomic) field. Default `false`.
-    pub detect_races: bool,
 }
 
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
-            max_steps: 4096,
+            bounds: ExploreBounds::default(),
             max_executions: 1_000_000,
             on_stuck: OnStuck::Fail,
-            weak_memory: false,
-            weak_window: 4,
-            detect_races: false,
         }
     }
 }
@@ -220,46 +207,81 @@ where
     Setup: Fn() -> T,
     Exec: Fn(&T, &S::Op) -> S::Res + Sync,
 {
-    let threads = ops.len();
     let window: usize = ops.iter().map(Vec::len).sum();
     assert!(
         window <= 64,
         "explore window of {window} ops exceeds the checker's 64-op cap"
     );
-    let bounds = bounds_of(opts);
-    let mut explorer = exp::Explorer::new(threads, bounds);
+    for_each_execution(
+        opts,
+        ops,
+        &setup,
+        &exec,
+        |outcome, history, panic_msg, trace| {
+            if let Some(message) = panic_msg {
+                eprintln!("explore: worker panicked ({message}); schedule {trace}");
+                return Err(Box::new(ExploreError::Panicked { trace, message }));
+            }
+            match outcome {
+                Outcome::Complete => {
+                    if !check_linearizable(spec.clone(), &history) {
+                        eprintln!("explore: non-linearizable window; replay with `{trace}`");
+                        return Err(Box::new(ExploreError::NonLinearizable {
+                            trace,
+                            minimized: shrink_history(&spec, &history),
+                            history,
+                        }));
+                    }
+                }
+                Outcome::Stuck if opts.on_stuck == OnStuck::Fail => {
+                    eprintln!("explore: stuck execution; partial schedule `{trace}`");
+                    return Err(Box::new(ExploreError::Stuck { trace }));
+                }
+                Outcome::Stuck | Outcome::Redundant => {}
+                Outcome::Diverged => panic!(
+                    "explore: execution diverged from its own plan — the window is \
+                     nondeterministic (schedule `{trace}`)"
+                ),
+            }
+            Ok(())
+        },
+    )
+}
+
+/// The one execution loop, under [`explore`] and the probe of
+/// [`shrink_panicking_window`]: runs the window once per schedule the
+/// explorer enumerates and hands each execution's outcome, recorded
+/// history, first worker panic and trace to `visit`. Stops at the first
+/// `Err` from `visit`, at [`ExploreOptions::max_executions`], or when the
+/// search is exhausted.
+fn for_each_execution<T, Op, Res, Setup, Exec, E>(
+    opts: &ExploreOptions,
+    ops: &[Vec<Op>],
+    setup: &Setup,
+    exec: &Exec,
+    mut visit: impl FnMut(Outcome, Vec<Operation<Op, Res>>, Option<String>, Trace) -> Result<(), E>,
+) -> Result<ExploreReport, E>
+where
+    Op: Clone + Send + Sync,
+    Res: Clone + Send,
+    T: Sync,
+    Setup: Fn() -> T,
+    Exec: Fn(&T, &Op) -> Res + Sync,
+{
+    let threads = ops.len();
+    let mut explorer = exp::Explorer::new(threads, opts.bounds.clone());
     loop {
         // `run` owns the installed round; it must outlive the worker scope
         // and is consumed by `finish` to harvest the decisions.
         let run = explorer.begin();
-        let (history, panic_msg) = run_window(ops, &setup, &exec);
+        let (history, panic_msg) = run_window(ops, setup, exec);
         let outcome = explorer.finish(run);
-        let trace = last_trace(&explorer, threads, opts);
-        if let Some(message) = panic_msg {
-            eprintln!("explore: worker panicked ({message}); schedule {trace}");
-            return Err(Box::new(ExploreError::Panicked { trace, message }));
-        }
-        match outcome {
-            Outcome::Complete => {
-                if !check_linearizable(spec.clone(), &history) {
-                    eprintln!("explore: non-linearizable window; replay with `{trace}`");
-                    return Err(Box::new(ExploreError::NonLinearizable {
-                        trace,
-                        minimized: shrink_history(&spec, &history),
-                        history,
-                    }));
-                }
-            }
-            Outcome::Stuck if opts.on_stuck == OnStuck::Fail => {
-                eprintln!("explore: stuck execution; partial schedule `{trace}`");
-                return Err(Box::new(ExploreError::Stuck { trace }));
-            }
-            Outcome::Stuck | Outcome::Redundant => {}
-            Outcome::Diverged => panic!(
-                "explore: execution diverged from its own plan — the window is \
-                 nondeterministic (schedule `{trace}`)"
-            ),
-        }
+        visit(
+            outcome,
+            history,
+            panic_msg,
+            last_trace(&explorer, threads, opts),
+        )?;
         if explorer.executions() >= opts.max_executions {
             return Ok(report(&explorer, false));
         }
@@ -269,20 +291,11 @@ where
     }
 }
 
-fn bounds_of(opts: &ExploreOptions) -> ExploreBounds {
-    ExploreBounds {
-        max_steps: opts.max_steps,
-        weak_memory: opts.weak_memory,
-        weak_window: opts.weak_window,
-        detect_races: opts.detect_races,
-    }
-}
-
 /// The trace of the execution `e` just finished: v3 (with its read
 /// choices) in a weak-memory window, v2 otherwise.
 fn last_trace(e: &exp::Explorer, threads: usize, opts: &ExploreOptions) -> Trace {
     let steps = e.last_schedule();
-    if opts.weak_memory {
+    if opts.bounds.weak_memory {
         Trace::V3 {
             threads,
             steps,
@@ -325,9 +338,7 @@ where
     Setup: Fn() -> T,
     Exec: Fn(&T, &Op) -> Res + Sync,
 {
-    let threads = ops.len();
-    let bounds = bounds_of(opts);
-    let run = exp::begin_replay(threads, steps, reads, &bounds);
+    let run = exp::begin_replay(ops.len(), steps, reads, &opts.bounds);
     let (history, panic_msg) = run_window(ops, &setup, &exec);
     let result = exp::finish_replay(run);
     if let Some(msg) = panic_msg {
@@ -341,14 +352,16 @@ where
 }
 
 /// Minimizes a window whose exploration fails with a *panic* — e.g. a
-/// weak-memory region race from [`ExploreOptions::detect_races`] — by
-/// greedy ddmin over the per-thread operation lists: repeatedly drop one
-/// operation and keep the smaller window whenever exploration still
-/// panics. Linearizability violations shrink through
-/// [`shrink_history`](crate::shrink_history) instead; this is for
-/// failures that have no history to shrink because a worker died.
+/// weak-memory region race from [`ExploreBounds::detect_races`]. The
+/// window is flattened to its `(thread, op)` pairs and shrunk by
+/// [`prop::shrink_vec`]: a candidate fails when exploring it, regrouped
+/// per thread (the thread count stays fixed), reaches a panicking
+/// execution. Stuck and diverged executions count as no panic.
+/// Linearizability violations shrink through [`shrink_history`] instead;
+/// this is for failures that have no history to shrink because a worker
+/// died.
 ///
-/// Returns the minimized window together with the trace and message of
+/// Returns the 1-minimal window together with the trace and message of
 /// its panicking execution, or `None` if the original window does not
 /// panic at all. Each probe is a full (bounded) exploration of a smaller
 /// window, so use this on the small fixed windows it is meant for.
@@ -365,58 +378,27 @@ where
     Setup: Fn() -> T,
     Exec: Fn(&T, &Op) -> Res + Sync,
 {
-    let mut cur: Vec<Vec<Op>> = ops.to_vec();
-    let (mut trace, mut message) = explore_for_panic(opts, &cur, &setup, &exec)?;
-    loop {
-        let mut improved = false;
-        for t in 0..cur.len() {
-            let mut i = 0;
-            while i < cur[t].len() {
-                let mut cand = cur.clone();
-                cand[t].remove(i);
-                if let Some((tr, msg)) = explore_for_panic(opts, &cand, &setup, &exec) {
-                    cur = cand;
-                    trace = tr;
-                    message = msg;
-                    improved = true;
-                } else {
-                    i += 1;
-                }
-            }
+    let regroup = |flat: &[(usize, Op)]| {
+        let mut window = vec![Vec::new(); ops.len()];
+        for (t, op) in flat {
+            window[*t].push(op.clone());
         }
-        if !improved {
-            return Some((cur, trace, message));
-        }
-    }
-}
-
-/// Explores `ops` looking only for a panicking execution; ignores
-/// linearizability entirely (no spec required). Stuck executions are
-/// skipped. Returns the first panic's trace and message.
-fn explore_for_panic<T, Op, Res, Setup, Exec>(
-    opts: &ExploreOptions,
-    ops: &[Vec<Op>],
-    setup: &Setup,
-    exec: &Exec,
-) -> Option<(Trace, String)>
-where
-    Op: Clone + Send + Sync,
-    Res: Clone + Send,
-    T: Sync,
-    Setup: Fn() -> T,
-    Exec: Fn(&T, &Op) -> Res + Sync,
-{
-    let threads = ops.len();
-    let mut explorer = exp::Explorer::new(threads, bounds_of(opts));
-    loop {
-        let run = explorer.begin();
-        let (_history, panic_msg): (Vec<Operation<Op, Res>>, _) = run_window(ops, setup, exec);
-        let _ = explorer.finish(run);
-        if let Some(message) = panic_msg {
-            return Some((last_trace(&explorer, threads, opts), message));
-        }
-        if explorer.executions() >= opts.max_executions || !explorer.advance() {
-            return None;
-        }
-    }
+        window
+    };
+    let flat: Vec<(usize, Op)> = ops
+        .iter()
+        .enumerate()
+        .flat_map(|(t, thread_ops)| thread_ops.iter().map(move |op| (t, op.clone())))
+        .collect();
+    // The last probe that panicked is the one on the window `shrink_vec`
+    // returns: it keeps exactly the candidates that fail.
+    let mut last_panic = None;
+    let minimal = prop::shrink_vec(&flat, |cand| {
+        let probe = for_each_execution(opts, &regroup(cand), &setup, &exec, |_, _, msg, trace| {
+            msg.map_or(Ok(()), |message| Err((trace, message)))
+        });
+        probe.map_err(|found| last_panic = Some(found)).is_err()
+    });
+    let (trace, message) = last_panic?;
+    Some((regroup(&minimal), trace, message))
 }

@@ -12,7 +12,7 @@
 //!   structure from background threads while the caller runs a checked
 //!   workload in the foreground.
 
-use cds_atomic::raw::{AtomicBool, Ordering};
+use cds_atomic::raw::Ordering;
 use std::fmt::Debug;
 
 /// Configuration for [`with_contention_storm`].
@@ -52,7 +52,6 @@ where
 {
     let handle = StormHandle {
         crashed: cds_atomic::raw::AtomicUsize::new(0),
-        done: AtomicBool::new(false),
     };
     std::thread::scope(|s| {
         for t in 0..opts.threads {
@@ -69,9 +68,7 @@ where
                 }
             });
         }
-        let out = main(target, &handle);
-        handle.done.store(true, Ordering::SeqCst);
-        out
+        main(target, &handle)
     })
 }
 
@@ -79,7 +76,6 @@ where
 #[derive(Debug)]
 pub struct StormHandle {
     crashed: cds_atomic::raw::AtomicUsize,
-    done: AtomicBool,
 }
 
 impl StormHandle {

@@ -247,12 +247,7 @@ where
                     if payload.is::<sched::explore::ExploreAbort>() {
                         return;
                     }
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into());
-                    panics.lock().unwrap().push(msg);
+                    panics.lock().unwrap().push(panic_message(payload.as_ref()));
                 }
             });
         }
@@ -260,6 +255,15 @@ where
     let history = recorder.into_history();
     let panic_msg = panics.into_inner().unwrap().into_iter().next();
     (history, panic_msg)
+}
+
+/// A panic payload as text: the `&str` or `String` it carries.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".into())
 }
 
 /// The root seed of a harness: `default`, unless the environment variable
@@ -370,13 +374,14 @@ fn dfs<S: Spec>(
 /// sub-history: removing any single remaining operation makes it
 /// linearizable.
 ///
-/// Greedy delta debugging: repeatedly drop operations whose removal keeps
-/// the history non-linearizable. The result pins the conflict down to a
-/// handful of operations, which is what gets printed alongside the seed
-/// when a stress round fails. (Minimal sub-histories can look "impossible"
-/// in isolation — e.g. a dequeue of a value whose enqueue was dropped —
-/// but they are still faithful counterexamples: a sub-history of a
-/// linearizable history over these specs would itself be linearizable.)
+/// Delta debugging through [`prop::shrink_vec`]: operations whose removal
+/// keeps the history non-linearizable are dropped, chunks first. The
+/// result pins the conflict down to a handful of operations, which is
+/// what gets printed alongside the seed when a stress round fails.
+/// (Minimal sub-histories can look "impossible" in isolation — e.g. a
+/// dequeue of a value whose enqueue was dropped — but they are still
+/// faithful counterexamples: a sub-history of a linearizable history over
+/// these specs would itself be linearizable.)
 ///
 /// Returns the history unchanged if it is actually linearizable.
 pub fn shrink_history<S: Spec>(
@@ -387,28 +392,7 @@ where
     S::Op: Clone,
     S::Res: Clone,
 {
-    let mut current: Vec<Operation<S::Op, S::Res>> = history.to_vec();
-    if check_linearizable(spec.clone(), &current) {
-        return current;
-    }
-    loop {
-        let mut progressed = false;
-        let mut idx = 0;
-        while idx < current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(idx);
-            if !check_linearizable(spec.clone(), &candidate) {
-                current = candidate;
-                progressed = true;
-                // Do not advance: the element now at `idx` is new.
-            } else {
-                idx += 1;
-            }
-        }
-        if !progressed {
-            return current;
-        }
-    }
+    prop::shrink_vec(history, |h| !check_linearizable(spec.clone(), h))
 }
 
 #[cfg(test)]

@@ -58,8 +58,10 @@ where
         let len = (rng.next_u64() as usize) % (config.max_len + 1);
         let input: Vec<T> = (0..len).map(|_| gen(&mut rng)).collect();
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| prop(&input))) {
-            let minimized = shrink_vec(&input, &prop);
-            let message = panic_message(payload.as_ref());
+            let minimized = shrink_vec(&input, |xs| {
+                catch_unwind(AssertUnwindSafe(|| prop(xs))).is_err()
+            });
+            let message = crate::panic_message(payload.as_ref());
             panic!(
                 "property failed (seed {:#x}, case {case}): {message}\n\
                  original input ({} elems), minimized to {} elems:\n{minimized:#?}\n\
@@ -73,15 +75,17 @@ where
     }
 }
 
-/// Minimizes `input` to a locally minimal vector still failing `prop`
-/// (chunk removal then single-element removal; every removal that keeps
-/// the failure is accepted greedily).
-pub fn shrink_vec<T, P>(input: &[T], prop: &P) -> Vec<T>
-where
-    T: Clone,
-    P: Fn(&[T]),
-{
-    let fails = |candidate: &[T]| catch_unwind(AssertUnwindSafe(|| prop(candidate))).is_err();
+/// Minimizes `input` to a 1-minimal vector on which `fails` still holds:
+/// dropping any single remaining element makes `fails` false. Chunks are
+/// removed first, halving the chunk size down to single elements (Zeller's
+/// ddmin); every removal that keeps the failure is accepted greedily.
+///
+/// This is the one shrinking loop of the crate: [`forall_vec`] passes
+/// "the property panics", [`shrink_history`](crate::shrink_history)
+/// "the history is not linearizable", and the explorer's
+/// `shrink_panicking_window` "exploring the window panics". Returns
+/// `input` unchanged if it does not fail.
+pub fn shrink_vec<T: Clone>(input: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
     let mut current: Vec<T> = input.to_vec();
     if !fails(&current) {
         return current;
@@ -110,17 +114,6 @@ where
         } else {
             chunk = (chunk / 2).max(1);
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string panic payload>".to_string())
     }
 }
 
@@ -160,7 +153,7 @@ mod tests {
             );
         }))
         .expect_err("property must fail");
-        let msg = panic_message(err.as_ref());
+        let msg = crate::panic_message(err.as_ref());
         assert!(msg.contains("seed 0x3"), "missing seed in: {msg}");
         assert!(msg.contains("minimized to 1 elems"), "not minimal: {msg}");
         assert!(msg.contains("CDS_PROP_SEED"), "missing replay hint: {msg}");
@@ -169,16 +162,15 @@ mod tests {
     #[test]
     fn shrinker_is_locally_minimal() {
         // Fails iff the vector contains both a 1 and a 2 somewhere.
-        let prop = |xs: &[u32]| assert!(!(xs.contains(&1) && xs.contains(&2)));
+        let fails = |xs: &[u32]| xs.contains(&1) && xs.contains(&2);
         let input = vec![9, 1, 4, 4, 2, 9, 1, 3];
-        let small = shrink_vec(&input, &prop);
+        let small = shrink_vec(&input, fails);
         assert_eq!(small.len(), 2);
         assert!(small.contains(&1) && small.contains(&2));
     }
 
     #[test]
     fn shrinker_returns_passing_input_unchanged() {
-        let prop = |_: &[u32]| {};
-        assert_eq!(shrink_vec(&[1, 2, 3], &prop), vec![1, 2, 3]);
+        assert_eq!(shrink_vec(&[1, 2, 3], |_| false), vec![1, 2, 3]);
     }
 }

@@ -13,7 +13,7 @@
 //! 4. checks the recorded window with the memoized Wing–Gong search.
 //!
 //! On failure the driver shrinks the window with
-//! [`shrink_history`](crate::shrink_history) and returns a
+//! [`shrink_history`] and returns a
 //! [`StressFailure`] carrying the *round seed*; [`replay`] re-runs
 //! exactly that round. Because every scheduling decision and every
 //! generated operation derives from the seed, the failure reproduces
@@ -94,7 +94,7 @@ pub struct StressFailure<S: Spec> {
     pub round: usize,
     /// The full recorded window.
     pub history: Vec<Operation<S::Op, S::Res>>,
-    /// The window minimized by [`shrink_history`](crate::shrink_history).
+    /// The window minimized by [`shrink_history`].
     pub minimized: Vec<Operation<S::Op, S::Res>>,
 }
 
@@ -152,21 +152,15 @@ where
 {
     for round in 0..opts.rounds {
         let round_seed = mix_seed(opts.seed, round as u64);
-        if let Some(failure) = run_round(&spec, opts, round_seed, &setup, &gen, &exec) {
+        run_round(&spec, opts, round, round_seed, &setup, &gen, &exec).inspect_err(|_| {
             eprintln!(
                 "stress: non-linearizable window in round {round} \
                  (round seed {round_seed:#x}, root seed {:#x}); \
                  replay with cds_lincheck::stress::replay(.., {round_seed:#x}) \
                  or CDS_STRESS_SEED={:#x}",
                 opts.seed, opts.seed,
-            );
-            return Err(Box::new(StressFailure {
-                seed: round_seed,
-                round,
-                minimized: shrink_history(&spec, &failure),
-                history: failure,
-            }));
-        }
+            )
+        })?;
     }
     Ok(())
 }
@@ -190,27 +184,21 @@ where
     Gen: Fn(&mut SplitMix64, usize) -> S::Op + Sync,
     Exec: Fn(&T, &S::Op) -> S::Res + Sync,
 {
-    match run_round(&spec, opts, round_seed, &setup, &gen, &exec) {
-        None => Ok(()),
-        Some(history) => Err(Box::new(StressFailure {
-            seed: round_seed,
-            round: 0,
-            minimized: shrink_history(&spec, &history),
-            history,
-        })),
-    }
+    run_round(&spec, opts, 0, round_seed, &setup, &gen, &exec)
 }
 
-/// Runs one scheduled round; returns the recorded window if it is *not*
-/// linearizable. A worker panic is re-raised naming the round seed.
+/// Runs one scheduled round; fails with the recorded window, shrunk, if
+/// it is *not* linearizable. A worker panic is re-raised naming the round
+/// seed.
 fn run_round<S, T, Setup, Gen, Exec>(
     spec: &S,
     opts: &StressOptions,
+    round: usize,
     round_seed: u64,
     setup: &Setup,
     gen: &Gen,
     exec: &Exec,
-) -> Option<Vec<Operation<S::Op, S::Res>>>
+) -> Result<(), Box<StressFailure<S>>>
 where
     S: Spec,
     S::Op: Clone + Send + Sync,
@@ -244,8 +232,12 @@ where
         panic!("stress: worker panicked in round seed {round_seed:#x}: {message}");
     }
     if check_linearizable(spec.clone(), &history) {
-        None
-    } else {
-        Some(history)
+        return Ok(());
     }
+    Err(Box::new(StressFailure {
+        seed: round_seed,
+        round,
+        minimized: shrink_history(spec, &history),
+        history,
+    }))
 }

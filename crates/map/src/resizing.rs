@@ -214,8 +214,8 @@ struct Shard<K, V> {
 /// # Structure
 ///
 /// Keys hash to one of `shards` independent shards (high hash bits); each
-/// shard owns a power-of-two [`Table`] of mutex-guarded buckets (low hash
-/// bits). When an insert observes the shard over [`MAX_LOAD_FACTOR`], it
+/// shard owns a power-of-two `Table` of mutex-guarded buckets (low hash
+/// bits). When an insert observes the shard over `MAX_LOAD_FACTOR`, it
 /// allocates a table of twice as many buckets and CASes it into the
 /// current table's `next` pointer. Nothing is copied at that point.
 ///
@@ -247,7 +247,7 @@ struct Shard<K, V> {
 /// buckets `i` and `i + m`, holding the old-bucket lock for the whole
 /// move, then the two new-bucket locks in index order — old-table locks
 /// are always taken before new-table locks, so the protocol is
-/// deadlock-free), then claims up to [`HELP_BATCH`] more buckets from a
+/// deadlock-free), then claims up to `HELP_BATCH` more buckets from a
 /// shared `claim` counter, then operates on the new table. The move is
 /// idempotent: a `migrated` flag, written only under the bucket's lock,
 /// makes the first mover win and every later mover a no-op.
@@ -263,8 +263,8 @@ struct Shard<K, V> {
 /// table through the reclamation guard** ([`ReclaimGuard::retire`]): the
 /// old array is unreachable to any operation that starts afterwards
 /// (operations start from `current`), which is exactly the retire
-/// contract, so the map runs unmodified under [`Ebr`], [`Hazard`]
-/// (blanket-era mode), [`Leak`], and `DebugReclaim`. A second resize of
+/// contract, so the map runs unmodified under [`Ebr`], [`Hazard`](cds_reclaim::Hazard)
+/// (blanket-era mode), [`Leak`](cds_reclaim::Leak), and `DebugReclaim`. A second resize of
 /// the same shard cannot begin until the first promotes (the trigger only
 /// fires on the table an operation actually inserted into, and operations
 /// insert into the successor while a migration is in flight — the
@@ -380,11 +380,6 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
     /// Number of table promotions (completed doublings) so far.
     pub fn doublings(&self) -> usize {
         self.doublings.load(Ordering::Relaxed)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Per-shard entry counts (quiescently consistent; exact at

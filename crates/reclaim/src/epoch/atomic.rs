@@ -33,7 +33,7 @@ fn decompose<T>(data: usize) -> (*mut T, usize) {
 }
 
 /// An atomic pointer to a heap-allocated `T`, usable only under an epoch
-/// [`Guard`].
+/// [`Guard`](super::Guard).
 ///
 /// Like `AtomicPtr`, but (a) loads return a [`Shared`] whose lifetime is
 /// tied to the guard — the type system thus enforces that shared nodes are

@@ -167,7 +167,7 @@ impl Parker {
     ///
     /// Under an active stress scheduler the kernel timed wait is
     /// replaced by a bounded spin through yield points
-    /// ([`STRESS_TIMEOUT_YIELDS`] scheduling opportunities), keeping
+    /// (`STRESS_TIMEOUT_YIELDS` scheduling opportunities), keeping
     /// seeded schedules free of wall-clock dependence.
     pub fn park_timeout(&self, ticket: u64, timeout: Duration) -> bool {
         self.commit(ticket, Instant::now().checked_add(timeout))

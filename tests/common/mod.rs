@@ -8,9 +8,13 @@ use std::time::Instant;
 
 use cds_atomic::stress::SplitMix64;
 use cds_atomic::{AtomicBool, Ordering};
-use cds_core::{ConcurrentMap, ConcurrentQueue, ConcurrentStack};
+use cds_core::{
+    ConcurrentCounter, ConcurrentMap, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentSet,
+    ConcurrentStack,
+};
 use cds_lincheck::specs::{
-    EventcountOp, EventcountRes, MapOp, MapRes, QueueOp, QueueRes, SetOp, StackOp, StackRes,
+    CounterOp, EventcountOp, EventcountRes, MapOp, MapRes, PqOp, PqRes, QueueOp, QueueRes, SetOp,
+    StackOp, StackRes,
 };
 use cds_lincheck::stress::StressOptions;
 use cds_obs::{Event, Snapshot};
@@ -82,6 +86,22 @@ pub fn gen_set(rng: &mut SplitMix64, _t: usize) -> SetOp<u64> {
     }
 }
 
+pub fn gen_pq(rng: &mut SplitMix64, _t: usize) -> PqOp<u64> {
+    if rng.below(2) == 0 {
+        PqOp::Insert(rng.below(8))
+    } else {
+        PqOp::RemoveMin
+    }
+}
+
+pub fn gen_counter(rng: &mut SplitMix64, _t: usize) -> CounterOp {
+    if rng.below(2) == 0 {
+        CounterOp::Add(1 + rng.below(4) as i64)
+    } else {
+        CounterOp::Get
+    }
+}
+
 /// Runs one `StackSpec` operation against any `u64` stack.
 pub fn exec_stack<S: ConcurrentStack<u64>>(s: &S, op: &StackOp<u64>) -> StackRes<u64> {
     match op {
@@ -101,6 +121,34 @@ pub fn exec_queue<Q: ConcurrentQueue<u64>>(q: &Q, op: &QueueOp<u64>) -> QueueRes
             QueueRes::Enqueued
         }
         QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
+    }
+}
+
+/// Runs one `SetSpec` operation against any `u64` set.
+pub fn exec_set<S: ConcurrentSet<u64>>(s: &S, op: &SetOp<u64>) -> bool {
+    match op {
+        SetOp::Insert(k) => s.insert(*k),
+        SetOp::Remove(k) => s.remove(k),
+        SetOp::Contains(k) => s.contains(k),
+    }
+}
+
+/// Runs one `PqSpec` operation against any `u64` priority queue.
+pub fn exec_pq<P: ConcurrentPriorityQueue<u64>>(p: &P, op: &PqOp<u64>) -> PqRes<u64> {
+    match op {
+        PqOp::Insert(k) => PqRes::Inserted(p.insert(*k)),
+        PqOp::RemoveMin => PqRes::Removed(p.remove_min()),
+    }
+}
+
+/// Runs one `CounterSpec` operation against any counter.
+pub fn exec_counter<C: ConcurrentCounter>(c: &C, op: &CounterOp) -> i64 {
+    match op {
+        CounterOp::Add(d) => {
+            c.add(*d);
+            0
+        }
+        CounterOp::Get => c.get(),
     }
 }
 

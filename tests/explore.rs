@@ -31,19 +31,17 @@ use std::collections::VecDeque;
 use std::hash::BuildHasher;
 
 use cds_atomic::stress::{arm, Fault};
-use cds_core::{ConcurrentQueue, ConcurrentStack};
 use cds_lincheck::explore::{
-    explore, replay_schedule, ExploreError, ExploreOptions, ExploreReport, OnStuck,
+    explore, replay_schedule, ExploreBounds, ExploreError, ExploreOptions, ExploreReport, OnStuck,
 };
 use cds_lincheck::specs::{
     ChanOp, ChanRes, ChannelSpec, DequeOp, DequeRes, DequeSpec, EventcountOp, EventcountSpec,
-    MapOp, MapRes, MapSpec, QueueOp, QueueRes, QueueSpec, SetOp, SetSpec, StackOp, StackRes,
-    StackSpec,
+    MapOp, MapRes, MapSpec, QueueOp, QueueRes, QueueSpec, SetOp, SetSpec, StackOp, StackSpec,
 };
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_lincheck::trace::{Trace, TRACE_FORMAT_VERSION};
 use cds_lincheck::{check_linearizable, Spec};
-use common::{exec_gate, exec_map, exec_queue, exec_stack, Gate};
+use common::{exec_gate, exec_map, exec_queue, exec_set, exec_stack, Gate};
 
 /// The pinned-count table, compiled in so the test cannot silently run
 /// against a missing file. Format: `key=value` lines, `#` comments; the
@@ -245,10 +243,10 @@ fn version_mismatched_baseline_gives_actionable_diagnostic() {
 
 fn opts() -> ExploreOptions {
     ExploreOptions {
-        weak_memory: false,
-        weak_window: 4,
-        detect_races: false,
-        max_steps: 2_000,
+        bounds: ExploreBounds {
+            max_steps: 2_000,
+            ..ExploreBounds::default()
+        },
         max_executions: 200_000,
         on_stuck: OnStuck::Fail,
     }
@@ -266,13 +264,7 @@ fn explore_treiber_stack_window() {
         &opts(),
         &ops,
         cds_stack::TreiberStack::<u64>::new,
-        |s, op| match op {
-            StackOp::Push(v) => {
-                s.push(*v);
-                StackRes::Pushed
-            }
-            StackOp::Pop => StackRes::Popped(s.pop()),
-        },
+        exec_stack,
     )
     .unwrap_or_else(|f| panic!("treiber stack window not linearizable: {f:?}"));
     assert_pinned("treiber_stack", &report);
@@ -286,13 +278,7 @@ fn explore_ms_queue_window() {
         &opts(),
         &ops,
         cds_queue::MsQueue::<u64>::new,
-        |q, op| match op {
-            QueueOp::Enqueue(v) => {
-                q.enqueue(*v);
-                QueueRes::Enqueued
-            }
-            QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
-        },
+        exec_queue,
     )
     .unwrap_or_else(|f| panic!("ms queue window not linearizable: {f:?}"));
     assert_pinned("ms_queue", &report);
@@ -445,13 +431,7 @@ fn explore_two_lock_queue_window() {
         &opts(),
         &ops,
         cds_queue::TwoLockQueue::<u64>::new,
-        |q, op| match op {
-            QueueOp::Enqueue(v) => {
-                q.enqueue(*v);
-                QueueRes::Enqueued
-            }
-            QueueOp::Dequeue => QueueRes::Dequeued(q.dequeue()),
-        },
+        exec_queue,
     )
     .unwrap_or_else(|f| panic!("two-lock queue window not linearizable: {f:?}"));
     assert_pinned("two_lock_queue", &report);
@@ -465,7 +445,6 @@ fn explore_elimination_stack_window() {
     // CAS, claim CAS, retract CAS, TAKEN handshake — is inside the
     // explored surface. A tiny spin budget keeps the window bounded while
     // still letting a popper land mid-window.
-    use cds_core::ConcurrentStack;
     let ops = [
         vec![StackOp::Push(1), StackOp::Pop],
         vec![StackOp::Push(2), StackOp::Pop],
@@ -475,13 +454,7 @@ fn explore_elimination_stack_window() {
         &opts(),
         &ops,
         || cds_stack::EliminationBackoffStack::<u64>::with_params(1, 2),
-        |s, op| match op {
-            StackOp::Push(v) => {
-                s.push(*v);
-                StackRes::Pushed
-            }
-            StackOp::Pop => StackRes::Popped(s.pop()),
-        },
+        exec_stack,
     )
     .unwrap_or_else(|f| panic!("elimination stack window not linearizable: {f:?}"));
     assert_pinned("elimination_stack", &report);
@@ -492,7 +465,6 @@ fn explore_lock_free_bst_window() {
     // Ellen et al. external BST: insert/remove flag-and-help protocol
     // under a window that overlaps an insert-then-remove of a key with a
     // membership query racing both.
-    use cds_core::ConcurrentSet;
     let ops = [
         vec![SetOp::Insert(1), SetOp::Remove(1)],
         vec![SetOp::Contains(1)],
@@ -502,11 +474,7 @@ fn explore_lock_free_bst_window() {
         &opts(),
         &ops,
         cds_tree::LockFreeBst::<u64>::new,
-        |t, op| match op {
-            SetOp::Insert(v) => t.insert(*v),
-            SetOp::Remove(v) => t.remove(v),
-            SetOp::Contains(v) => t.contains(v),
-        },
+        exec_set,
     )
     .unwrap_or_else(|f| panic!("lock-free BST window not linearizable: {f:?}"));
     assert_pinned("lock_free_bst", &report);
@@ -568,10 +536,11 @@ fn explore_chase_lev_deque_window() {
 
 fn weak_opts(detect_races: bool) -> ExploreOptions {
     ExploreOptions {
-        weak_memory: true,
-        weak_window: 4,
-        detect_races,
-        max_steps: 2_000,
+        bounds: ExploreBounds {
+            max_steps: 2_000,
+            weak_memory: true,
+            detect_races,
+        },
         // Weak windows branch on reads as well as schedules; give the
         // planted-bug searches room (correct windows exhaust far below).
         max_executions: 500_000,
@@ -701,38 +670,45 @@ fn weak_ms_queue_window_and_relaxed_link_plant() {
         "unexpected trace: {line}"
     );
     assert_eq!(line.parse::<Trace>().unwrap(), trace);
-    // The panic-class ddmin: both operations are load-bearing (no
+    // The panic-class ddmin. Both operations are load-bearing (no
     // enqueue, nothing unsynchronized to read; no dequeue, no deref), so
-    // the minimized window is the window itself — and it still carries a
-    // replayable trace and the same racy execution.
-    let (min_ops, min_trace, min_message) = cds_lincheck::explore::shrink_panicking_window::<
-        _,
-        _,
-        QueueRes<u64>,
-        _,
-        _,
-    >(&weak_opts(true), &ops, setup, exec_queue)
-    .expect("shrink lost the panicking window");
-    assert_eq!(min_ops.iter().map(Vec::len).sum::<usize>(), 2);
-    assert!(min_message.contains("weak-memory race"));
-    // Replaying the failing execution reproduces the identical race,
-    // message and all.
-    let (steps, reads) = match &min_trace {
-        Trace::V3 { steps, reads, .. } => (steps.clone(), reads.clone()),
-        other => panic!("expected a v3 trace, got {other:?}"),
-    };
-    match replay_schedule::<_, _, QueueRes<u64>, _, _>(
-        &min_ops,
-        &steps,
-        &reads,
-        &weak_opts(true),
-        setup,
-        exec_queue,
-    ) {
-        Err(cds_lincheck::explore::ReplayScheduleError::Panicked(msg)) => {
-            assert_eq!(msg, min_message, "replayed race was not byte-identical");
+    // the window is its own minimum, and a copy padded with one more
+    // operation per thread shrinks back to it. Each result still carries
+    // a replayable trace and the same racy execution.
+    let padded = [
+        vec![QueueOp::Enqueue(2), QueueOp::Enqueue(1)],
+        vec![QueueOp::Dequeue, QueueOp::Dequeue],
+    ];
+    for window in [&ops[..], &padded[..]] {
+        let (min_ops, min_trace, min_message) =
+            cds_lincheck::explore::shrink_panicking_window::<_, _, QueueRes<u64>, _, _>(
+                &weak_opts(true),
+                window,
+                setup,
+                exec_queue,
+            )
+            .expect("shrink lost the panicking window");
+        assert_eq!(min_ops, ops, "{window:?} did not shrink to the 2-op core");
+        assert!(min_message.contains("weak-memory race"));
+        // Replaying the failing execution reproduces the identical race,
+        // message and all.
+        let (steps, reads) = match &min_trace {
+            Trace::V3 { steps, reads, .. } => (steps.clone(), reads.clone()),
+            other => panic!("expected a v3 trace, got {other:?}"),
+        };
+        match replay_schedule::<_, _, QueueRes<u64>, _, _>(
+            &min_ops,
+            &steps,
+            &reads,
+            &weak_opts(true),
+            setup,
+            exec_queue,
+        ) {
+            Err(cds_lincheck::explore::ReplayScheduleError::Panicked(msg)) => {
+                assert_eq!(msg, min_message, "replayed race was not byte-identical");
+            }
+            other => panic!("expected the replay to reproduce the race, got {other:?}"),
         }
-        other => panic!("expected the replay to reproduce the race, got {other:?}"),
     }
 }
 

@@ -10,17 +10,25 @@
 //! multiprocessor, but preemption still produces genuine overlap, and the
 //! checker validates real-time order in every window.
 
+mod common;
+
+use std::fmt::Debug;
 use std::sync::Arc;
 
+use cds_atomic::stress::{mix_seed, SplitMix64};
 use cds_core::{
     ConcurrentCounter, ConcurrentMap, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentSet,
     ConcurrentStack,
 };
 use cds_lincheck::specs::{
     CounterOp, CounterSpec, DequeOp, DequeRes, DequeSpec, PqOp, PqRes, PqSpec, QueueOp, QueueRes,
-    QueueSpec, SetOp, SetSpec, StackOp, StackRes, StackSpec,
+    QueueSpec, SetOp, SetSpec, StackSpec,
 };
-use cds_lincheck::{check_linearizable, Recorder};
+use cds_lincheck::{check_linearizable, Recorder, Spec};
+use common::{
+    exec_counter, exec_pq, exec_queue, exec_set, exec_stack, gen_counter, gen_pq, gen_queue,
+    gen_set, gen_stack,
+};
 
 const WINDOWS: usize = 30;
 const THREADS: usize = 3;
@@ -33,226 +41,86 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-fn check_stack<S: ConcurrentStack<u64> + Default + 'static>() {
+/// The native runner: `WINDOWS` windows, each `THREADS` plain threads
+/// issuing `OPS_PER_THREAD` operations drawn by `gen` against one fresh
+/// `setup()`, every recorded history checked against `spec`.
+///
+/// The threads never call `stress::register`, so the structures' yield
+/// points stay no-ops and no scheduled round another test installs can
+/// adopt them; that is why this is not lincheck's own window runner.
+fn check_windows<S, T>(
+    spec: S,
+    setup: impl Fn() -> T,
+    gen: impl Fn(&mut SplitMix64, usize) -> S::Op + Sync,
+    exec: impl Fn(&T, &S::Op) -> S::Res + Sync,
+) where
+    S: Spec,
+    S::Op: Clone + Debug + Send,
+    S::Res: Clone + Debug + Send,
+    T: Sync,
+{
     for window in 0..WINDOWS {
-        let stack = Arc::new(S::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let stack = Arc::clone(&stack);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 1) as u64 * 0x9e3779b9;
-                    for i in 0..OPS_PER_THREAD {
-                        if xorshift(&mut rng).is_multiple_of(2) {
-                            let v = (t * OPS_PER_THREAD + i) as u64;
-                            recorder.record(StackOp::Push(v), || {
-                                stack.push(v);
-                                StackRes::Pushed
-                            });
-                        } else {
-                            recorder.record(StackOp::Pop, || StackRes::Popped(stack.pop()));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
-        assert!(
-            check_linearizable(StackSpec::default(), &history),
-            "non-linearizable stack history ({}): {history:?}",
-            S::NAME
-        );
-    }
-}
-
-fn check_queue<Q: ConcurrentQueue<u64> + Default + 'static>() {
-    for window in 0..WINDOWS {
-        let queue = Arc::new(Q::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let queue = Arc::clone(&queue);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 7) as u64 * 0x2545f491;
-                    for i in 0..OPS_PER_THREAD {
-                        if xorshift(&mut rng).is_multiple_of(2) {
-                            let v = (t * OPS_PER_THREAD + i) as u64;
-                            recorder.record(QueueOp::Enqueue(v), || {
-                                queue.enqueue(v);
-                                QueueRes::Enqueued
-                            });
-                        } else {
-                            recorder
-                                .record(QueueOp::Dequeue, || QueueRes::Dequeued(queue.dequeue()));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
-        assert!(
-            check_linearizable(QueueSpec::default(), &history),
-            "non-linearizable queue history ({}): {history:?}",
-            Q::NAME
-        );
-    }
-}
-
-fn check_set<S: ConcurrentSet<u64> + Default + 'static>() {
-    for window in 0..WINDOWS {
-        let set = Arc::new(S::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let set = Arc::clone(&set);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 3) as u64 * 0x517cc1b7;
+        let target = setup();
+        let recorder = Recorder::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (target, recorder, gen, exec) = (&target, &recorder, &gen, &exec);
+                s.spawn(move || {
+                    let mut rng = SplitMix64::new(mix_seed(window as u64, t as u64));
                     for _ in 0..OPS_PER_THREAD {
-                        let k = xorshift(&mut rng) % 3; // few keys => real conflicts
-                        match xorshift(&mut rng) % 3 {
-                            0 => {
-                                recorder.record(SetOp::Insert(k), || set.insert(k));
-                            }
-                            1 => {
-                                recorder.record(SetOp::Remove(k), || set.remove(&k));
-                            }
-                            _ => {
-                                recorder.record(SetOp::Contains(k), || set.contains(&k));
-                            }
-                        }
+                        let op = gen(&mut rng, t);
+                        recorder.record(op.clone(), || exec(target, &op));
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
+                });
+            }
+        });
+        let history = recorder.into_history();
         assert!(
-            check_linearizable(SetSpec::default(), &history),
-            "non-linearizable set history ({}): {history:?}",
-            S::NAME
+            check_linearizable(spec.clone(), &history),
+            "non-linearizable {} history: {history:?}",
+            std::any::type_name::<T>()
         );
     }
 }
 
-fn check_map_as_set<M: ConcurrentMap<u64, u64> + Default + 'static>() {
-    // Exercise the map through set-like ops (insert/remove/contains_key),
-    // checked against the set spec (values are keys).
-    for window in 0..WINDOWS {
-        let map = Arc::new(M::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let map = Arc::clone(&map);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 11) as u64 * 0x85ebca6b;
-                    for _ in 0..OPS_PER_THREAD {
-                        let k = xorshift(&mut rng) % 3;
-                        match xorshift(&mut rng) % 3 {
-                            0 => {
-                                recorder.record(SetOp::Insert(k), || map.insert(k, k));
-                            }
-                            1 => {
-                                recorder.record(SetOp::Remove(k), || map.remove(&k));
-                            }
-                            _ => {
-                                recorder.record(SetOp::Contains(k), || map.contains_key(&k));
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
-        assert!(
-            check_linearizable(SetSpec::default(), &history),
-            "non-linearizable map history ({}): {history:?}",
-            M::NAME
-        );
-    }
+fn check_stack<S: ConcurrentStack<u64> + Default + Sync>() {
+    check_windows(StackSpec::default(), S::default, gen_stack, exec_stack);
 }
 
-fn check_pq<P: ConcurrentPriorityQueue<u64> + Default + 'static>() {
-    for window in 0..WINDOWS {
-        let pq = Arc::new(P::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let pq = Arc::clone(&pq);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 5) as u64 * 0xc2b2ae35;
-                    for _ in 0..OPS_PER_THREAD {
-                        if xorshift(&mut rng).is_multiple_of(2) {
-                            let k = xorshift(&mut rng) % 8;
-                            recorder.record(PqOp::Insert(k), || PqRes::Inserted(pq.insert(k)));
-                        } else {
-                            recorder.record(PqOp::RemoveMin, || PqRes::Removed(pq.remove_min()));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
-        assert!(
-            check_linearizable(PqSpec::default(), &history),
-            "non-linearizable priority-queue history ({}): {history:?}",
-            P::NAME
-        );
-    }
+fn check_queue<Q: ConcurrentQueue<u64> + Default + Sync>() {
+    check_windows(QueueSpec::default(), Q::default, gen_queue, exec_queue);
 }
 
-fn check_counter<C: ConcurrentCounter + Default + 'static>() {
-    for window in 0..WINDOWS {
-        let c = Arc::new(C::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let c = Arc::clone(&c);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 13) as u64 * 0x27d4eb2f;
-                    for _ in 0..OPS_PER_THREAD {
-                        if xorshift(&mut rng).is_multiple_of(2) {
-                            let d = (xorshift(&mut rng) % 5) as i64;
-                            recorder.record(CounterOp::Add(d), || {
-                                c.add(d);
-                                0
-                            });
-                        } else {
-                            recorder.record(CounterOp::Get, || c.get());
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
-        assert!(
-            check_linearizable(CounterSpec::default(), &history),
-            "non-linearizable counter history ({}): {history:?}",
-            C::NAME
-        );
-    }
+fn check_set<S: ConcurrentSet<u64> + Default + Sync>() {
+    check_windows(SetSpec::default(), S::default, gen_set, exec_set);
+}
+
+/// A map driven through set-like ops (insert/remove/contains_key),
+/// checked against the set spec (values are keys).
+fn check_map_as_set<M: ConcurrentMap<u64, u64> + Default + Sync>() {
+    check_windows(
+        SetSpec::default(),
+        M::default,
+        gen_set,
+        |m: &M, op| match op {
+            SetOp::Insert(k) => m.insert(*k, *k),
+            SetOp::Remove(k) => m.remove(k),
+            SetOp::Contains(k) => m.contains_key(k),
+        },
+    );
+}
+
+fn check_pq<P: ConcurrentPriorityQueue<u64> + Default + Sync>() {
+    check_windows(PqSpec::default(), P::default, gen_pq, exec_pq);
+}
+
+fn check_counter<C: ConcurrentCounter + Default + Sync>() {
+    check_windows(
+        CounterSpec::default(),
+        C::default,
+        gen_counter,
+        exec_counter,
+    );
 }
 
 #[test]

@@ -7,10 +7,14 @@
 //!
 //! Two distinct properties ride on one run. Linearizability of each
 //! recorded window proves the *algorithm* is backend-independent (the
-//! `Reclaimer` abstraction did not change behavior), and surviving
-//! `DebugReclaim` proves the *retire discipline* holds: any access to a
-//! node retired before the accessing guard began panics with both thread
-//! ids, which the harness reports with the round seed for replay.
+//! `Reclaimer` abstraction did not change behavior). `DebugReclaim`
+//! checks the *retire discipline* at two points only: a second retire of
+//! one node, and a `protect`/`protect_ptr` of a node retired before the
+//! protecting guard began. Either panics with both thread ids, which the
+//! harness reports with the round seed for replay. `HarrisMichaelList`,
+//! `SplitOrderedHashMap`, `LockFreeSkipList`, `LockFreeBst` and
+//! `ResizingMap` call neither `protect` nor `protect_ptr`, so their
+//! `DebugReclaim` cells check for double retire only.
 //!
 //! These tests build with the `stress` feature live, so every
 //! `cds_atomic::stress::yield_point()` in the structures is a real
@@ -27,14 +31,14 @@ mod common;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 
-use cds_core::{ConcurrentMap, ConcurrentSet};
+use cds_core::ConcurrentSet;
 use cds_lincheck::specs::{
-    ChanOp, ChanRes, ChannelSpec, MapOp, MapRes, MapSpec, QueueSpec, SetOp, SetSpec, StackSpec,
+    ChanOp, ChanRes, ChannelSpec, MapOp, MapSpec, QueueSpec, SetSpec, StackSpec,
 };
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_queue::Steal;
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-use common::{exec_queue, exec_stack, gen_queue, gen_set, gen_stack, serial};
+use common::{exec_map, exec_queue, exec_set, exec_stack, gen_queue, gen_set, gen_stack, serial};
 
 /// Eight rounds from one pinned seed per (structure, backend) cell, so
 /// every cell of the matrix replays independently.
@@ -80,11 +84,7 @@ where
         &cell_opts::<R>(base),
         setup,
         gen_set,
-        |s, op| match op {
-            SetOp::Insert(k) => s.insert(*k),
-            SetOp::Remove(k) => s.remove(k),
-            SetOp::Contains(k) => s.contains(k),
-        },
+        exec_set,
     )
     .unwrap_or_else(|f| panic!("{what} under {} not linearizable: {f:?}", R::NAME));
 }
@@ -102,15 +102,9 @@ fn stress_map_on<R: Reclaimer>(base: u64) {
                 _ => MapOp::Get(k),
             }
         },
-        |m, op| match op {
-            MapOp::Insert(k, v) => MapRes::Changed(m.insert(*k, *v)),
-            MapOp::Remove(k) => MapRes::Changed(m.remove(k)),
-            MapOp::Get(k) => MapRes::Got(m.get(k)),
-            // Not generated here (the split-ordered map's len is only
-            // quiescently consistent); wired for exhaustiveness.
-            MapOp::ContainsKey(k) => MapRes::Has(m.contains_key(k)),
-            MapOp::Len => MapRes::Len(m.len()),
-        },
+        // `Len` is not generated: the split-ordered map's len is only
+        // quiescently consistent.
+        exec_map,
     )
     .unwrap_or_else(|f| {
         panic!(
@@ -144,13 +138,7 @@ fn stress_resizing_map_on<R: Reclaimer>(base: u64) {
                 _ => MapOp::Get(k),
             }
         },
-        |m, op| match op {
-            MapOp::Insert(k, v) => MapRes::Changed(m.insert(*k, *v)),
-            MapOp::Remove(k) => MapRes::Changed(m.remove(k)),
-            MapOp::Get(k) => MapRes::Got(m.get(k)),
-            MapOp::ContainsKey(k) => MapRes::Has(m.contains_key(k)),
-            MapOp::Len => MapRes::Len(m.len()),
-        },
+        exec_map,
     )
     .unwrap_or_else(|f| panic!("resizing map under {} not linearizable: {f:?}", R::NAME));
 }

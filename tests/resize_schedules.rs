@@ -25,13 +25,13 @@ use cds_atomic::{AtomicUsize, Ordering};
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hasher};
 
-use cds_core::{ConcurrentMap, ConcurrentSet};
+use cds_core::ConcurrentMap;
 use cds_lincheck::prop::{forall_vec, Config, Prng};
 use cds_lincheck::specs::{MapOp, MapSpec, SetOp, SetSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_map::{BucketedHashSet, ResizingMap, StripedHashMap};
 use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-use common::exec_map;
+use common::{exec_map, exec_set};
 
 /// Sixteen ops per worker — three workers fill a 48-op window, enough
 /// inserts over a one-bucket shard to force at least one doubling per
@@ -125,11 +125,7 @@ fn scheduled_bucket_starved_bucketed_set_is_linearizable() {
                 _ => SetOp::Contains(k),
             }
         },
-        |s, op| match op {
-            SetOp::Insert(k) => s.insert(*k),
-            SetOp::Remove(k) => s.remove(k),
-            SetOp::Contains(k) => s.contains(k),
-        },
+        exec_set,
     )
     .unwrap_or_else(|f| panic!("bucketed set not linearizable: {f:?}"));
 }

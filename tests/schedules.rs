@@ -12,18 +12,18 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use cds_core::{
-    ConcurrentCounter, ConcurrentMap, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentSet,
-    ConcurrentStack,
-};
+use cds_core::{ConcurrentCounter, ConcurrentMap, ConcurrentQueue, ConcurrentSet, ConcurrentStack};
 use cds_lincheck::faults::{crash_worker, with_contention_storm, StormOptions};
 use cds_lincheck::specs::{
-    CounterOp, CounterSpec, MapOp, MapRes, MapSpec, PqOp, PqRes, PqSpec, QueueOp, QueueRes,
-    QueueSpec, SetOp, SetSpec, StackOp, StackRes, StackSpec,
+    CounterOp, CounterSpec, MapOp, MapSpec, PqSpec, QueueOp, QueueRes, QueueSpec, SetSpec, StackOp,
+    StackRes, StackSpec,
 };
 use cds_lincheck::stress::stress;
 use cds_lincheck::{check_linearizable, Recorder};
-use common::{exec_queue, exec_stack, gen_queue, gen_set, gen_stack, opts};
+use common::{
+    exec_counter, exec_map, exec_pq, exec_queue, exec_set, exec_stack, gen_counter, gen_pq,
+    gen_queue, gen_set, gen_stack, opts,
+};
 
 fn stress_stack<S: ConcurrentStack<u64> + Default + Sync>(seed: u64) {
     stress(
@@ -53,11 +53,7 @@ fn stress_set<S: ConcurrentSet<u64> + Default + Sync>(seed: u64) {
         &opts(seed),
         S::default,
         gen_set,
-        |s, op| match op {
-            SetOp::Insert(k) => s.insert(*k),
-            SetOp::Remove(k) => s.remove(k),
-            SetOp::Contains(k) => s.contains(k),
-        },
+        exec_set,
     )
     .unwrap_or_else(|f| panic!("{} set not linearizable: {f:?}", S::NAME));
 }
@@ -114,15 +110,9 @@ fn scheduled_maps_are_linearizable() {
                     _ => MapOp::Get(k),
                 }
             },
-            |m, op| match op {
-                MapOp::Insert(k, v) => MapRes::Changed(m.insert(*k, *v)),
-                MapOp::Remove(k) => MapRes::Changed(m.remove(k)),
-                MapOp::Get(k) => MapRes::Got(m.get(k)),
-                // Not generated here (the split-ordered map's len is only
-                // quiescently consistent); wired for exhaustiveness.
-                MapOp::ContainsKey(k) => MapRes::Has(m.contains_key(k)),
-                MapOp::Len => MapRes::Len(m.len()),
-            },
+            // `Len` is not generated: the split-ordered map's len is only
+            // quiescently consistent.
+            exec_map,
         )
         .unwrap_or_else(|f| panic!("{} map not linearizable: {f:?}", M::NAME));
     }
@@ -138,17 +128,8 @@ fn scheduled_priority_queue_and_counters_are_linearizable() {
         PqSpec::<u64>::default(),
         &opts(0x60e0),
         cds_prio::CoarseBinaryHeap::<u64>::default,
-        |rng, _t| {
-            if rng.below(2) == 0 {
-                PqOp::Insert(rng.below(8))
-            } else {
-                PqOp::RemoveMin
-            }
-        },
-        |p, op| match op {
-            PqOp::Insert(k) => PqRes::Inserted(p.insert(*k)),
-            PqOp::RemoveMin => PqRes::Removed(p.remove_min()),
-        },
+        gen_pq,
+        exec_pq,
     )
     .unwrap_or_else(|f| panic!("coarse heap not linearizable: {f:?}"));
 
@@ -157,34 +138,14 @@ fn scheduled_priority_queue_and_counters_are_linearizable() {
             CounterSpec::default(),
             &opts(seed),
             C::default,
-            |rng, _t| {
-                if rng.below(2) == 0 {
-                    CounterOp::Add(1 + rng.below(4) as i64)
-                } else {
-                    CounterOp::Get
-                }
-            },
-            |c, op| match op {
-                CounterOp::Add(d) => {
-                    c.add(*d);
-                    0
-                }
-                CounterOp::Get => c.get(),
-            },
+            gen_counter,
+            exec_counter,
         )
         .unwrap_or_else(|f| panic!("{} counter not linearizable: {f:?}", C::NAME));
     }
     stress_counter::<cds_counter::LockCounter>(0xc0e0);
     stress_counter::<cds_counter::AtomicCounter>(0xc0e1);
     stress_counter::<cds_counter::FcCounter>(0xc0e2);
-}
-
-fn gen_counter(rng: &mut cds_atomic::stress::SplitMix64, _t: usize) -> CounterOp {
-    if rng.below(2) == 0 {
-        CounterOp::Add(1 + rng.below(4) as i64)
-    } else {
-        CounterOp::Get
-    }
 }
 
 /// Lock-primitive-guarded counters run against the same `CounterSpec`: a

@@ -126,6 +126,41 @@ pub fn mix_seed(seed: u64, stream: u64) -> u64 {
     SplitMix64::new(seed ^ stream.wrapping_mul(0xa0761d6478bd642f)).next_u64()
 }
 
+/// Threads that have drawn so far; thread `n` (in first-draw order) starts
+/// its default stream at `mix_seed(0, n)`.
+static DRAWING_THREADS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The calling thread's [`draw`] stream: a [`SplitMix64`] state word.
+    static DRAW: Cell<u64> =
+        Cell::new(mix_seed(0, DRAWING_THREADS.fetch_add(1, Ordering::Relaxed)));
+}
+
+/// The calling thread's next uniform 64-bit value from its seeded draw
+/// stream. Every random choice a structure makes (a skiplist tower
+/// height, an elimination slot) comes from here, never from the clock or
+/// an address.
+///
+/// A thread's default stream is seeded from a process-wide thread
+/// counter. Under an installed scheduler, [`register`] restarts it at
+/// `mix_seed(round seed, index)` and the thread that installs the round
+/// restarts at `mix_seed(round seed, MAX_THREADS)`, so a PCT seed or an
+/// explored schedule (whose round seed is 0) names every draw too.
+pub fn draw() -> u64 {
+    DRAW.with(|state| {
+        let mut stream = SplitMix64::new(state.get());
+        let value = stream.next_u64();
+        state.set(stream.state);
+        value
+    })
+}
+
+/// Restarts the calling thread's [`draw`] stream at `mix_seed(seed, stream)`.
+#[cfg_attr(not(feature = "stress"), allow(dead_code))]
+pub(crate) fn reseed_draw(seed: u64, stream: u64) {
+    DRAW.with(|state| state.set(mix_seed(seed, stream)));
+}
+
 /// Configuration of one stress-scheduled round.
 #[derive(Debug, Clone)]
 pub struct StressConfig {
@@ -236,10 +271,10 @@ impl Drop for ThreadSlot {
 
 /// Registers the calling thread as worker `index` (0-based, < [`MAX_THREADS`]).
 ///
-/// The worker's priority is a pure function of the run seed and `index`,
-/// so schedules do not depend on the order in which the OS happens to
-/// start the workers. A no-op returning an inert guard when no scheduler
-/// is installed.
+/// The worker's priority and its [`draw`] stream are pure functions of the
+/// run seed and `index`, so schedules do not depend on the order in which
+/// the OS happens to start the workers. A no-op returning an inert guard
+/// when no scheduler is installed.
 pub fn register(index: usize) -> ThreadSlot {
     assert!(index < MAX_THREADS, "worker index {index} out of range");
     #[cfg(feature = "stress")]
@@ -465,6 +500,42 @@ mod tests {
             assert_eq!(a.next_u64(), b.next_u64());
         }
         assert_ne!(SplitMix64::new(1).next_u64(), SplitMix64::new(2).next_u64());
+    }
+
+    #[test]
+    fn default_draw_streams_of_64_threads_are_pairwise_distinct() {
+        let heads = (0..64).flat_map(|_| {
+            std::thread::spawn(|| [draw(), draw(), draw(), draw()])
+                .join()
+                .unwrap()
+        });
+        let distinct: std::collections::HashSet<u64> = heads.collect();
+        assert_eq!(distinct.len(), 64 * 4, "two threads' draw streams overlap");
+    }
+
+    /// The installing thread and every registered slot restart their draw
+    /// streams from the round seed, however often they register.
+    #[cfg(feature = "stress")]
+    #[test]
+    fn registering_again_with_the_same_seed_and_slot_restarts_the_stream() {
+        let streams = |seed| {
+            let _run = install(StressConfig {
+                seed,
+                ..StressConfig::default()
+            });
+            let worker = std::thread::spawn(|| {
+                let mut runs = (0..2).map(|_| {
+                    let _slot = register(3);
+                    (0..8).map(|_| draw()).collect::<Vec<u64>>()
+                });
+                let first = runs.next().unwrap();
+                assert_eq!(Some(&first), runs.next().as_ref(), "stream did not restart");
+                first
+            });
+            (draw(), worker.join().unwrap())
+        };
+        assert_eq!(streams(5), streams(5));
+        assert_ne!(streams(5), streams(6));
     }
 
     #[test]

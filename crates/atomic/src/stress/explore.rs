@@ -74,8 +74,8 @@ use std::time::{Duration, Instant};
 
 use super::weak::WeakState;
 use super::{
-    lock_round, mix_seed, RoundLock, SplitMix64, StressConfig, YieldTag, ACTIVE, DEMOTIONS,
-    MAX_THREADS,
+    lock_round, mix_seed, reseed_draw, RoundLock, SplitMix64, StressConfig, YieldTag, ACTIVE,
+    DEMOTIONS, MAX_THREADS,
 };
 
 /// `GRANT` value meaning "no thread may step".
@@ -304,6 +304,9 @@ impl Pct {
 /// Live state of one scheduled execution.
 struct ExpState {
     threads: usize,
+    /// The round seed each [`draw`](super::draw) stream restarts from: the
+    /// PCT seed, or 0 for an explored or replayed execution.
+    seed: u64,
     plan: Vec<PlanStep>,
     /// Forced read-from choices, consumed in order by loads with more
     /// than one candidate. Deterministic execution keeps the two plan
@@ -364,6 +367,7 @@ impl ExpState {
     ) -> Self {
         ExpState {
             threads,
+            seed: 0,
             plan,
             plan_reads,
             rcursor: 0,
@@ -407,7 +411,10 @@ impl ExpState {
             ..ExploreBounds::default()
         };
         let chooser = Chooser::Pct(Box::new(Pct::new(cfg)));
-        ExpState::new(MAX_THREADS, Vec::new(), Vec::new(), chooser, &unbounded)
+        ExpState {
+            seed: cfg.seed,
+            ..ExpState::new(MAX_THREADS, Vec::new(), Vec::new(), chooser, &unbounded)
+        }
     }
 
     fn open_world(&self) -> bool {
@@ -556,6 +563,7 @@ pub(super) fn register(index: usize) -> bool {
     );
     st.registered |= bit;
     st.finished &= !bit;
+    reseed_draw(st.seed, index as u64);
     true
 }
 
@@ -835,9 +843,13 @@ impl Drop for ExploreRun {
     }
 }
 
+/// Installs `state` as the round in force. The installing thread is the
+/// one that builds the structure under test, so its draw stream restarts
+/// too, as the slot after every worker's.
 fn install_run(state: ExpState) -> ExploreRun {
     install_quiet_hook();
     let exclusive = lock_round();
+    reseed_draw(state.seed, MAX_THREADS as u64);
     WEAK_ON.store(state.weak.is_some(), Ordering::Release);
     *exp_lock() = Some(state);
     GRANT.store(IDLE, Ordering::Release);

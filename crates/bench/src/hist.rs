@@ -186,10 +186,9 @@ mod tests {
     #[test]
     fn percentiles_are_monotone() {
         let mut h = LatencyHistogram::new();
-        let mut x = 1u64;
+        let mut rng = cds_atomic::stress::SplitMix64::new(1);
         for _ in 0..10_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            h.record(x % 1_000_000);
+            h.record(rng.below(1_000_000));
         }
         let p50 = h.percentile(50.0);
         let p90 = h.percentile(90.0);

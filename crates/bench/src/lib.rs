@@ -15,7 +15,7 @@
 //! `min(prefill, key_range)` distinct keys, run warmup iterations until the
 //! throughput's coefficient of variation over the last few iterations drops
 //! below a threshold (steady state), then run a fixed operation count per
-//! thread of a randomized operation mix drawn from a per-thread xorshift64*
+//! thread of a randomized operation mix drawn from a per-thread SplitMix64
 //! stream. Threads synchronize on a barrier so ramp-up is excluded, and the
 //! workload span is `max(end) − min(start)` across workers. Throughput is
 //! million operations per second; latency percentiles come from per-thread
@@ -26,6 +26,8 @@
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
+
+use cds_atomic::stress::SplitMix64;
 
 use cds_core::{
     ConcurrentCounter, ConcurrentMap, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentSet,
@@ -126,32 +128,6 @@ impl Workload {
     }
 }
 
-/// Simple xorshift64* stream, one per thread, so workloads are
-/// reproducible and allocation-free.
-///
-/// The state update is the classic xorshift64 triple-shift; the output is
-/// the state times the Vigna finalizer constant, which repairs the weak low
-/// bits of the raw generator (plain xorshift fails low-bit tests — a 50/50
-/// branch on the raw low bit is measurably biased).
-#[derive(Debug, Clone)]
-pub struct XorShift(u64);
-
-impl XorShift {
-    /// Creates a stream; `seed` must be non-zero (0 is remapped).
-    pub fn new(seed: u64) -> Self {
-        XorShift(seed.max(1).wrapping_mul(0x9e3779b97f4a7c15) | 1)
-    }
-
-    /// Next pseudo-random value.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
 /// One operation of a read/insert/remove mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MixedOp {
@@ -165,10 +141,11 @@ pub enum MixedOp {
 
 /// A deterministic per-thread operation stream: given the same seed and
 /// workload parameters it yields the identical op sequence, which is what
-/// makes two benchmark runs comparable (and is pinned by a unit test).
+/// makes two benchmark runs comparable (and is pinned by `SplitMix64`'s
+/// unit test in `cds-atomic`).
 #[derive(Debug, Clone)]
 pub struct OpStream {
-    rng: XorShift,
+    rng: SplitMix64,
     key_range: u64,
     read_pct: u8,
     insert_pct: u8,
@@ -178,7 +155,7 @@ impl OpStream {
     /// Creates the stream for one worker thread.
     pub fn new(seed: u64, w: &Workload) -> Self {
         OpStream {
-            rng: XorShift::new(seed),
+            rng: SplitMix64::new(seed),
             key_range: w.key_range.max(1),
             read_pct: w.read_pct,
             insert_pct: w.insert_pct,
@@ -191,8 +168,7 @@ impl OpStream {
         self.rng.next_u64() % self.key_range
     }
 
-    /// A fair coin for 50/50 mixes. Branches on the *high* bit of the
-    /// multiplied output: the low bit of a xorshift state is its weakest.
+    /// A fair coin for 50/50 mixes.
     #[inline]
     pub fn coin(&mut self) -> bool {
         self.rng.next_u64() >> 63 == 0
@@ -419,7 +395,7 @@ where
 {
     let key_range = w.key_range.max(1);
     let target = w.prefill.min(key_range as usize);
-    let mut rng = XorShift::new(PREFILL_SEED);
+    let mut rng = SplitMix64::new(PREFILL_SEED);
     let mut inserted = 0usize;
     while inserted < target {
         if set.insert(rng.next_u64() % key_range) {
@@ -437,7 +413,7 @@ where
 {
     let key_range = w.key_range.max(1);
     let target = w.prefill.min(key_range as usize);
-    let mut rng = XorShift::new(PREFILL_SEED);
+    let mut rng = SplitMix64::new(PREFILL_SEED);
     let mut inserted = 0usize;
     while inserted < target {
         let k = rng.next_u64() % key_range;
@@ -454,7 +430,7 @@ where
     S: ConcurrentStack<u64> + ?Sized,
 {
     let key_range = w.key_range.max(1);
-    let mut rng = XorShift::new(PREFILL_SEED);
+    let mut rng = SplitMix64::new(PREFILL_SEED);
     for _ in 0..w.prefill {
         stack.push(rng.next_u64() % key_range);
     }
@@ -467,7 +443,7 @@ where
     Q: ConcurrentQueue<u64> + ?Sized,
 {
     let key_range = w.key_range.max(1);
-    let mut rng = XorShift::new(PREFILL_SEED);
+    let mut rng = SplitMix64::new(PREFILL_SEED);
     for _ in 0..w.prefill {
         queue.enqueue(rng.next_u64() % key_range);
     }
@@ -481,7 +457,7 @@ where
 {
     let key_range = w.key_range.max(1);
     let target = w.prefill.min(key_range as usize);
-    let mut rng = XorShift::new(PREFILL_SEED);
+    let mut rng = SplitMix64::new(PREFILL_SEED);
     let mut inserted = 0usize;
     while inserted < target {
         if pq.insert(rng.next_u64() % key_range) {
@@ -628,19 +604,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn xorshift_is_deterministic() {
-        let mut a = XorShift::new(1);
-        let mut b = XorShift::new(1);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn xorshift_high_bit_coin_is_roughly_fair() {
-        // The raw xorshift low bit is weak; the coin uses the high bit of
-        // the multiplied output. Over 100k draws both faces must land in a
-        // clearly-fair band.
+    fn coin_is_roughly_fair() {
+        // Over 100k draws both faces must land in a clearly-fair band.
         let mut w = Workload::small(1);
         w.key_range = 1024;
         let mut s = OpStream::new(9, &w);

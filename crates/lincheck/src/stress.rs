@@ -152,7 +152,8 @@ where
 {
     for round in 0..opts.rounds {
         let round_seed = mix_seed(opts.seed, round as u64);
-        run_round(&spec, opts, round, round_seed, &setup, &gen, &exec).inspect_err(|_| {
+        let history = record_round(opts, round_seed, &setup, &gen, &exec);
+        check_round(&spec, round, round_seed, history).inspect_err(|_| {
             eprintln!(
                 "stress: non-linearizable window in round {round} \
                  (round seed {round_seed:#x}, root seed {:#x}); \
@@ -184,53 +185,22 @@ where
     Gen: Fn(&mut SplitMix64, usize) -> S::Op + Sync,
     Exec: Fn(&T, &S::Op) -> S::Res + Sync,
 {
-    run_round(&spec, opts, 0, round_seed, &setup, &gen, &exec)
+    let history = record_round(opts, round_seed, setup, gen, exec);
+    check_round(&spec, 0, round_seed, history)
 }
 
-/// Runs one scheduled round; fails with the recorded window, shrunk, if
-/// it is *not* linearizable. A worker panic is re-raised naming the round
-/// seed.
-fn run_round<S, T, Setup, Gen, Exec>(
+/// Fails with the recorded window of one round, shrunk, if it is *not*
+/// linearizable.
+fn check_round<S: Spec>(
     spec: &S,
-    opts: &StressOptions,
     round: usize,
     round_seed: u64,
-    setup: &Setup,
-    gen: &Gen,
-    exec: &Exec,
+    history: Vec<Operation<S::Op, S::Res>>,
 ) -> Result<(), Box<StressFailure<S>>>
 where
-    S: Spec,
-    S::Op: Clone + Send + Sync,
-    S::Res: Clone + PartialEq + Send,
-    T: Sync,
-    Setup: Fn() -> T,
-    Gen: Fn(&mut SplitMix64, usize) -> S::Op + Sync,
-    Exec: Fn(&T, &S::Op) -> S::Res + Sync,
+    S::Op: Clone,
+    S::Res: Clone,
 {
-    let window = opts.threads * opts.ops_per_thread;
-    assert!(
-        window <= 64,
-        "stress window of {window} ops exceeds the checker's 64-op cap"
-    );
-    assert!(opts.threads <= sched::MAX_THREADS);
-    // Per-thread op stream: a pure function of (round seed, thread index),
-    // independent of scheduling.
-    let ops: Vec<Vec<S::Op>> = (0..opts.threads)
-        .map(|t| {
-            let mut rng = SplitMix64::new(mix_seed(round_seed, 0x7ead + t as u64));
-            (0..opts.ops_per_thread).map(|_| gen(&mut rng, t)).collect()
-        })
-        .collect();
-    let run = sched::install(StressConfig {
-        seed: round_seed,
-        change_period: opts.change_period,
-    });
-    let (history, panic_msg) = run_window(&ops, setup, exec);
-    drop(run);
-    if let Some(message) = panic_msg {
-        panic!("stress: worker panicked in round seed {round_seed:#x}: {message}");
-    }
     if check_linearizable(spec.clone(), &history) {
         return Ok(());
     }
@@ -240,4 +210,49 @@ where
         minimized: shrink_history(spec, &history),
         history,
     }))
+}
+
+/// Runs the round [`replay`] would run under `round_seed` and returns its
+/// recorded window unchecked, so that two runs of one seed can be compared
+/// operation for operation. A worker panic is re-raised naming the round
+/// seed.
+pub fn record_round<T, Op, Res, Setup, Gen, Exec>(
+    opts: &StressOptions,
+    round_seed: u64,
+    setup: Setup,
+    gen: Gen,
+    exec: Exec,
+) -> Vec<Operation<Op, Res>>
+where
+    Op: Clone + Send + Sync,
+    Res: Clone + Send,
+    T: Sync,
+    Setup: Fn() -> T,
+    Gen: Fn(&mut SplitMix64, usize) -> Op + Sync,
+    Exec: Fn(&T, &Op) -> Res + Sync,
+{
+    let window = opts.threads * opts.ops_per_thread;
+    assert!(
+        window <= 64,
+        "stress window of {window} ops exceeds the checker's 64-op cap"
+    );
+    assert!(opts.threads <= sched::MAX_THREADS);
+    // Per-thread op stream: a pure function of (round seed, thread index),
+    // independent of scheduling.
+    let ops: Vec<Vec<Op>> = (0..opts.threads)
+        .map(|t| {
+            let mut rng = SplitMix64::new(mix_seed(round_seed, 0x7ead + t as u64));
+            (0..opts.ops_per_thread).map(|_| gen(&mut rng, t)).collect()
+        })
+        .collect();
+    let run = sched::install(StressConfig {
+        seed: round_seed,
+        change_period: opts.change_period,
+    });
+    let (history, panic_msg) = run_window(&ops, &setup, &exec);
+    drop(run);
+    if let Some(message) = panic_msg {
+        panic!("stress: worker panicked in round seed {round_seed:#x}: {message}");
+    }
+    history
 }

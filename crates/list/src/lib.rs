@@ -58,6 +58,7 @@ pub use optimistic::OptimisticList;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cds_atomic::stress::SplitMix64;
     use cds_core::ConcurrentSet;
     use std::sync::Arc;
 
@@ -138,11 +139,9 @@ mod tests {
             .map(|t| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    let mut x: u64 = t * 2654435761 + 1;
+                    let mut rng = SplitMix64::new(t);
                     for _ in 0..500 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
+                        let x = rng.next_u64();
                         let k = x % 64;
                         match x % 3 {
                             0 => {

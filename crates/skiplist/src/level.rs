@@ -1,31 +1,15 @@
 //! Random tower-height generation shared by all skiplist variants.
 
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
-use std::cell::RefCell;
-
 use crate::HEIGHT;
-
-thread_local! {
-    static RNG: RefCell<SmallRng> = RefCell::new(SmallRng::from_entropy());
-}
 
 /// Draws a tower top level in `0..HEIGHT` with the geometric distribution
 /// `P(level ≥ k) = 2^-k` that gives skiplists their expected O(log n)
-/// search paths.
+/// search paths. The bits come from the calling thread's seeded
+/// [`cds_atomic::stress::draw`] stream, so a scheduled round or an
+/// explored schedule fixes every tower height.
 pub(crate) fn random_level() -> usize {
-    RNG.with(|rng| {
-        let bits = rng.borrow_mut().next_u64();
-        // trailing_zeros of uniform bits is geometric(1/2); cap the height.
-        (bits.trailing_zeros() as usize).min(HEIGHT - 1)
-    })
-}
-
-/// Draws a value in `0..n` (used by tests needing shuffles).
-#[cfg(test)]
-pub(crate) fn random_below(n: usize) -> usize {
-    use rand::Rng;
-    RNG.with(|rng| rng.borrow_mut().gen_range(0..n))
+    // trailing_zeros of uniform bits is geometric(1/2); cap the height.
+    (cds_atomic::stress::draw().trailing_zeros() as usize).min(HEIGHT - 1)
 }
 
 #[cfg(test)]
@@ -51,12 +35,5 @@ mod tests {
         assert!(counts[0] > N / 3 && counts[0] < 2 * N / 3);
         // Higher levels decay: level 4 should be well below level 1.
         assert!(counts[4] < counts[1]);
-    }
-
-    #[test]
-    fn random_below_is_bounded() {
-        for _ in 0..1000 {
-            assert!(random_below(7) < 7);
-        }
     }
 }

@@ -53,6 +53,7 @@ pub const HEIGHT: usize = 24;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cds_atomic::stress::SplitMix64;
     use cds_core::ConcurrentSet;
     use std::sync::Arc;
 
@@ -76,12 +77,9 @@ mod tests {
         let s = S::default();
         // Insert in shuffled order so towers get exercised.
         let mut keys: Vec<i64> = (0..2_000).collect();
-        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut rng = SplitMix64::new(0x9e3779b97f4a7c15);
         for i in (1..keys.len()).rev() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            keys.swap(i, (x as usize) % (i + 1));
+            keys.swap(i, rng.below(i as u64 + 1) as usize);
         }
         for &k in &keys {
             assert!(s.insert(k));
@@ -108,11 +106,9 @@ mod tests {
             .map(|t| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    let mut x: u64 = (t + 1) * 0x9e3779b9;
+                    let mut rng = SplitMix64::new(t);
                     for _ in 0..500 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
+                        let x = rng.next_u64();
                         let k = (x % 128) as i64;
                         match x % 3 {
                             0 => {

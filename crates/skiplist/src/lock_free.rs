@@ -661,6 +661,7 @@ impl<T: Ord + Send + Sync, R: Reclaimer> Extend<T> for LockFreeSkipList<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cds_atomic::stress::SplitMix64;
     use cds_core::ConcurrentSet;
     use std::cell::Cell;
     use std::collections::HashMap;
@@ -826,12 +827,10 @@ mod tests {
             .map(|t| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    let mut x = 0x9e37_79b9 * (t + 1);
+                    let mut rng = SplitMix64::new(t);
                     let mut removed = 0;
                     for _ in 0..20_000 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
+                        let x = rng.next_u64();
                         removed += usize::from(match x >> 62 {
                             0 | 1 => {
                                 s.insert(x % 3);

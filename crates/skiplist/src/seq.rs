@@ -247,7 +247,7 @@ impl<T> fmt::Debug for Iter<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level::random_below;
+    use cds_atomic::stress::SplitMix64;
 
     #[test]
     fn sorted_iteration() {
@@ -279,9 +279,10 @@ mod tests {
         use std::collections::BTreeSet;
         let mut model = BTreeSet::new();
         let mut s = SeqSkipList::new();
+        let mut rng = SplitMix64::new(0x5eed);
         for _ in 0..5_000 {
-            let k = random_below(256) as i32;
-            match random_below(3) {
+            let k = rng.below(256) as i32;
+            match rng.below(3) {
                 0 => assert_eq!(s.insert(k), model.insert(k)),
                 1 => assert_eq!(s.remove(&k), model.remove(&k)),
                 _ => assert_eq!(s.contains(&k), model.contains(&k)),

@@ -66,26 +66,11 @@ impl<T> EliminationArray<T> {
         }
     }
 
+    /// A slot from the calling thread's seeded draw stream: quality does
+    /// not matter, decorrelation across threads does.
     fn random_slot(&self) -> &AtomicPtr<Offer<T>> {
-        // Cheap thread-local xorshift; quality does not matter, decorrelation
-        // across threads does.
-        use std::cell::Cell;
-        thread_local! {
-            static SEED: Cell<u64> = const { Cell::new(0) };
-        }
-        let r = SEED.with(|seed| {
-            let mut s = seed.get();
-            if s == 0 {
-                // Derive an initial seed from the address of a stack slot.
-                s = &s as *const _ as u64 | 1;
-            }
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            seed.set(s);
-            s
-        });
-        &self.slots[(r as usize) % self.slots.len()]
+        let r = cds_atomic::stress::draw();
+        &self.slots[(r % self.slots.len() as u64) as usize]
     }
 
     /// Offers `value` to a popper, spinning for `spins` iterations.

@@ -78,7 +78,9 @@ const SPIN_FLOOR: Duration = Duration::from_micros(2);
 ///
 /// Two to three park-to-wake round trips: on the 2-vCPU reference host
 /// a one-way hand-off through a committed park and a futex wake costs
-/// 7.4 to 10.3 µs (`chan.handoff_us` of the gate benchmark). A wait that ends
+/// 6.7 µs (`sync.parker_handoff_us` of the gate benchmark, the ladder row
+/// that always parks; `chan.handoff_us` mostly measures the spin path and
+/// reads 0.56 µs in `BENCH_30.json`). A wait that ends
 /// within the budget saves that round trip for both sides; one that
 /// outlasts it pays the spin on top of the park, so the spin is worth
 /// it only while typical waits are a small multiple of the park cost.

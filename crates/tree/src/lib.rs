@@ -52,6 +52,7 @@ pub(crate) use key::TreeKey;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cds_atomic::stress::SplitMix64;
     use cds_core::ConcurrentSet;
     use std::sync::Arc;
 
@@ -82,12 +83,9 @@ mod tests {
     fn shuffled_workout<S: ConcurrentSet<i64> + Default>() {
         let s = S::default();
         let mut keys: Vec<i64> = (0..2_000).collect();
-        let mut x = 0xdeadbeefu64;
+        let mut rng = SplitMix64::new(0xdeadbeef);
         for i in (1..keys.len()).rev() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            keys.swap(i, (x as usize) % (i + 1));
+            keys.swap(i, rng.below(i as u64 + 1) as usize);
         }
         for &k in &keys {
             assert!(s.insert(k));
@@ -113,11 +111,9 @@ mod tests {
             .map(|t| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    let mut x: u64 = (t + 1) * 0x2545f491;
+                    let mut rng = SplitMix64::new(t);
                     for _ in 0..400 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
+                        let x = rng.next_u64();
                         let k = (x % 128) as i64;
                         match x % 3 {
                             0 => {

@@ -15,6 +15,7 @@ use std::thread;
 use std::time::Instant;
 
 use cds::sync::{FcStructure, FlatCombining};
+use cds_atomic::stress::SplitMix64;
 
 /// A plain sequential latency histogram: power-of-two buckets, plus
 /// aggregates that must stay consistent with the buckets.
@@ -98,13 +99,11 @@ fn main() {
         .map(|w| {
             let histogram = Arc::clone(&histogram);
             thread::spawn(move || {
-                let mut rng = (w as u64 + 1) * 0x9e3779b97f4a7c15;
+                let mut rng = SplitMix64::new(w as u64);
                 for i in 0..SAMPLES_PER_WORKER {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
+                    let x = rng.next_u64();
                     // Log-normal-ish synthetic latencies in nanoseconds.
-                    let latency = 1_000 + (rng % 65_536) * (rng % 16);
+                    let latency = 1_000 + (x % 65_536) * (x % 16);
                     histogram.apply(Op::Record(latency));
                     // Occasionally read a consistent snapshot mid-stream.
                     if i % 25_000 == 0 {

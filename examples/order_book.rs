@@ -20,6 +20,7 @@ use std::time::Instant;
 use cds::core::{ConcurrentQueue, ConcurrentSet};
 use cds::queue::{spsc_ring_buffer, BoundedQueue};
 use cds::skiplist::LockFreeSkipList;
+use cds_atomic::stress::SplitMix64;
 
 const TICKS: u64 = 200_000;
 const WORKERS: usize = 3;
@@ -46,13 +47,11 @@ fn main() {
 
     // Network thread: produces raw ticks (wait-free SPSC producer).
     let network = thread::spawn(move || {
-        let mut rng = 0x2545f4914f6cdd1du64;
+        let mut rng = SplitMix64::new(0x2545f4914f6cdd1d);
         for _ in 0..TICKS {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let price = 10_000 + (rng % 1_000) as u32;
-            let is_buy = rng.is_multiple_of(2);
+            let x = rng.next_u64();
+            let price = 10_000 + (x % 1_000) as u32;
+            let is_buy = x.is_multiple_of(2);
             feed_tx.push(encode(price, is_buy));
         }
     });

@@ -15,6 +15,7 @@ use std::time::Instant;
 use cds::core::{ConcurrentCounter, ConcurrentMap};
 use cds::counter::ShardedCounter;
 use cds::map::SplitOrderedHashMap;
+use cds_atomic::stress::SplitMix64;
 
 const WORKERS: usize = 4;
 const REQUESTS_PER_WORKER: usize = 50_000;
@@ -51,15 +52,13 @@ fn main() {
             let server = Arc::clone(&server);
             thread::spawn(move || {
                 // Zipf-ish skew: a few hot clients, a long tail.
-                let mut rng = (w as u64 + 1) * 0x9e3779b97f4a7c15;
+                let mut rng = SplitMix64::new(w as u64);
                 for i in 0..REQUESTS_PER_WORKER {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    let addr = if rng % 10 < 3 {
-                        rng % 16 // 30% of traffic from 16 hot clients
+                    let x = rng.next_u64();
+                    let addr = if x % 10 < 3 {
+                        x % 16 // 30% of traffic from 16 hot clients
                     } else {
-                        rng % CLIENTS
+                        x % CLIENTS
                     };
                     server.handle_request(addr, (w * REQUESTS_PER_WORKER + i) as u64);
                 }

@@ -5,7 +5,10 @@
 //! in the crate that owns it: only `cds-atomic` (`stress`), `cds-obs`
 //! (`telemetry`) and `cds-lincheck` (whose `explore` driver needs the
 //! scheduler's gated API) gate code on a feature, and only they, the
-//! root and `cds-bench` declare features.
+//! root and `cds-bench` declare features. And no crate seeds a random
+//! choice from the clock or the OS: a structure draws from
+//! `cds_atomic::stress::draw`, which a round seed restarts, so that a seed
+//! names one schedule and an explored window is deterministic.
 //!
 //! Why this is load-bearing: the weak-memory explorer can only model (and
 //! the region race detector can only police) traffic that goes through
@@ -198,6 +201,36 @@ fn instrument_switches_stay_in_their_crates() {
         instrument_feature_lines,
         "feature-gated instrument — call the `cds_atomic::stress` / `cds_obs` API \
          unconditionally (its inert form costs nothing)",
+    );
+}
+
+/// The files that may seed randomness from the clock or the OS: none.
+const AMBIENT_RANDOMNESS_ALLOWED: &str = "\
+# Empty: a structure that draws from the clock cannot be explored.
+";
+
+/// Lines that seed randomness from the ambient world: the clock, or the
+/// OS entropy that `from_entropy` and `thread_rng` read.
+fn ambient_randomness_lines(content: &str) -> Vec<usize> {
+    (1..)
+        .zip(code_lines(content))
+        .filter(|(_, code)| {
+            ["SystemTime", "from_entropy", "thread_rng"]
+                .iter()
+                .any(|name| code.contains(name))
+        })
+        .map(|(line, _)| line)
+        .collect()
+}
+
+#[test]
+fn no_randomness_from_the_clock_or_the_os() {
+    lint(
+        "AMBIENT_RANDOMNESS_ALLOWED (tests/atomics_lint.rs)",
+        AMBIENT_RANDOMNESS_ALLOWED,
+        ambient_randomness_lines,
+        "randomness from the clock or the OS — draw from `cds_atomic::stress::draw` (or a \
+         `SplitMix64` seeded by the caller) so that a round seed fixes it",
     );
 }
 

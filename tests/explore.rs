@@ -439,25 +439,64 @@ fn explore_two_lock_queue_window() {
 
 #[test]
 fn explore_elimination_stack_window() {
-    // Forced-collision geometry: a single exchanger slot makes
-    // `random_slot` deterministic (index mod 1), so every elimination
-    // attempt meets in slot 0 and the exchange protocol itself — offer
-    // CAS, claim CAS, retract CAS, TAKEN handshake — is inside the
-    // explored surface. A tiny spin budget keeps the window bounded while
-    // still letting a popper land mid-window.
+    // One slot forces every elimination attempt to meet in slot 0; with
+    // two, `random_slot` draws from each worker's seeded stream, which
+    // every execution restarts, so the window stays deterministic. A tiny
+    // spin budget keeps either bounded. Both counts are 70 because this
+    // SC window never reaches the exchanger: `try_push` and `try_pop`
+    // have no yield point between their head load and their CAS, so no
+    // CAS fails and nothing falls back to elimination. Covering the
+    // exchange protocol needs a window that steps inside the CAS loop.
     let ops = [
         vec![StackOp::Push(1), StackOp::Pop],
         vec![StackOp::Push(2), StackOp::Pop],
     ];
+    for (key, slots) in [("elimination_stack", 1), ("elimination_stack_2slots", 2)] {
+        let report = explore(
+            StackSpec::<u64>::default(),
+            &opts(),
+            &ops,
+            || cds_stack::EliminationBackoffStack::<u64>::with_params(slots, 2),
+            exec_stack,
+        )
+        .unwrap_or_else(|f| panic!("{key} window not linearizable: {f:?}"));
+        assert_pinned(key, &report);
+    }
+}
+
+#[test]
+fn explore_skiplist_windows() {
+    // Tower heights come from the workers' seeded draw streams, which
+    // every execution restarts, so both windows are deterministic. The
+    // lazy one runs in full; the lock-free one's full space runs past
+    // 200 000 executions, so like the resizing-map window it pins a
+    // deterministic DFS prefix.
+    let lazy = [
+        vec![SetOp::Insert(1), SetOp::Remove(1)],
+        vec![SetOp::Contains(1), SetOp::Insert(2)],
+    ];
     let report = explore(
-        StackSpec::<u64>::default(),
+        SetSpec::<u64>::default(),
         &opts(),
-        &ops,
-        || cds_stack::EliminationBackoffStack::<u64>::with_params(1, 2),
-        exec_stack,
+        &lazy,
+        cds_skiplist::LazySkipList::<u64>::new,
+        exec_set,
     )
-    .unwrap_or_else(|f| panic!("elimination stack window not linearizable: {f:?}"));
-    assert_pinned("elimination_stack", &report);
+    .unwrap_or_else(|f| panic!("lazy skiplist window not linearizable: {f:?}"));
+    assert_pinned("lazy_skiplist", &report);
+    let capped = ExploreOptions {
+        max_executions: 10_000,
+        ..opts()
+    };
+    let report = explore(
+        SetSpec::<u64>::default(),
+        &capped,
+        &[lazy[0].clone(), vec![SetOp::Contains(1)]],
+        cds_skiplist::LockFreeSkipList::<u64>::new,
+        exec_set,
+    )
+    .unwrap_or_else(|f| panic!("lock-free skiplist window not linearizable: {f:?}"));
+    assert_pinned_capped("lock_free_skiplist", &report, &capped);
 }
 
 #[test]

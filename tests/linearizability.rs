@@ -34,13 +34,6 @@ const WINDOWS: usize = 30;
 const THREADS: usize = 3;
 const OPS_PER_THREAD: usize = 4;
 
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
 /// The native runner: `WINDOWS` windows, each `THREADS` plain threads
 /// issuing `OPS_PER_THREAD` operations drawn by `gen` against one fresh
 /// `setup()`, every recorded history checked against `spec`.
@@ -146,9 +139,9 @@ fn skiplist_pq_inserts_are_linearizable_and_drain_is_sorted() {
                 let pq = Arc::clone(&pq);
                 let recorder = Arc::clone(&recorder);
                 std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 19) as u64 * 0xc2b2ae35;
+                    let mut rng = SplitMix64::new((window * THREADS + t + 19) as u64);
                     for _ in 0..OPS_PER_THREAD {
-                        let k = xorshift(&mut rng) % 8; // collisions on purpose
+                        let k = rng.below(8); // collisions on purpose
                         recorder.record(PqOp::Insert(k), || PqRes::Inserted(pq.insert(k)));
                     }
                 })
@@ -198,9 +191,9 @@ fn check_quiescent_counter<C: ConcurrentCounter + Default + 'static>() {
                 let c = Arc::clone(&c);
                 let recorder = Arc::clone(&recorder);
                 std::thread::spawn(move || {
-                    let mut rng = (window * THREADS + t + 17) as u64 * 0x9e3779b9;
+                    let mut rng = SplitMix64::new((window * THREADS + t + 17) as u64);
                     for _ in 0..OPS_PER_THREAD {
-                        let d = (xorshift(&mut rng) % 5) as i64;
+                        let d = rng.below(5) as i64;
                         recorder.record(CounterOp::Add(d), || {
                             c.add(d);
                             0
@@ -294,9 +287,9 @@ fn chase_lev_deque_is_linearizable() {
             let recorder = &recorder;
             let stealer2 = stealer.clone();
             s.spawn(move || {
-                let mut rng = (window + 1) as u64 * 0x9e3779b9;
+                let mut rng = SplitMix64::new((window + 1) as u64);
                 for i in 0..2 * OPS_PER_THREAD {
-                    if xorshift(&mut rng).is_multiple_of(2) {
+                    if rng.below(2) == 0 {
                         let v = (window * 100 + i) as u64;
                         recorder.record(DequeOp::PushBottom(v), || {
                             worker.push(v);

@@ -14,6 +14,7 @@
 
 mod common;
 
+use cds_atomic::stress::SplitMix64;
 use cds_atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -162,15 +163,13 @@ fn set_churn<S: ConcurrentSet<Tracked> + Default + 'static>() {
                 let drops = Arc::clone(&drops);
                 let created = Arc::clone(&created);
                 std::thread::spawn(move || {
-                    let mut x = (t + 1) * 0x9e3779b9;
+                    let mut rng = SplitMix64::new(t);
                     for _ in 0..PER_THREAD {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
+                        let x = rng.next_u64();
                         let k = x % 64;
                         created.fetch_add(1, Ordering::SeqCst);
                         let payload = Tracked::new(k, &drops);
-                        if x % 3 == 0 {
+                        if x.is_multiple_of(3) {
                             // Remove takes a reference; the probe payload
                             // drops here either way.
                             s.remove(&payload);
@@ -215,11 +214,9 @@ fn map_churn<R: Reclaimer>() {
                 let drops = Arc::clone(&drops);
                 let created = Arc::clone(&created);
                 std::thread::spawn(move || {
-                    let mut x = (t + 1) * 0x9e3779b9;
+                    let mut rng = SplitMix64::new(t);
                     for _ in 0..PER_THREAD {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
+                        let x = rng.next_u64();
                         // The key from high bits, the operation from low
                         // ones, so that every key meets every operation.
                         let k = (x >> 32) % KEYS;

@@ -5,14 +5,22 @@
 //! race and the printed round seed must *reproduce* it on replay. This
 //! test doubles as the liveness proof for the `stress` feature wiring —
 //! with the yield hooks compiled out the race window is a couple of
-//! machine instructions and the schedule below cannot hit it.
+//! machine instructions and the schedule below cannot hit it. A round
+//! seed must also name every random choice a structure makes: one
+//! skiplist round, run in two fresh processes, records the same history.
 
+mod common;
+
+use std::process::Command;
+
+use cds_atomic::stress::SplitMix64;
 use cds_atomic::{AtomicI64, Ordering};
 
 use cds_lincheck::check_linearizable;
-use cds_lincheck::specs::{CounterOp, CounterSpec};
-use cds_lincheck::stress::{replay, stress, StressOptions};
+use cds_lincheck::specs::{CounterOp, CounterSpec, SetOp};
+use cds_lincheck::stress::{record_round, replay, stress, StressOptions};
 use cds_lincheck::trace::{Trace, TraceParseError};
+use common::exec_set;
 
 /// A deliberately racy counter: `add` is a load / yield / store, so a
 /// preemption injected at the yield point loses an update.
@@ -123,4 +131,45 @@ fn trace_format_versions_coexist() {
         "cds-trace v99 whatever".parse::<Trace>(),
         Err(TraceParseError::UnsupportedVersion(99))
     ));
+}
+
+/// One PCT round of a lock-free skiplist, mostly inserts: each tower
+/// height sets how many CASes and yield points its insert makes, and so
+/// where the round's preemptions land. Run in two fresh processes (this
+/// test again, with `CDS_REPLAY_CHILD_ROUND` set), one seed must record
+/// one history, timestamps included.
+#[test]
+fn skiplist_pct_round_is_identical_across_processes() {
+    if std::env::var_os("CDS_REPLAY_CHILD_ROUND").is_some() {
+        let options = StressOptions {
+            threads: 3,
+            ops_per_thread: 8,
+            ..StressOptions::default()
+        };
+        let insert_heavy = |rng: &mut SplitMix64, _t: usize| match rng.below(4) {
+            0 => SetOp::Remove(rng.below(16)),
+            _ => SetOp::Insert(rng.below(16)),
+        };
+        let skiplist = cds_skiplist::LockFreeSkipList::<u64>::new;
+        let history = record_round(&options, 0x5c1f2, skiplist, insert_heavy, exec_set);
+        println!("history: {history:?}");
+        return;
+    }
+    let this_test = "skiplist_pct_round_is_identical_across_processes";
+    let recorded = || {
+        let child = Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["--exact", this_test, "--nocapture"])
+            .env("CDS_REPLAY_CHILD_ROUND", "1")
+            .output()
+            .expect("child test process starts");
+        let stdout = String::from_utf8_lossy(&child.stdout).into_owned();
+        assert!(child.status.success(), "child round failed: {stdout}");
+        let history = stdout.lines().find_map(|l| l.strip_prefix("history: "));
+        history.expect("child printed a history").to_owned()
+    };
+    assert_eq!(
+        recorded(),
+        recorded(),
+        "one round seed recorded two skiplist histories: a random choice is not seeded"
+    );
 }

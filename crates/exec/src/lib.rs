@@ -20,6 +20,20 @@
 //!   [`Parker::notify`]. (The protocol, its lost-wakeup argument and the
 //!   spin-then-park wait policy are described once, in the module docs
 //!   of `crates/sync/src/parker.rs`.)
+//! * A **task** lives in the queue slot that carries it. It is three
+//!   words of inline storage plus a run and a drop function pointer, the
+//!   idiom of `cds_reclaim`'s `Deferred`. A closure whose size and
+//!   alignment fit the words is written into them in place, and the deque,
+//!   injector and overflow queue move the five-word task by value, so
+//!   [`Executor::spawn`] allocates nothing and the worker frees nothing.
+//!   Any other closure is boxed, and the one-word box goes into the words.
+//!   Three words is the request/reply pipeline's closure: an `Arc` and a
+//!   16-byte request. A task plus the ring's 8-byte stamp fits one 64-byte
+//!   line. On the gate's `rr_light` (2 vCPUs, ten alternating 20 s pairs
+//!   against a boxed task), `ops_per_s` went from 1.19 M to 1.47 M
+//!   (medians, +24 %, ahead in 10 of 10, parent quartile spread 60 k),
+//!   `lat_p50_us` from 51.0 to 41.3 and `cpu_us_per_op` from 1.60 to
+//!   1.28.
 //! * The whole pool is generic over `R:`[`Reclaimer`] like the structures
 //!   it composes, so the deque buffers and overflow nodes are managed by
 //!   whichever backend the application standardized on.
@@ -69,8 +83,8 @@ use cds_queue::{BoundedQueue, ChaseLevDeque, MsQueue, Steal, Stealer, Worker};
 use cds_reclaim::{Ebr, Reclaimer};
 use cds_sync::{Backoff, CachePadded, Parker};
 
-/// A unit of work: a boxed closure run exactly once on some pool thread.
-pub type Task = Box<dyn FnOnce() + Send + 'static>;
+mod task;
+use task::Task;
 
 /// Pool geometry and seeding.
 #[derive(Debug, Clone)]
@@ -260,7 +274,7 @@ fn run_task<R: Reclaimer>(shared: &Shared<R>, task: Task) {
     // A panicking task must not take its worker thread (and the pool's
     // conservation invariant) down with it; the panic is contained to
     // the task and the completion is still counted.
-    let _ = std::panic::catch_unwind(AssertUnwindSafe(task));
+    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| task.run()));
     // Telemetry before the completion count: `quiesce` returns as soon as
     // a reader observes the final `executed` increment, and anything
     // sequenced after it (on the worker) may not be visible to a snapshot
@@ -398,7 +412,7 @@ impl<R: Reclaimer> Executor<R> {
     /// unbounded queue. Called from inside one of this pool's own tasks,
     /// the task goes to that worker's local (LIFO) deque instead.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.shared.spawn_task(Box::new(f));
+        self.shared.spawn_task(Task::new(f));
     }
 
     /// A cloneable, `Send` submission handle — what tasks capture to
@@ -534,7 +548,7 @@ pub struct Handle<R: Reclaimer = Ebr> {
 impl<R: Reclaimer> Handle<R> {
     /// Submits a task; identical semantics to [`Executor::spawn`].
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.shared.spawn_task(Box::new(f));
+        self.shared.spawn_task(Task::new(f));
     }
 }
 

@@ -8,7 +8,8 @@
 //! and a count atomically) that would otherwise need a custom lock
 //! protocol.
 //!
-//! Run with: `cargo run --release --example flat_combining_histogram`
+//! Run with: `cargo run --release --example flat_combining_histogram`,
+//! and its test with `cargo test --example flat_combining_histogram`.
 
 use std::sync::Arc;
 use std::thread;
@@ -34,13 +35,15 @@ impl Histogram {
         }
     }
 
+    /// The `p` quantile, rounded up to its bucket's exclusive upper bound
+    /// `1 << i` but never above the largest value recorded.
     fn percentile(&self, p: f64) -> u64 {
         let target = (self.count as f64 * p) as u64;
         let mut seen = 0;
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= target {
-                return 1 << i;
+                return (1u64 << i).min(self.max);
             }
         }
         self.max
@@ -139,5 +142,31 @@ fn main() {
             println!("all {total} samples accounted for");
         }
         Res::Recorded => unreachable!(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_percentile_exceeds_the_max() {
+        let mut h = Histogram::new();
+        let mut rng = SplitMix64::new(0x4157);
+        for _ in 0..10_000 {
+            let x = rng.next_u64();
+            h.apply(Op::Record(1_000 + (x % 65_536) * (x % 16)));
+        }
+        for p in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            let q = h.percentile(p);
+            assert!(q <= h.max, "p{p}: {q} above the max {}", h.max);
+        }
+        // Values at a bucket's lower edge: 1 << 20 is bucket 21's
+        // smallest, and the bucket's bound is 1 << 21.
+        let mut h = Histogram::new();
+        for _ in 0..100 {
+            h.apply(Op::Record(1 << 20));
+        }
+        assert_eq!(h.percentile(0.99), 1 << 20);
     }
 }

@@ -10,6 +10,9 @@
 //! backend leaves behind. A structure that leaks one allocation per delete
 //! misses it by thousands.
 //!
+//! The same allocator counts allocations, so it also checks that
+//! `Executor::spawn` of a small closure allocates nothing.
+//!
 //! This binary has its own allocator, so every test takes the [`serial`]
 //! lock: a sibling's allocations would read as this test's leak.
 
@@ -18,9 +21,10 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 
-use cds_atomic::raw::{AtomicIsize, Ordering};
+use cds_atomic::raw::{AtomicIsize, AtomicUsize, Ordering};
 use cds_atomic::stress::SplitMix64;
 use cds_core::{ConcurrentMap, ConcurrentSet};
+use cds_exec::Executor;
 use cds_list::HarrisMichaelList;
 use cds_map::{ResizingMap, SplitOrderedHashMap};
 use cds_reclaim::{Ebr, Hazard, Reclaimer};
@@ -28,11 +32,13 @@ use cds_skiplist::LockFreeSkipList;
 use cds_tree::LockFreeBst;
 use common::serial;
 
-/// `System`, counting live allocations.
+/// `System`, counting live allocations and allocations made.
 struct Counting;
 
 /// Allocations made minus allocations freed, process-wide.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// Allocations made, process-wide.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: forwards to `System` unchanged; the counter is a side effect that
 // allocates nothing. The provided `alloc_zeroed` and `realloc` go through
@@ -43,6 +49,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             LIVE.fetch_add(1, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -59,6 +66,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn live() -> isize {
     LIVE.load(Ordering::SeqCst)
+}
+
+fn allocs() -> usize {
+    ALLOCS.load(Ordering::SeqCst)
 }
 
 /// Operations per thread in the measured run.
@@ -227,5 +238,46 @@ fn resizing_map_frees_what_it_allocates() {
         map_block_op,
         || ResizingMap::<u64, u64, _, Hazard>::with_config(16, 1),
         map_block_op,
+    );
+}
+
+/// Closures spawned in the measured run of the spawn test.
+const SPAWNS: usize = 10_000;
+/// Spawns between two `quiesce` calls: below the injector's 256 slots, so
+/// no spawn overflows into the `MsQueue`, whose nodes are allocations.
+const SPAWN_BATCH: usize = 125;
+
+/// The shape of the request/reply pipeline's task: an `Arc` and 16 bytes.
+fn spawn_batches(pool: &Executor, hits: &Arc<AtomicUsize>, spawns: usize) {
+    for batch in 0..spawns / SPAWN_BATCH {
+        for i in 0..SPAWN_BATCH {
+            let hits = Arc::clone(hits);
+            let request = [batch as u64, i as u64];
+            pool.spawn(move || {
+                std::hint::black_box(request);
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        pool.quiesce();
+    }
+}
+
+#[test]
+fn spawning_a_small_closure_allocates_nothing() {
+    let _g = serial();
+    let pool = Executor::new(2);
+    let hits = Arc::new(AtomicUsize::new(0));
+    // First use of the workers: thread-locals, reclaimer registrations,
+    // deque buffers.
+    spawn_batches(&pool, &hits, 4 * SPAWN_BATCH);
+
+    let before = allocs();
+    spawn_batches(&pool, &hits, SPAWNS);
+    let made = allocs() - before;
+    assert_eq!(hits.load(Ordering::SeqCst), 4 * SPAWN_BATCH + SPAWNS);
+    assert!(
+        made < SPAWNS / 100,
+        "{made} allocations for {SPAWNS} spawns of an `Arc` and 16 bytes: \
+         a task that small must live inline in the queue slot"
     );
 }

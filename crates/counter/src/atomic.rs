@@ -54,16 +54,3 @@ impl fmt::Debug for AtomicCounter {
             .finish()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentCounter;
-
-    #[test]
-    fn add_and_get() {
-        let c = AtomicCounter::new();
-        c.add(7);
-        assert_eq!(c.get(), 7);
-    }
-}

@@ -72,17 +72,3 @@ impl fmt::Debug for FcCounter {
         f.debug_struct("FcCounter").finish_non_exhaustive()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentCounter;
-
-    #[test]
-    fn add_and_get() {
-        let c = FcCounter::new();
-        c.add(3);
-        c.increment();
-        assert_eq!(c.get(), 4);
-    }
-}

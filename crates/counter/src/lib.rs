@@ -45,50 +45,3 @@ pub use combining::CombiningTreeCounter;
 pub use fc::FcCounter;
 pub use lock::LockCounter;
 pub use sharded::ShardedCounter;
-
-#[cfg(test)]
-mod tests {
-    use cds_core::ConcurrentCounter;
-    use std::sync::Arc;
-
-    fn exact_total<C: ConcurrentCounter + Default + 'static>() {
-        const THREADS: i64 = 4;
-        const PER_THREAD: i64 = 10_000;
-        let c = Arc::new(C::default());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..PER_THREAD {
-                        c.increment();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), THREADS * PER_THREAD);
-    }
-
-    #[test]
-    fn all_counters_count_exactly() {
-        exact_total::<super::LockCounter>();
-        exact_total::<super::AtomicCounter>();
-        exact_total::<super::ShardedCounter>();
-        exact_total::<super::CombiningTreeCounter>();
-        exact_total::<super::FcCounter>();
-    }
-
-    #[test]
-    fn negative_deltas() {
-        use super::*;
-        let c = AtomicCounter::new();
-        c.add(10);
-        c.add(-4);
-        assert_eq!(c.get(), 6);
-        let s = ShardedCounter::new();
-        s.add(-3);
-        assert_eq!(s.get(), -3);
-    }
-}

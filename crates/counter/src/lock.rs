@@ -46,17 +46,3 @@ impl fmt::Debug for LockCounter {
             .finish()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentCounter;
-
-    #[test]
-    fn add_and_get() {
-        let c = LockCounter::new();
-        c.add(3);
-        c.add(-1);
-        assert_eq!(c.get(), 2);
-    }
-}

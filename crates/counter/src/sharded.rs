@@ -108,7 +108,6 @@ impl fmt::Debug for ShardedCounter {
 mod tests {
     use super::*;
     use cds_core::ConcurrentCounter;
-    use std::sync::Arc;
 
     #[test]
     fn single_thread_is_exact() {
@@ -118,25 +117,6 @@ mod tests {
         }
         c.add(-50);
         assert_eq!(c.get(), 50);
-    }
-
-    #[test]
-    fn quiescent_reads_are_exact() {
-        let c = Arc::new(ShardedCounter::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.increment();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 8000);
     }
 
     #[test]

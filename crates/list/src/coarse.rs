@@ -135,23 +135,10 @@ mod tests {
     use cds_core::ConcurrentSet;
 
     #[test]
-    fn keeps_sorted_order_invariant() {
-        let s = CoarseList::new();
-        for v in [5, 1, 9, 3, 7] {
-            assert!(s.insert(v));
-        }
-        // Walk and check sortedness through the public API indirectly:
-        // removing in ascending order always succeeds.
-        for v in [1, 3, 5, 7, 9] {
-            assert!(s.remove(&v));
-        }
-        assert!(s.is_empty());
-    }
-
-    #[test]
     fn long_list_drops_without_stack_overflow() {
         let s = CoarseList::new();
-        for i in 0..100_000 {
+        // Descending keys each land at the head: a linear build.
+        for i in (0..100_000).rev() {
             s.insert(i);
         }
         drop(s); // must not overflow

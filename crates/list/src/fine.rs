@@ -162,54 +162,3 @@ impl<T> fmt::Debug for FineList<T> {
         f.debug_struct("FineList").finish_non_exhaustive()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentSet;
-    use std::sync::Arc;
-
-    #[test]
-    fn sentinels_are_invisible() {
-        let s: FineList<i32> = FineList::new();
-        assert_eq!(s.len(), 0);
-        assert!(!s.contains(&0));
-        assert!(!s.remove(&0));
-    }
-
-    #[test]
-    fn disjoint_regions_in_parallel() {
-        let s = Arc::new(FineList::new());
-        let low = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                for i in 0..300 {
-                    s.insert(i);
-                }
-            })
-        };
-        let high = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                for i in 1000..1300 {
-                    s.insert(i);
-                }
-            })
-        };
-        low.join().unwrap();
-        high.join().unwrap();
-        assert_eq!(s.len(), 600);
-    }
-
-    #[test]
-    fn remove_frees_immediately_without_crash() {
-        let s = FineList::new();
-        for i in 0..50 {
-            s.insert(i);
-        }
-        for i in (0..50).step_by(2) {
-            assert!(s.remove(&i));
-        }
-        assert_eq!(s.len(), 25);
-    }
-}

@@ -253,17 +253,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn wait_free_contains_sees_marks() {
-        let s = LazyList::new();
-        s.insert(1);
-        s.insert(2);
-        assert!(s.contains(&1));
-        s.remove(&1);
-        assert!(!s.contains(&1));
-        assert!(s.contains(&2));
-    }
-
-    #[test]
     fn readers_during_heavy_churn() {
         let s = Arc::new(LazyList::new());
         for i in 0..32 {

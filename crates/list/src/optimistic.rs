@@ -238,18 +238,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn basic_set_operations() {
-        let s = OptimisticList::new();
-        assert!(s.insert(2));
-        assert!(s.insert(1));
-        assert!(!s.insert(2));
-        assert!(s.contains(&1));
-        assert!(s.remove(&2));
-        assert!(!s.contains(&2));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn contended_remove_insert_cycles() {
         let s = Arc::new(OptimisticList::new());
         for i in 0..16 {

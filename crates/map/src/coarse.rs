@@ -69,17 +69,3 @@ impl<K, V> fmt::Debug for CoarseMap<K, V> {
             .finish()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentMap;
-
-    #[test]
-    fn insert_if_absent() {
-        let m = CoarseMap::new();
-        assert!(m.insert(1, 10));
-        assert!(!m.insert(1, 20));
-        assert_eq!(m.get(&1), Some(10));
-    }
-}

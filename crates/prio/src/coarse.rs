@@ -147,40 +147,3 @@ impl<T> fmt::Debug for CoarseBinaryHeap<T> {
         f.debug_struct("CoarseBinaryHeap").finish_non_exhaustive()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentPriorityQueue;
-
-    #[test]
-    fn heap_property_is_maintained() {
-        let h = CoarseBinaryHeap::new();
-        for k in [9, 4, 7, 1, 8, 2, 6, 3, 5] {
-            h.insert(k);
-        }
-        let mut prev = i32::MIN;
-        while let Some(k) = h.remove_min() {
-            assert!(k > prev);
-            prev = k;
-        }
-    }
-
-    #[test]
-    fn duplicates_rejected() {
-        let h = CoarseBinaryHeap::new();
-        assert!(h.insert(1));
-        assert!(!h.insert(1));
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.remove_min(), Some(1));
-        assert!(h.insert(1), "reinsertion after removal must work");
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let h = CoarseBinaryHeap::new();
-        h.insert(5);
-        assert_eq!(h.peek_min(), Some(5));
-        assert_eq!(h.len(), 1);
-    }
-}

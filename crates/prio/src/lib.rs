@@ -43,65 +43,3 @@ mod skiplist_pq;
 
 pub use coarse::CoarseBinaryHeap;
 pub use skiplist_pq::SkipListPriorityQueue;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentPriorityQueue;
-    use std::sync::Arc;
-
-    fn sequential_drain_is_sorted<P: ConcurrentPriorityQueue<i64> + Default>() {
-        let p = P::default();
-        assert!(p.is_empty());
-        assert_eq!(p.remove_min(), None);
-        for k in [7, 3, 9, 1, 5] {
-            assert!(p.insert(k));
-        }
-        assert!(!p.insert(3), "duplicate insert must fail");
-        assert_eq!(p.len(), 5);
-        assert_eq!(p.peek_min(), Some(1));
-        let mut out = Vec::new();
-        while let Some(k) = p.remove_min() {
-            out.push(k);
-        }
-        assert_eq!(out, vec![1, 3, 5, 7, 9]);
-    }
-
-    fn concurrent_no_loss_no_duplication<P: ConcurrentPriorityQueue<i64> + Default + 'static>() {
-        let p = Arc::new(P::default());
-        const N: i64 = 1_000;
-        for k in 0..N {
-            p.insert(k);
-        }
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let p = Arc::clone(&p);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(k) = p.remove_min() {
-                        got.push(k);
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut all: Vec<i64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..N).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn both_queues_sort_sequentially() {
-        sequential_drain_is_sorted::<CoarseBinaryHeap<i64>>();
-        sequential_drain_is_sorted::<SkipListPriorityQueue<i64>>();
-    }
-
-    #[test]
-    fn both_queues_survive_concurrent_drains() {
-        concurrent_no_loss_no_duplication::<CoarseBinaryHeap<i64>>();
-        concurrent_no_loss_no_duplication::<SkipListPriorityQueue<i64>>();
-    }
-}

@@ -73,59 +73,3 @@ impl<T> fmt::Debug for SkipListPriorityQueue<T> {
             .finish_non_exhaustive()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentPriorityQueue;
-    use std::sync::Arc;
-
-    #[test]
-    fn interleaved_insert_and_remove_min() {
-        let pq = SkipListPriorityQueue::new();
-        pq.insert(10);
-        pq.insert(5);
-        assert_eq!(pq.remove_min(), Some(5));
-        pq.insert(1);
-        assert_eq!(pq.remove_min(), Some(1));
-        assert_eq!(pq.remove_min(), Some(10));
-        assert_eq!(pq.remove_min(), None);
-    }
-
-    #[test]
-    fn producers_and_consumers() {
-        let pq = Arc::new(SkipListPriorityQueue::new());
-        const PER: i64 = 500;
-        let producers: Vec<_> = (0..2)
-            .map(|t| {
-                let pq = Arc::clone(&pq);
-                std::thread::spawn(move || {
-                    for i in 0..PER {
-                        assert!(pq.insert(t * PER + i));
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let pq = Arc::clone(&pq);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(k) = pq.remove_min() {
-                        got.push(k);
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut all: Vec<i64> = consumers
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..2 * PER).collect::<Vec<_>>());
-    }
-}

@@ -96,44 +96,3 @@ impl<T> fmt::Debug for FcQueue<T> {
         f.debug_struct("FcQueue").finish_non_exhaustive()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn fifo_order() {
-        let q = FcQueue::new();
-        for i in 0..10 {
-            q.enqueue(i);
-        }
-        for i in 0..10 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn combined_transfer() {
-        let q = Arc::new(FcQueue::new());
-        let producers: Vec<_> = (0..2)
-            .map(|t| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..1_000u64 {
-                        q.enqueue(t * 1_000 + i);
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        let mut n = 0;
-        while q.dequeue().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 2_000);
-    }
-}

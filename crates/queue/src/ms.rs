@@ -289,19 +289,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn sequential_fifo() {
-        let q = MsQueue::new();
-        assert_eq!(q.dequeue(), None);
-        for i in 0..32 {
-            q.enqueue(i);
-        }
-        for i in 0..32 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
     fn fifo_on_every_backend() {
         fn run<R: Reclaimer>() {
             let q: MsQueue<u64, R> = MsQueue::with_reclaimer();

@@ -135,18 +135,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn sequential_fifo() {
-        let q = TwoLockQueue::new();
-        for i in 0..10 {
-            q.enqueue(i);
-        }
-        for i in 0..10 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
     fn drop_frees_unconsumed_values() {
         struct D(Arc<AtomicUsize>);
         impl Drop for D {
@@ -163,36 +151,5 @@ mod tests {
             drop(q.dequeue());
         }
         assert_eq!(drops.load(Ordering::SeqCst), 6);
-    }
-
-    #[test]
-    fn producer_and_consumer_in_parallel() {
-        let q = Arc::new(TwoLockQueue::new());
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                for i in 0..5_000u64 {
-                    q.enqueue(i);
-                }
-            })
-        };
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut expected = 0;
-                while expected < 5_000 {
-                    match q.dequeue() {
-                        Some(v) => {
-                            assert_eq!(v, expected);
-                            expected += 1;
-                        }
-                        None => std::thread::yield_now(),
-                    }
-                }
-            })
-        };
-        producer.join().unwrap();
-        consumer.join().unwrap();
-        assert!(q.is_empty());
     }
 }

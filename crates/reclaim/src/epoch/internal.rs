@@ -4,7 +4,7 @@
 use cds_atomic::{fence, AtomicUsize, Ordering};
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How many deferred items a participant accumulates locally before it
 /// flushes them to the global queue (and attempts collection).
@@ -52,6 +52,15 @@ impl fmt::Debug for Deferred {
     }
 }
 
+/// Locks a registry, taking a poisoned one over: each critical section
+/// leaves its vector whole, so a panic that unwound through one (an
+/// aborted stress window, say) left nothing half done, and passing the
+/// poison on would make every later registration, thread exit and
+/// collection panic too.
+fn lock<T>(registry: &Mutex<T>) -> MutexGuard<'_, T> {
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Global collector state shared by all participants.
 pub(crate) struct Global {
     /// The global epoch. Plain counter; wrapping arithmetic throughout.
@@ -88,7 +97,7 @@ impl Global {
             handle_dropped: Cell::new(false),
             bag: UnsafeCell::new(Vec::new()),
         });
-        self.participants.lock().unwrap().push(Arc::clone(&local));
+        lock(&self.participants).push(Arc::clone(&local));
         local
     }
 
@@ -97,7 +106,7 @@ impl Global {
     /// the `participants` lock and after its last use of `local` — rather
     /// than here.
     fn unregister(&self, local: &Local) -> Option<Arc<Local>> {
-        let mut parts = self.participants.lock().unwrap();
+        let mut parts = lock(&self.participants);
         let at = parts.iter().position(|p| std::ptr::eq(&**p, local))?;
         Some(parts.swap_remove(at))
     }
@@ -111,7 +120,7 @@ impl Global {
         let global_epoch = self.epoch.load(Ordering::Relaxed);
         fence(Ordering::SeqCst);
 
-        let parts = self.participants.lock().unwrap();
+        let parts = lock(&self.participants);
         for p in parts.iter() {
             let e = p.epoch.load(Ordering::Relaxed);
             if e & 1 == 1 && e >> 1 != global_epoch {
@@ -135,7 +144,7 @@ impl Global {
 
     /// Moves `items` onto the global garbage queue.
     pub(crate) fn push_garbage(&self, items: impl IntoIterator<Item = (usize, Deferred)>) {
-        self.garbage.lock().unwrap().extend(items);
+        lock(&self.garbage).extend(items);
     }
 
     /// Frees every queued item that is at least two epochs old.
@@ -147,7 +156,7 @@ impl Global {
     pub(crate) fn collect(&self) -> usize {
         let global_epoch = self.try_advance();
         let eligible: Vec<Deferred> = {
-            let mut garbage = self.garbage.lock().unwrap();
+            let mut garbage = lock(&self.garbage);
             let mut eligible = Vec::new();
             garbage.retain_mut(|(e, d)| {
                 // Signed distance: `global_epoch` was read before the queue
@@ -182,8 +191,8 @@ impl Global {
     /// relaxed reads of each owner's mirror, so the sum is approximate while
     /// threads are retiring).
     pub(crate) fn garbage_len(&self) -> usize {
-        let queued = self.garbage.lock().unwrap().len();
-        let parts = self.participants.lock().unwrap();
+        let queued = lock(&self.garbage).len();
+        let parts = lock(&self.participants);
         let bagged: usize = parts
             .iter()
             .map(|p| p.bag_len.load(Ordering::Relaxed))
@@ -196,7 +205,10 @@ impl Drop for Global {
     fn drop(&mut self) {
         // No participants can remain (each holds an `Arc<Global>`), so all
         // garbage is unreachable and safe to free.
-        let garbage = self.garbage.get_mut().unwrap();
+        let garbage = self
+            .garbage
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         cds_obs::add(cds_obs::Event::FreedEbr, garbage.len() as u64);
         for (_, d) in garbage.drain(..) {
             d.call();
@@ -353,5 +365,49 @@ impl fmt::Debug for Local {
         f.debug_struct("Local")
             .field("pinned", &(self.epoch.load(Ordering::Relaxed) & 1 == 1))
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A thread that panics while it holds `lock` leaves it poisoned.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = lock.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    unsafe fn free_u64(ptr: *mut u8) {
+        // SAFETY: the caller passes a pointer from `Box::<u64>::into_raw`.
+        unsafe { drop(Box::from_raw(ptr.cast::<u64>())) };
+    }
+
+    /// A panic that unwinds through a registry lock (an aborted stress
+    /// window, say) must not turn every later registration, thread exit
+    /// and collection into a panic of its own.
+    #[test]
+    fn poisoned_registry_locks_are_taken_over() {
+        let global = Arc::new(Global::new());
+        poison(&global.participants);
+        poison(&global.garbage);
+
+        let local = global.register();
+        local.pin();
+        // SAFETY: a fresh box, handed over once.
+        local.defer(unsafe { Deferred::new(Box::into_raw(Box::new(7u64)).cast(), free_u64) });
+        assert!(local.unpin().is_none());
+        local.flush();
+        assert_eq!(global.garbage_len(), 1);
+        local.handle_dropped();
+        let freed: usize = (0..3).map(|_| global.collect()).sum();
+        assert_eq!(freed, 1);
+        assert_eq!(global.garbage_len(), 0);
     }
 }

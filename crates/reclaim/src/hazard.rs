@@ -39,7 +39,7 @@ use cds_atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
 use std::ptr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::reclaimer::drop_box;
 
@@ -136,6 +136,15 @@ thread_local! {
 /// Source of [`Domain::id`].
 static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(0);
 
+/// Locks a registry, taking a poisoned one over: each critical section
+/// leaves its vector whole, so a panic that unwound through one (an
+/// aborted stress window, say) left nothing half done, and passing the
+/// poison on would make every later registration, thread exit and
+/// collection panic too.
+fn lock<T>(registry: &Mutex<T>) -> MutexGuard<'_, T> {
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A reclamation domain: a set of hazard slots plus the retired nodes
 /// waiting for them to clear.
 ///
@@ -207,7 +216,7 @@ impl Domain {
                     len: AtomicUsize::new(0),
                     abandoned: AtomicBool::new(false),
                 });
-                self.lists.lock().unwrap().push(Arc::clone(&list));
+                lock(&self.lists).push(Arc::clone(&list));
                 let found = unbound(&list);
                 mine.push((self.id, list));
                 Some(found)
@@ -286,7 +295,7 @@ impl Domain {
         let Some(list) = self.my_list(true) else {
             // Retired from a thread-local destructor after this thread's
             // lists were torn down.
-            self.orphans.lock().unwrap().push(retired);
+            lock(&self.orphans).push(retired);
             return;
         };
         // SAFETY: this thread owns the list and holds no other reference
@@ -327,7 +336,7 @@ impl Domain {
             Some(list) => std::mem::take(unsafe { &mut *list.nodes.get() }),
             None => Vec::new(),
         };
-        self.lists.lock().unwrap().retain(|list| {
+        lock(&self.lists).retain(|list| {
             if !list.abandoned.load(Ordering::Acquire) {
                 return true;
             }
@@ -336,7 +345,7 @@ impl Domain {
             batch.append(unsafe { &mut *list.nodes.get() });
             false
         });
-        batch.append(&mut self.orphans.lock().unwrap());
+        batch.append(&mut lock(&self.orphans));
         if batch.is_empty() {
             return 0;
         }
@@ -391,7 +400,7 @@ impl Domain {
                 *nodes = batch;
                 list.len.store(nodes.len(), Ordering::Relaxed);
             }
-            None => self.orphans.lock().unwrap().append(&mut batch),
+            None => lock(&self.orphans).append(&mut batch),
         }
         freed
     }
@@ -400,8 +409,8 @@ impl Domain {
     /// (diagnostics; the per-thread lengths are relaxed reads of each
     /// owner's mirror, so the sum is approximate while threads retire).
     pub fn retired_len(&self) -> usize {
-        let orphaned = self.orphans.lock().unwrap().len();
-        let lists = self.lists.lock().unwrap();
+        let orphaned = lock(&self.orphans).len();
+        let lists = lock(&self.lists);
         let listed: usize = lists.iter().map(|l| l.len.load(Ordering::Relaxed)).sum();
         orphaned + listed
     }
@@ -462,8 +471,17 @@ impl Drop for Domain {
     fn drop(&mut self) {
         // No hazard pointers can outlive the domain (they borrow it), so
         // everything retired is reclaimable.
-        let mut retired = std::mem::take(self.orphans.get_mut().unwrap());
-        for list in self.lists.get_mut().unwrap().drain(..) {
+        let mut retired = std::mem::take(
+            self.orphans
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for list in self
+            .lists
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+        {
             // SAFETY: owners touch `nodes` only through a borrow of the
             // domain, and this is the exclusive one.
             retired.append(unsafe { &mut *list.nodes.get() });
@@ -622,6 +640,43 @@ mod tests {
         fn drop(&mut self) {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
+    }
+
+    /// A thread that panics while it holds `lock` leaves it poisoned.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = lock.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    /// A panic that unwinds through a registry lock (an aborted stress
+    /// window, say) must not turn every later registration, thread exit
+    /// and scan into a panic of its own.
+    #[test]
+    fn poisoned_registry_locks_are_taken_over() {
+        let drops = Arc::new(Counter::new(0));
+        let domain = Domain::new();
+        poison(&domain.lists);
+        poison(&domain.orphans);
+
+        // A thread registers its retire list, retires into it and exits,
+        // abandoning the list; a scan adopts and frees it.
+        std::thread::scope(|s| {
+            let node = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops)))) as usize;
+            let domain = &domain;
+            // SAFETY: a fresh box, never shared, retired once.
+            let retire = move || unsafe { domain.retire(node as *mut DropCounter) };
+            s.spawn(retire).join().unwrap();
+        });
+        assert_eq!(domain.retired_len(), 1);
+        assert_eq!(domain.scan(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        assert_eq!(domain.retired_len(), 0);
     }
 
     #[test]

@@ -383,21 +383,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn towers_link_and_unlink() {
-        let s = LazySkipList::new();
-        for k in 0..200 {
-            assert!(s.insert(k));
-        }
-        for k in 0..200 {
-            assert!(s.contains(&k));
-        }
-        for k in (0..200).rev() {
-            assert!(s.remove(&k));
-        }
-        assert!(s.is_empty());
-    }
-
-    #[test]
     fn concurrent_insert_remove_distinct_ranges() {
         let s = Arc::new(LazySkipList::new());
         let handles: Vec<_> = (0..4)

@@ -88,11 +88,4 @@ mod tests {
         s.pop();
         assert_eq!(s.len(), 1);
     }
-
-    #[test]
-    fn pop_empty_is_none() {
-        let s: CoarseStack<i32> = CoarseStack::default();
-        assert_eq!(s.pop(), None);
-        assert!(s.is_empty());
-    }
 }

@@ -102,16 +102,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn lifo_order() {
-        let s = FcStack::new();
-        s.push(1);
-        s.push(2);
-        assert_eq!(s.pop(), Some(2));
-        assert_eq!(s.pop(), Some(1));
-        assert_eq!(s.pop(), None);
-    }
-
-    #[test]
     fn combined_pushes_all_land() {
         let s = Arc::new(FcStack::new());
         let handles: Vec<_> = (0..4)

@@ -46,89 +46,3 @@ pub use coarse::CoarseStack;
 pub use elimination::{EliminationArray, EliminationBackoffStack};
 pub use fc::FcStack;
 pub use treiber::TreiberStack;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentStack;
-    use std::collections::HashSet;
-    use std::sync::Arc;
-
-    fn lifo_when_sequential<S: ConcurrentStack<u32> + Default>() {
-        let s = S::default();
-        assert!(s.is_empty());
-        assert_eq!(s.pop(), None);
-        for i in 0..100 {
-            s.push(i);
-        }
-        assert!(!s.is_empty());
-        for i in (0..100).rev() {
-            assert_eq!(s.pop(), Some(i));
-        }
-        assert!(s.is_empty());
-    }
-
-    fn no_loss_no_duplication<S: ConcurrentStack<u64> + Default + 'static>() {
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 2_000;
-        let s = Arc::new(S::default());
-        let producers: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..PER_THREAD {
-                        s.push(t * PER_THREAD + i);
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    for _ in 0..PER_THREAD / 2 {
-                        if let Some(v) = s.pop() {
-                            got.push(v);
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        let mut seen: HashSet<u64> = HashSet::new();
-        for c in consumers {
-            for v in c.join().unwrap() {
-                assert!(seen.insert(v), "duplicate pop of {v}");
-            }
-        }
-        while let Some(v) = s.pop() {
-            assert!(seen.insert(v), "duplicate pop of {v}");
-        }
-        assert_eq!(seen.len() as u64, THREADS * PER_THREAD, "lost elements");
-    }
-
-    #[test]
-    fn all_implementations_are_lifo() {
-        lifo_when_sequential::<CoarseStack<u32>>();
-        lifo_when_sequential::<TreiberStack<u32>>();
-        lifo_when_sequential::<TreiberStack<u32, cds_reclaim::Hazard>>();
-        lifo_when_sequential::<TreiberStack<u32, cds_reclaim::Leak>>();
-        lifo_when_sequential::<TreiberStack<u32, cds_reclaim::DebugReclaim>>();
-        lifo_when_sequential::<EliminationBackoffStack<u32>>();
-        lifo_when_sequential::<FcStack<u32>>();
-    }
-
-    #[test]
-    fn no_element_lost_or_duplicated_under_contention() {
-        no_loss_no_duplication::<CoarseStack<u64>>();
-        no_loss_no_duplication::<TreiberStack<u64>>();
-        no_loss_no_duplication::<TreiberStack<u64, cds_reclaim::Hazard>>();
-        no_loss_no_duplication::<TreiberStack<u64, cds_reclaim::DebugReclaim>>();
-        no_loss_no_duplication::<EliminationBackoffStack<u64>>();
-        no_loss_no_duplication::<FcStack<u64>>();
-    }
-}

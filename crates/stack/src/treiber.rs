@@ -298,14 +298,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn push_pop_round_trip() {
-        let s = TreiberStack::new();
-        s.push(String::from("x"));
-        assert_eq!(s.pop().as_deref(), Some("x"));
-        assert_eq!(s.pop(), None);
-    }
-
-    #[test]
     fn round_trip_on_every_backend() {
         fn run<R: Reclaimer>() {
             let s: TreiberStack<u64, R> = TreiberStack::with_reclaimer();
@@ -345,54 +337,5 @@ mod tests {
             assert_eq!(drops.load(AOrd::SeqCst), 5);
         }
         assert_eq!(drops.load(AOrd::SeqCst), 10, "stack drop leaked values");
-    }
-
-    #[test]
-    fn concurrent_push_pop_totals() {
-        let s = Arc::new(TreiberStack::new());
-        let total = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                let total = Arc::clone(&total);
-                std::thread::spawn(move || {
-                    for i in 0..1000usize {
-                        s.push(i);
-                        if let Some(v) = s.pop() {
-                            total.fetch_add(v, AOrd::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Every push is matched by a pop within the same iteration or left
-        // in the stack; drain whatever remains.
-        while s.pop().is_some() {}
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn concurrent_hazard_backend_churn() {
-        let s: Arc<TreiberStack<usize, Hazard>> = Arc::new(TreiberStack::with_reclaimer());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..500usize {
-                        s.push(i);
-                        s.pop();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        while s.pop().is_some() {}
-        assert!(s.is_empty());
-        Hazard::collect();
     }
 }

@@ -174,11 +174,20 @@ mod tests {
 
     #[test]
     fn sorted_insert_then_drop_does_not_overflow() {
-        let t = CoarseBst::new();
-        for k in 0..50_000 {
-            t.insert(k);
-        }
-        drop(t);
+        // A 5 000-deep right spine on a 64 KiB stack: a recursive drop
+        // overflows it.
+        std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(|| {
+                let t = CoarseBst::new();
+                for k in 0..5_000 {
+                    t.insert(k);
+                }
+                drop(t);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -256,57 +256,3 @@ impl<T> fmt::Debug for FineBst<T> {
         f.debug_struct("FineBst").finish_non_exhaustive()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cds_core::ConcurrentSet;
-    use std::sync::Arc;
-
-    #[test]
-    fn sentinels_are_invisible() {
-        let t: FineBst<i32> = FineBst::new();
-        assert_eq!(t.len(), 0);
-        assert!(!t.contains(&5));
-        assert!(!t.remove(&5));
-    }
-
-    #[test]
-    fn disjoint_subtrees_in_parallel() {
-        let t = Arc::new(FineBst::new());
-        let lo = {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || {
-                for k in 0..300 {
-                    assert!(t.insert(k));
-                }
-            })
-        };
-        let hi = {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || {
-                for k in 10_000..10_300 {
-                    assert!(t.insert(k));
-                }
-            })
-        };
-        lo.join().unwrap();
-        hi.join().unwrap();
-        assert_eq!(t.len(), 600);
-    }
-
-    #[test]
-    fn remove_reclaims_parent_and_leaf() {
-        let t = FineBst::new();
-        for k in 0..64 {
-            t.insert(k);
-        }
-        for k in 0..64 {
-            assert!(t.remove(&k), "remove {k}");
-        }
-        assert_eq!(t.len(), 0);
-        // Tree stays usable after full drain.
-        assert!(t.insert(5));
-        assert!(t.contains(&5));
-    }
-}

@@ -38,7 +38,9 @@ impl Histogram {
     /// The `p` quantile, rounded up to its bucket's exclusive upper bound
     /// `1 << i` but never above the largest value recorded.
     fn percentile(&self, p: f64) -> u64 {
-        let target = (self.count as f64 * p) as u64;
+        // The rank of the `p` quantile: at least the first value, and
+        // rounded up, so that one value is its own p99.
+        let target = ((self.count as f64 * p).ceil() as u64).max(1);
         let mut seen = 0;
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
@@ -168,5 +170,14 @@ mod tests {
             h.apply(Op::Record(1 << 20));
         }
         assert_eq!(h.percentile(0.99), 1 << 20);
+    }
+
+    #[test]
+    fn one_value_is_every_percentile() {
+        let mut h = Histogram::new();
+        h.apply(Op::Record(1 << 20));
+        for p in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.percentile(p), 1 << 20, "p{p}");
+        }
     }
 }

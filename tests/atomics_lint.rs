@@ -266,6 +266,131 @@ fn only_the_switch_crates_declare_features() {
     );
 }
 
+/// Each abstract type's trait and the `tests/common/rosters.rs` macro
+/// that lists its implementations.
+const ROSTERS: [(&str, &str); 6] = [
+    ("ConcurrentStack", "stacks"),
+    ("ConcurrentQueue", "queues"),
+    ("ConcurrentSet", "sets"),
+    ("ConcurrentMap", "maps"),
+    ("ConcurrentPriorityQueue", "priority_queues"),
+    ("ConcurrentCounter", "counters"),
+];
+
+/// The text after `open` up to its matching `close`.
+fn balanced(text: &str, open: char, close: char) -> &str {
+    let mut depth = 0;
+    for (at, c) in text.char_indices() {
+        if c == open {
+            depth += 1;
+        } else if c == close {
+            depth -= 1;
+            if depth == 0 {
+                return &text[text.find(open).map_or(0, |o| o + 1)..at];
+            }
+        }
+    }
+    text
+}
+
+fn ident(text: &str) -> &str {
+    let end = text
+        .find(|c: char| !c.is_alphanumeric() && c != '_')
+        .unwrap_or(text.len());
+    &text[..end]
+}
+
+/// `(trait, type)` for every `impl<..> Trait<..> for Type` of a roster
+/// trait in `content`, outside its `#[cfg(test)] mod`.
+fn roster_trait_impls(content: &str) -> Vec<(&'static str, String)> {
+    let code = code_lines(content).collect::<Vec<_>>().join("\n");
+    let code = code.split("#[cfg(test)]\nmod ").next().unwrap_or("");
+    let mut impls = Vec::new();
+    for (at, _) in code.match_indices("impl") {
+        let mut header = code[at + "impl".len()..].trim_start();
+        if header.starts_with('<') {
+            header = header[balanced(header, '<', '>').len() + 2..].trim_start();
+        }
+        let named = ident(header);
+        let Some(&(trait_name, _)) = ROSTERS.iter().find(|(t, _)| *t == named) else {
+            continue;
+        };
+        let rest = &header[named.len()..];
+        if rest.starts_with('<') || rest.starts_with(' ') {
+            if let Some(target) = rest.split_once(" for ").map(|(_, t)| ident(t.trim_start())) {
+                impls.push((trait_name, target.to_string()));
+            }
+        }
+    }
+    impls
+}
+
+/// Every implementation of an abstract type runs every check of its type:
+/// each `impl Concurrent… for X` in `crates/<c>/src` must be named as
+/// `cds_<c>::X` in that trait's roster in `tests/common/rosters.rs`.
+#[test]
+fn every_implementation_is_on_its_roster() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let rosters = include_str!("common/rosters.rs");
+    let mut found = 0;
+    let mut missing = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let dir = entry.expect("dir entry").path();
+        let krate = format!("cds_{}", dir.file_name().unwrap().to_string_lossy());
+        let mut sources = Vec::new();
+        if dir.join("src").is_dir() {
+            rust_sources(&dir.join("src"), &mut sources);
+        }
+        for path in sources {
+            let content = std::fs::read_to_string(&path).expect("source readable");
+            for (trait_name, target) in roster_trait_impls(&content) {
+                found += 1;
+                let (_, roster) = ROSTERS.iter().find(|(t, _)| *t == trait_name).unwrap();
+                let at = rosters
+                    .find(&format!("macro_rules! {roster} "))
+                    .unwrap_or_else(|| panic!("no `{roster}!` roster"));
+                let body = balanced(&rosters[at..], '{', '}');
+                let named = format!("{krate}::{target}");
+                let listed = body
+                    .match_indices(&named)
+                    .any(|(i, _)| ident(&body[i + named.len()..]).is_empty());
+                if !listed {
+                    missing.push(format!(
+                        "{}: `{target}` implements {trait_name} but `{roster}!` does not name \
+                         `{named}`",
+                        path.strip_prefix(root).unwrap().display()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        found > 25,
+        "found suspiciously few implementations ({found})"
+    );
+    assert!(
+        missing.is_empty(),
+        "add each to its roster in tests/common/rosters.rs:\n  {}",
+        missing.join("\n  ")
+    );
+}
+
+#[test]
+fn roster_trait_impls_reads_generic_and_where_headers() {
+    let src = "impl<T: Ord> ConcurrentSet<T> for CoarseList<T> {}\n\
+               impl<K, V, S> ConcurrentMap<K, V> for Striped<K, V, S>\nwhere\n    K: Eq,\n{}\n\
+               impl ConcurrentCounter for LockCounter {}\n\
+               impl<T> Default for CoarseList<T> {}\n\
+               #[cfg(test)]\nmod tests {\n    impl ConcurrentCounter for Toy {}\n}\n";
+    let want = [
+        ("ConcurrentSet", "CoarseList"),
+        ("ConcurrentMap", "Striped"),
+        ("ConcurrentCounter", "LockCounter"),
+    ]
+    .map(|(t, x)| (t, x.to_string()));
+    assert_eq!(roster_trait_impls(src), want);
+}
+
 #[test]
 fn std_lock_lines_finds_paths_and_use_lists() {
     let src = "use std::sync::{\n    Arc,\n    Condvar,\n};\n\

@@ -3,6 +3,8 @@
 // Each binary uses its own subset.
 #![allow(dead_code)]
 
+mod rosters;
+
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 

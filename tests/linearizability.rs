@@ -13,7 +13,6 @@
 mod common;
 
 use std::fmt::Debug;
-use std::sync::Arc;
 
 use cds_atomic::stress::{mix_seed, SplitMix64};
 use cds_core::{
@@ -76,105 +75,86 @@ fn check_windows<S, T>(
     }
 }
 
-fn check_stack<S: ConcurrentStack<u64> + Default + Sync>() {
-    check_windows(StackSpec::default(), S::default, gen_stack, exec_stack);
+fn check_stack<S: ConcurrentStack<u64>>(_seed: u64, make: impl Fn() -> S) {
+    check_windows(StackSpec::default(), make, gen_stack, exec_stack);
 }
 
-fn check_queue<Q: ConcurrentQueue<u64> + Default + Sync>() {
-    check_windows(QueueSpec::default(), Q::default, gen_queue, exec_queue);
+fn check_queue<Q: ConcurrentQueue<u64>>(_seed: u64, make: impl Fn() -> Q) {
+    check_windows(QueueSpec::default(), make, gen_queue, exec_queue);
 }
 
-fn check_set<S: ConcurrentSet<u64> + Default + Sync>() {
-    check_windows(SetSpec::default(), S::default, gen_set, exec_set);
+fn check_set<S: ConcurrentSet<u64>>(_seed: u64, make: impl Fn() -> S) {
+    check_windows(SetSpec::default(), make, gen_set, exec_set);
 }
 
 /// A map driven through set-like ops (insert/remove/contains_key),
 /// checked against the set spec (values are keys).
-fn check_map_as_set<M: ConcurrentMap<u64, u64> + Default + Sync>() {
-    check_windows(
-        SetSpec::default(),
-        M::default,
-        gen_set,
-        |m: &M, op| match op {
-            SetOp::Insert(k) => m.insert(*k, *k),
-            SetOp::Remove(k) => m.remove(k),
-            SetOp::Contains(k) => m.contains_key(k),
-        },
-    );
+fn check_map_as_set<M: ConcurrentMap<u64, u64>>(_seed: u64, make: impl Fn() -> M) {
+    check_windows(SetSpec::default(), make, gen_set, |m: &M, op| match op {
+        SetOp::Insert(k) => m.insert(*k, *k),
+        SetOp::Remove(k) => m.remove(k),
+        SetOp::Contains(k) => m.contains_key(k),
+    });
 }
 
-fn check_pq<P: ConcurrentPriorityQueue<u64> + Default + Sync>() {
-    check_windows(PqSpec::default(), P::default, gen_pq, exec_pq);
+fn check_pq<P: ConcurrentPriorityQueue<u64>>(_seed: u64, make: impl Fn() -> P) {
+    check_windows(PqSpec::default(), make, gen_pq, exec_pq);
 }
 
-fn check_counter<C: ConcurrentCounter + Default + Sync>() {
-    check_windows(
-        CounterSpec::default(),
-        C::default,
-        gen_counter,
-        exec_counter,
-    );
+fn check_counter<C: ConcurrentCounter>(_seed: u64, make: impl Fn() -> C) {
+    check_windows(CounterSpec::default(), make, gen_counter, exec_counter);
 }
 
+/// Only the lock-based heap claims a linearizable `remove_min`.
 #[test]
 fn coarse_priority_queue_is_linearizable() {
-    // Only the lock-based heap claims linearizable remove_min; the
-    // Lotan–Shavit queue is quiescently consistent by design (see
-    // cds-prio docs) and gets the insert-only treatment below.
-    check_pq::<cds_prio::CoarseBinaryHeap<u64>>();
+    priority_queues!(linearizable: u64, check_pq);
 }
 
-#[test]
-fn skiplist_pq_inserts_are_linearizable_and_drain_is_sorted() {
-    // `remove_min` on the Lotan–Shavit queue is quiescently consistent, so
-    // a mixed window would legitimately fail the checker. Its *inserts* are
-    // linearizable though, and after quiescence the drain must come out in
-    // ascending order with nothing lost.
-    use cds_prio::SkipListPriorityQueue;
+/// `remove_min` on the Lotan–Shavit queue is quiescently consistent, so
+/// a mixed window would legitimately fail the checker. Its *inserts* are
+/// linearizable though, and after quiescence the drain must come out in
+/// ascending order with nothing lost.
+fn check_quiescent_pq<P: ConcurrentPriorityQueue<u64>>(_seed: u64, make: impl Fn() -> P) {
     for window in 0..WINDOWS {
-        let pq = Arc::new(SkipListPriorityQueue::<u64>::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let pq = Arc::clone(&pq);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
+        let pq = make();
+        let recorder = Recorder::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (pq, recorder) = (&pq, &recorder);
+                s.spawn(move || {
                     let mut rng = SplitMix64::new((window * THREADS + t + 19) as u64);
                     for _ in 0..OPS_PER_THREAD {
                         let k = rng.below(8); // collisions on purpose
                         recorder.record(PqOp::Insert(k), || PqRes::Inserted(pq.insert(k)));
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
+                });
+            }
+        });
+        let history = recorder.into_history();
         assert!(
             check_linearizable(PqSpec::default(), &history),
-            "non-linearizable skiplist-pq insert history: {history:?}"
+            "non-linearizable {} insert history: {history:?}",
+            P::NAME
         );
         let inserted = history
             .iter()
             .filter(|op| op.result == PqRes::Inserted(true))
             .count();
-        let mut drained = Vec::new();
-        while let Some(v) = pq.remove_min() {
-            drained.push(v);
-        }
+        let drained: Vec<u64> = std::iter::from_fn(|| pq.remove_min()).collect();
         assert_eq!(drained.len(), inserted, "elements lost or duplicated");
         assert!(drained.is_sorted(), "drain out of order: {drained:?}");
     }
 }
 
 #[test]
+fn skiplist_pq_inserts_are_linearizable_and_drain_is_sorted() {
+    priority_queues!(quiescent: u64, check_quiescent_pq);
+}
+
+#[test]
 fn linearizable_counters_check_out() {
-    // Sharded/combining counters have quiescently-consistent `get` and get
-    // the weaker treatment in `quiescent_counters_converge` below.
-    check_counter::<cds_counter::LockCounter>();
-    check_counter::<cds_counter::AtomicCounter>();
-    check_counter::<cds_counter::FcCounter>();
+    counters!(linearizable: check_counter);
 }
 
 /// Quiescently consistent counters: a concurrent `get` may miss in-flight
@@ -182,15 +162,14 @@ fn linearizable_counters_check_out() {
 /// record a concurrent add-only window plus one `Get` issued strictly
 /// *after* every add has returned; real-time order then forces the checker
 /// to demand the exact total.
-fn check_quiescent_counter<C: ConcurrentCounter + Default + 'static>() {
+fn check_quiescent_counter<C: ConcurrentCounter>(_seed: u64, make: impl Fn() -> C) {
     for window in 0..WINDOWS {
-        let c = Arc::new(C::default());
-        let recorder = Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let c = Arc::clone(&c);
-                let recorder = Arc::clone(&recorder);
-                std::thread::spawn(move || {
+        let c = make();
+        let recorder = Recorder::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (c, recorder) = (&c, &recorder);
+                s.spawn(move || {
                     let mut rng = SplitMix64::new((window * THREADS + t + 17) as u64);
                     for _ in 0..OPS_PER_THREAD {
                         let d = rng.below(5) as i64;
@@ -199,14 +178,11 @@ fn check_quiescent_counter<C: ConcurrentCounter + Default + 'static>() {
                             0
                         });
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         recorder.record(CounterOp::Get, || c.get());
-        let history = Arc::try_unwrap(recorder).ok().unwrap().into_history();
+        let history = recorder.into_history();
         assert!(
             check_linearizable(CounterSpec::default(), &history),
             "quiescent counter missed adds ({}): {history:?}",
@@ -217,29 +193,19 @@ fn check_quiescent_counter<C: ConcurrentCounter + Default + 'static>() {
 
 #[test]
 fn quiescent_counters_converge() {
-    check_quiescent_counter::<cds_counter::ShardedCounter>();
-    check_quiescent_counter::<cds_counter::CombiningTreeCounter>();
+    counters!(quiescent: check_quiescent_counter);
 }
 
 #[test]
 fn stacks_are_linearizable() {
-    check_stack::<cds_stack::CoarseStack<u64>>();
-    check_stack::<cds_stack::TreiberStack<u64>>();
-    check_stack::<cds_stack::TreiberStack<u64, cds_reclaim::Hazard>>();
-    check_stack::<cds_stack::TreiberStack<u64, cds_reclaim::DebugReclaim>>();
-    check_stack::<cds_stack::EliminationBackoffStack<u64>>();
-    check_stack::<cds_stack::FcStack<u64>>();
+    stacks!(u64, check_stack);
 }
 
+/// The bounded ring's 1024 slots far exceed a window, so its enqueues
+/// never wait and FIFO order is fully exercised.
 #[test]
 fn queues_are_linearizable() {
-    check_queue::<cds_queue::CoarseQueue<u64>>();
-    check_queue::<cds_queue::TwoLockQueue<u64>>();
-    check_queue::<cds_queue::MsQueue<u64>>();
-    check_queue::<cds_queue::FcQueue<u64>>();
-    // Default capacity (1024) far exceeds the window, so enqueue never
-    // blocks and FIFO semantics are fully exercised.
-    check_queue::<cds_queue::BoundedQueue<u64>>();
+    queues!(u64, check_queue);
 }
 
 #[test]
@@ -326,27 +292,17 @@ fn chase_lev_deque_is_linearizable() {
 
 #[test]
 fn list_sets_are_linearizable() {
-    check_set::<cds_list::CoarseList<u64>>();
-    check_set::<cds_list::FineList<u64>>();
-    check_set::<cds_list::OptimisticList<u64>>();
-    check_set::<cds_list::LazyList<u64>>();
-    check_set::<cds_list::HarrisMichaelList<u64>>();
+    sets!(lists: u64, check_set);
 }
 
 #[test]
 fn skiplist_and_tree_sets_are_linearizable() {
-    check_set::<cds_skiplist::CoarseSkipList<u64>>();
-    check_set::<cds_skiplist::LazySkipList<u64>>();
-    check_set::<cds_skiplist::LockFreeSkipList<u64>>();
-    check_set::<cds_tree::CoarseBst<u64>>();
-    check_set::<cds_tree::FineBst<u64>>();
-    check_set::<cds_tree::LockFreeBst<u64>>();
+    sets!(skiplists: u64, check_set);
+    sets!(trees: u64, check_set);
 }
 
 #[test]
 fn maps_are_linearizable() {
-    check_map_as_set::<cds_map::CoarseMap<u64, u64>>();
-    check_map_as_set::<cds_map::StripedHashMap<u64, u64>>();
-    check_map_as_set::<cds_map::SplitOrderedHashMap<u64, u64>>();
-    check_set::<cds_map::BucketedHashSet<u64>>();
+    maps!(u64, u64, check_map_as_set);
+    sets!(hashed: u64, check_set);
 }

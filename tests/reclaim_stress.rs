@@ -3,10 +3,10 @@
 //! concurrent churn that exercises the epoch collector and hazard-pointer
 //! domains hard.
 //!
-//! Every payload increments a shared counter in `Drop`; after a structure
-//! dies (and, for epoch-managed structures, after the default collector
-//! quiesces) the counter must equal the number of payloads created —
-//! exactly once each.
+//! Every payload counts its creation and its drop in a shared ledger;
+//! after a structure dies (and, for epoch-managed structures, after the
+//! default collector quiesces) the two counts must agree — each payload
+//! dropped exactly once.
 //!
 //! The reclaimers are process-wide: while a sibling test's threads are
 //! pinned the shared epoch cannot advance, and its deferred drops would
@@ -16,6 +16,7 @@ mod common;
 
 use cds_atomic::stress::SplitMix64;
 use cds_atomic::{AtomicUsize, Ordering};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use cds_core::{ConcurrentMap, ConcurrentQueue, ConcurrentSet, ConcurrentStack};
@@ -23,34 +24,51 @@ use cds_map::ResizingMap;
 use cds_reclaim::Reclaimer;
 use common::serial;
 
-/// A payload that counts its drops. Panics (via the test harness) if the
-/// total ever exceeds the created count — a double free turns into a
-/// visible assertion rather than silent corruption.
+/// Payloads made and payloads dropped, shared by every payload of one
+/// run.
+#[derive(Debug, Default)]
+struct Ledger {
+    created: AtomicUsize,
+    dropped: AtomicUsize,
+}
+
+impl Ledger {
+    /// Panics unless every payload made has dropped exactly once.
+    fn assert_balanced(&self, what: &str) {
+        let created = self.created.load(Ordering::SeqCst);
+        let dropped = self.dropped.load(Ordering::SeqCst);
+        assert_eq!(dropped, created, "leak or double free in {what}");
+    }
+}
+
+/// A payload that counts its creations (clones included: a structure
+/// that routes on key clones makes some) and its drops, so that after a
+/// structure dies the two counts must agree.
 #[derive(Debug)]
 struct Tracked {
     id: u64,
-    drops: Arc<AtomicUsize>,
+    ledger: Arc<Ledger>,
 }
 
 impl Tracked {
-    fn new(id: u64, drops: &Arc<AtomicUsize>) -> Self {
+    fn new(id: u64, ledger: &Arc<Ledger>) -> Self {
+        ledger.created.fetch_add(1, Ordering::SeqCst);
         Tracked {
             id,
-            drops: Arc::clone(drops),
+            ledger: Arc::clone(ledger),
         }
     }
 }
 
-/// A clone is a new payload: `map_churn` counts the ones `get` returns.
 impl Clone for Tracked {
     fn clone(&self) -> Self {
-        Tracked::new(self.id, &self.drops)
+        Tracked::new(self.id, &self.ledger)
     }
 }
 
 impl Drop for Tracked {
     fn drop(&mut self) {
-        self.drops.fetch_add(1, Ordering::SeqCst);
+        self.ledger.dropped.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -70,6 +88,11 @@ impl Ord for Tracked {
         self.id.cmp(&other.id)
     }
 }
+impl Hash for Tracked {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.id.hash(state);
+    }
+}
 
 /// Drains every process-wide reclamation backend — the default epoch
 /// collector, the hazard domain, and the debug quarantine — so deferred
@@ -84,7 +107,7 @@ fn quiesce_reclaimers() {
 }
 
 fn stack_churn<S: ConcurrentStack<Tracked> + Default + 'static>() {
-    let drops = Arc::new(AtomicUsize::new(0));
+    let ledger = Arc::new(Ledger::default());
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 2_000;
     {
@@ -92,10 +115,10 @@ fn stack_churn<S: ConcurrentStack<Tracked> + Default + 'static>() {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let s = Arc::clone(&s);
-                let drops = Arc::clone(&drops);
+                let ledger = Arc::clone(&ledger);
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
-                        s.push(Tracked::new(t * PER_THREAD + i, &drops));
+                        s.push(Tracked::new(t * PER_THREAD + i, &ledger));
                         if i % 2 == 0 {
                             drop(s.pop());
                         }
@@ -109,16 +132,11 @@ fn stack_churn<S: ConcurrentStack<Tracked> + Default + 'static>() {
         // Remaining elements die with the structure.
     }
     quiesce_reclaimers();
-    assert_eq!(
-        drops.load(Ordering::SeqCst) as u64,
-        THREADS * PER_THREAD,
-        "leak or double free in {}",
-        S::NAME
-    );
+    ledger.assert_balanced(S::NAME);
 }
 
 fn queue_churn<Q: ConcurrentQueue<Tracked> + Default + 'static>() {
-    let drops = Arc::new(AtomicUsize::new(0));
+    let ledger = Arc::new(Ledger::default());
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 2_000;
     {
@@ -126,10 +144,10 @@ fn queue_churn<Q: ConcurrentQueue<Tracked> + Default + 'static>() {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let q = Arc::clone(&q);
-                let drops = Arc::clone(&drops);
+                let ledger = Arc::clone(&ledger);
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
-                        q.enqueue(Tracked::new(t * PER_THREAD + i, &drops));
+                        q.enqueue(Tracked::new(t * PER_THREAD + i, &ledger));
                         if i % 2 == 0 {
                             drop(q.dequeue());
                         }
@@ -142,56 +160,44 @@ fn queue_churn<Q: ConcurrentQueue<Tracked> + Default + 'static>() {
         }
     }
     quiesce_reclaimers();
-    assert_eq!(
-        drops.load(Ordering::SeqCst) as u64,
-        THREADS * PER_THREAD,
-        "leak or double free in {}",
-        Q::NAME
-    );
+    ledger.assert_balanced(Q::NAME);
 }
 
-fn set_churn<S: ConcurrentSet<Tracked> + Default + 'static>() {
-    let drops = Arc::new(AtomicUsize::new(0));
-    let created = Arc::new(AtomicUsize::new(0));
+/// Four threads insert and remove payloads on 64 keys; rejected
+/// duplicates and remove probes drop at once, the rest with the set.
+fn set_churn<S: ConcurrentSet<Tracked>>(_seed: u64, make: impl Fn() -> S) {
+    let ledger = Arc::new(Ledger::default());
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 600;
     {
-        let s = Arc::new(S::default());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                let drops = Arc::clone(&drops);
-                let created = Arc::clone(&created);
-                std::thread::spawn(move || {
-                    let mut rng = SplitMix64::new(t);
-                    for _ in 0..PER_THREAD {
-                        let x = rng.next_u64();
-                        let k = x % 64;
-                        created.fetch_add(1, Ordering::SeqCst);
-                        let payload = Tracked::new(k, &drops);
-                        if x.is_multiple_of(3) {
-                            // Remove takes a reference; the probe payload
-                            // drops here either way.
-                            s.remove(&payload);
-                        } else {
-                            // Insert consumes; rejected duplicates drop.
-                            s.insert(payload);
+        let s = make();
+        // Joined handles, not the end of a scope: the epoch hand-over in
+        // a thread's exit must have run before the audit.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (s, ledger) = (&s, &ledger);
+                    scope.spawn(move || {
+                        let mut rng = SplitMix64::new(t);
+                        for _ in 0..PER_THREAD {
+                            let x = rng.next_u64();
+                            let payload = Tracked::new(x % 64, ledger);
+                            if x.is_multiple_of(3) {
+                                s.remove(&payload);
+                            } else {
+                                s.insert(payload);
+                            }
                         }
-                    }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
     }
     quiesce_reclaimers();
-    assert_eq!(
-        drops.load(Ordering::SeqCst),
-        created.load(Ordering::SeqCst),
-        "leak or double free in {}",
-        S::NAME
-    );
+    ledger.assert_balanced(std::any::type_name::<S>());
 }
 
 /// Four threads insert, remove and read `Tracked` values in a map that
@@ -201,8 +207,7 @@ fn set_churn<S: ConcurrentSet<Tracked> + Default + 'static>() {
 /// drop exactly once: rejected by a duplicate insert, removed, or with
 /// the map.
 fn map_churn<R: Reclaimer>() {
-    let drops = Arc::new(AtomicUsize::new(0));
-    let created = Arc::new(AtomicUsize::new(0));
+    let ledger = Arc::new(Ledger::default());
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 3_000;
     const KEYS: u64 = 2_048;
@@ -211,8 +216,7 @@ fn map_churn<R: Reclaimer>() {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let m = Arc::clone(&m);
-                let drops = Arc::clone(&drops);
-                let created = Arc::clone(&created);
+                let ledger = Arc::clone(&ledger);
                 std::thread::spawn(move || {
                     let mut rng = SplitMix64::new(t);
                     for _ in 0..PER_THREAD {
@@ -225,12 +229,10 @@ fn map_churn<R: Reclaimer>() {
                                 m.remove(&k);
                             }
                             1 => {
-                                let got = m.get(&k);
-                                created.fetch_add(got.is_some() as usize, Ordering::SeqCst);
+                                m.get(&k);
                             }
                             _ => {
-                                created.fetch_add(1, Ordering::SeqCst);
-                                m.insert(k, Tracked::new(k, &drops));
+                                m.insert(k, Tracked::new(k, &ledger));
                             }
                         }
                     }
@@ -245,18 +247,12 @@ fn map_churn<R: Reclaimer>() {
         // (a `(u64, Tracked)` entry is 24 bytes, two to a cache line).
         let mut k = KEYS;
         while m.len() <= 2 * m.capacity() {
-            created.fetch_add(1, Ordering::SeqCst);
-            assert!(m.insert(k, Tracked::new(k, &drops)));
+            assert!(m.insert(k, Tracked::new(k, &ledger)));
             k += 1;
         }
     }
     quiesce_reclaimers();
-    assert_eq!(
-        drops.load(Ordering::SeqCst),
-        created.load(Ordering::SeqCst),
-        "leak or double free in ResizingMap on {}",
-        R::NAME
-    );
+    ledger.assert_balanced(&format!("ResizingMap on {}", R::NAME));
 }
 
 #[test]
@@ -289,20 +285,20 @@ fn queues_account_for_every_payload() {
 #[test]
 fn list_sets_account_for_every_payload() {
     let _g = serial();
-    set_churn::<cds_list::CoarseList<Tracked>>();
-    set_churn::<cds_list::FineList<Tracked>>();
-    set_churn::<cds_list::OptimisticList<Tracked>>();
-    set_churn::<cds_list::LazyList<Tracked>>();
-    set_churn::<cds_list::HarrisMichaelList<Tracked>>();
+    sets!(lists: Tracked, set_churn);
 }
 
 #[test]
 fn ordered_sets_account_for_every_payload() {
     let _g = serial();
-    set_churn::<cds_skiplist::CoarseSkipList<Tracked>>();
-    set_churn::<cds_skiplist::LazySkipList<Tracked>>();
-    set_churn::<cds_skiplist::LockFreeSkipList<Tracked>>();
-    set_churn::<cds_tree::CoarseBst<Tracked>>();
+    sets!(skiplists: Tracked, set_churn);
+    sets!(trees: Tracked, set_churn);
+}
+
+#[test]
+fn hash_sets_account_for_every_payload() {
+    let _g = serial();
+    sets!(hashed: Tracked, set_churn);
 }
 
 #[test]
@@ -310,15 +306,15 @@ fn epoch_collector_eventually_reclaims_churn() {
     let _g = serial();
     // Hammer one epoch-managed structure and verify the default collector's
     // backlog does not grow without bound.
-    let drops = Arc::new(AtomicUsize::new(0));
+    let ledger = Arc::new(Ledger::default());
     let s = cds_stack::TreiberStack::new();
     for i in 0..50_000u64 {
-        s.push(Tracked::new(i, &drops));
+        s.push(Tracked::new(i, &ledger));
         drop(s.pop());
     }
     drop(s);
     quiesce_reclaimers();
-    let freed = drops.load(Ordering::SeqCst);
+    let freed = ledger.dropped.load(Ordering::SeqCst);
     assert!(
         freed >= 49_000,
         "collector is hoarding: only {freed}/50000 payloads freed"

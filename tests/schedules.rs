@@ -12,7 +12,10 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use cds_core::{ConcurrentCounter, ConcurrentMap, ConcurrentQueue, ConcurrentSet, ConcurrentStack};
+use cds_core::{
+    ConcurrentCounter, ConcurrentMap, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentSet,
+    ConcurrentStack,
+};
 use cds_lincheck::faults::{crash_worker, with_contention_storm, StormOptions};
 use cds_lincheck::specs::{
     CounterOp, CounterSpec, MapOp, MapSpec, PqSpec, QueueOp, QueueRes, QueueSpec, SetSpec, StackOp,
@@ -25,33 +28,33 @@ use common::{
     gen_queue, gen_set, gen_stack, opts,
 };
 
-fn stress_stack<S: ConcurrentStack<u64> + Default + Sync>(seed: u64) {
+fn stress_stack<S: ConcurrentStack<u64>>(seed: u64, make: impl Fn() -> S) {
     stress(
         StackSpec::<u64>::default(),
         &opts(seed),
-        S::default,
+        make,
         gen_stack,
         exec_stack,
     )
     .unwrap_or_else(|f| panic!("{} stack not linearizable: {f:?}", S::NAME));
 }
 
-fn stress_queue<Q: ConcurrentQueue<u64> + Default + Sync>(seed: u64) {
+fn stress_queue<Q: ConcurrentQueue<u64>>(seed: u64, make: impl Fn() -> Q) {
     stress(
         QueueSpec::<u64>::default(),
         &opts(seed),
-        Q::default,
+        make,
         gen_queue,
         exec_queue,
     )
     .unwrap_or_else(|f| panic!("{} queue not linearizable: {f:?}", Q::NAME));
 }
 
-fn stress_set<S: ConcurrentSet<u64> + Default + Sync>(seed: u64) {
+fn stress_set<S: ConcurrentSet<u64>>(seed: u64, make: impl Fn() -> S) {
     stress(
         SetSpec::<u64>::default(),
         &opts(seed),
-        S::default,
+        make,
         gen_set,
         exec_set,
     )
@@ -60,48 +63,32 @@ fn stress_set<S: ConcurrentSet<u64> + Default + Sync>(seed: u64) {
 
 #[test]
 fn scheduled_stacks_are_linearizable() {
-    stress_stack::<cds_stack::CoarseStack<u64>>(0x57ac0);
-    stress_stack::<cds_stack::TreiberStack<u64>>(0x57ac1);
-    stress_stack::<cds_stack::TreiberStack<u64, cds_reclaim::Hazard>>(0x57ac2);
-    stress_stack::<cds_stack::EliminationBackoffStack<u64>>(0x57ac3);
-    stress_stack::<cds_stack::FcStack<u64>>(0x57ac4);
+    stacks!(u64, stress_stack);
 }
 
 #[test]
 fn scheduled_queues_are_linearizable() {
-    stress_queue::<cds_queue::CoarseQueue<u64>>(0x90e0);
-    stress_queue::<cds_queue::TwoLockQueue<u64>>(0x90e1);
-    stress_queue::<cds_queue::MsQueue<u64>>(0x90e2);
-    stress_queue::<cds_queue::BoundedQueue<u64>>(0x90e3);
-    stress_queue::<cds_queue::FcQueue<u64>>(0x90e4);
+    queues!(u64, stress_queue);
 }
 
 #[test]
 fn scheduled_lists_are_linearizable() {
-    stress_set::<cds_list::CoarseList<u64>>(0x115e0);
-    stress_set::<cds_list::FineList<u64>>(0x115e1);
-    stress_set::<cds_list::OptimisticList<u64>>(0x115e2);
-    stress_set::<cds_list::LazyList<u64>>(0x115e3);
-    stress_set::<cds_list::HarrisMichaelList<u64>>(0x115e4);
+    sets!(lists: u64, stress_set);
 }
 
 #[test]
 fn scheduled_skiplists_and_trees_are_linearizable() {
-    stress_set::<cds_skiplist::CoarseSkipList<u64>>(0x5c1f0);
-    stress_set::<cds_skiplist::LazySkipList<u64>>(0x5c1f1);
-    stress_set::<cds_skiplist::LockFreeSkipList<u64>>(0x5c1f2);
-    stress_set::<cds_tree::CoarseBst<u64>>(0x73ee0);
-    stress_set::<cds_tree::FineBst<u64>>(0x73ee1);
-    stress_set::<cds_tree::LockFreeBst<u64>>(0x73ee2);
+    sets!(skiplists: u64, stress_set);
+    sets!(trees: u64, stress_set);
 }
 
 #[test]
 fn scheduled_maps_are_linearizable() {
-    fn stress_map<M: ConcurrentMap<u64, u64> + Default + Sync>(seed: u64) {
+    fn stress_map<M: ConcurrentMap<u64, u64>>(seed: u64, make: impl Fn() -> M) {
         stress(
             MapSpec::<u64, u64>::default(),
             &opts(seed),
-            M::default,
+            make,
             |rng, _t| {
                 let k = rng.below(3);
                 match rng.below(3) {
@@ -116,36 +103,28 @@ fn scheduled_maps_are_linearizable() {
         )
         .unwrap_or_else(|f| panic!("{} map not linearizable: {f:?}", M::NAME));
     }
-    stress_map::<cds_map::CoarseMap<u64, u64>>(0x3a70);
-    stress_map::<cds_map::StripedHashMap<u64, u64>>(0x3a71);
-    stress_map::<cds_map::SplitOrderedHashMap<u64, u64>>(0x3a72);
-    stress_set::<cds_map::BucketedHashSet<u64>>(0x3a73);
+    maps!(u64, u64, stress_map);
+    sets!(hashed: u64, stress_set);
 }
 
 #[test]
 fn scheduled_priority_queue_and_counters_are_linearizable() {
-    stress(
-        PqSpec::<u64>::default(),
-        &opts(0x60e0),
-        cds_prio::CoarseBinaryHeap::<u64>::default,
-        gen_pq,
-        exec_pq,
-    )
-    .unwrap_or_else(|f| panic!("coarse heap not linearizable: {f:?}"));
-
-    fn stress_counter<C: ConcurrentCounter + Default + Sync>(seed: u64) {
+    fn stress_pq<P: ConcurrentPriorityQueue<u64>>(seed: u64, make: impl Fn() -> P) {
+        stress(PqSpec::<u64>::default(), &opts(seed), make, gen_pq, exec_pq)
+            .unwrap_or_else(|f| panic!("{} priority queue not linearizable: {f:?}", P::NAME));
+    }
+    fn stress_counter<C: ConcurrentCounter>(seed: u64, make: impl Fn() -> C) {
         stress(
             CounterSpec::default(),
             &opts(seed),
-            C::default,
+            make,
             gen_counter,
             exec_counter,
         )
         .unwrap_or_else(|f| panic!("{} counter not linearizable: {f:?}", C::NAME));
     }
-    stress_counter::<cds_counter::LockCounter>(0xc0e0);
-    stress_counter::<cds_counter::AtomicCounter>(0xc0e1);
-    stress_counter::<cds_counter::FcCounter>(0xc0e2);
+    priority_queues!(linearizable: u64, stress_pq);
+    counters!(linearizable: stress_counter);
 }
 
 /// Lock-primitive-guarded counters run against the same `CounterSpec`: a

@@ -3,6 +3,7 @@ use std::hash::{BuildHasher, Hash, RandomState};
 
 use cds_core::ConcurrentSet;
 use cds_list::HarrisMichaelList;
+use cds_reclaim::{Ebr, Reclaimer};
 
 /// Michael's lock-free hash set (PPoPP 2002): a **fixed** array of
 /// lock-free ordered lists.
@@ -96,6 +97,8 @@ where
     }
 
     fn len(&self) -> usize {
+        // One pin for the whole sum: each list's own pin nests inside it.
+        let _guard = Ebr::enter_blanket();
         self.buckets.iter().map(|b| b.len()).sum()
     }
 }

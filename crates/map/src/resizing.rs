@@ -20,10 +20,10 @@ const INITIAL_BUCKETS: usize = 8;
 /// threshold the fixed-capacity [`StripedHashMap`](crate::StripedHashMap)
 /// uses, so E11 compares like against like.
 const MAX_LOAD_FACTOR: usize = 4;
-/// How many extra buckets an operation that observes an in-flight
-/// migration claims and moves on behalf of the resize, beyond the one
-/// bucket its own key needs. Small so no single operation stalls; nonzero
-/// so the migration finishes even if the triggering thread dies.
+/// How many buckets an operation that observes an in-flight migration
+/// claims and moves on behalf of the resize. Small so no single operation
+/// stalls; nonzero so the migration finishes even if the triggering thread
+/// dies.
 const HELP_BATCH: usize = 2;
 
 /// Bytes of entries a bucket holds in place: one cache line.
@@ -56,7 +56,7 @@ struct Bucket<K, V> {
     len: u8,
     /// Set (under this bucket's lock) once the entries have been moved to
     /// the successor table. Every operation re-checks this after locking
-    /// any bucket and restarts if set — that re-check is the linchpin of
+    /// any bucket and moves on if set — that re-check is the linchpin of
     /// the migration protocol (see the type-level docs).
     migrated: bool,
     inline: MaybeUninit<Slots<K, V>>,
@@ -242,21 +242,29 @@ struct Shard<K, V> {
 ///
 /// # Migration protocol
 ///
-/// Buckets migrate **on access**. An operation that finds `next` non-null
-/// first moves its own key's source bucket (old bucket `i` splits into new
-/// buckets `i` and `i + m`, holding the old-bucket lock for the whole
-/// move, then the two new-bucket locks in index order — old-table locks
-/// are always taken before new-table locks, so the protocol is
-/// deadlock-free), then claims up to `HELP_BATCH` more buckets from a
-/// shared `claim` counter, then operates on the new table. The move is
-/// idempotent: a `migrated` flag, written only under the bucket's lock,
-/// makes the first mover win and every later mover a no-op.
+/// Buckets migrate **in index order**, as a batch shared out among the
+/// operations that find `next` non-null. Each such operation first claims
+/// the next `HELP_BATCH` buckets from the old table's `claim` counter with
+/// one `fetch_add` and moves them (old bucket `i` splits into new buckets
+/// `i` and `i + m`, holding the old-bucket lock for the whole move, then
+/// the two new-bucket locks in index order — old-table locks are always
+/// taken before new-table locks, so the protocol is deadlock-free). Then
+/// it locks its own key's bucket in the old table: if that bucket has not
+/// migrated it works there, and if it has, it releases it and locks the
+/// successor's bucket instead. No operation moves its own bucket, so each
+/// bucket moves exactly once, by the thread that claimed it, and the
+/// `migrated` flag is written only under the bucket's lock.
 ///
 /// Because **every** operation re-checks `migrated` after locking **any**
-/// bucket (and restarts from the shard root if set), an operation that
-/// raced the resize and locked a stale bucket can never read or write
-/// entries that have already moved — that re-check is what makes lookups
-/// and removes linearizable across the resize boundary.
+/// bucket (and restarts from the shard root if a successor's bucket has
+/// moved on too), an operation that raced the resize and locked a stale
+/// bucket can never read or write entries that have already moved — that
+/// re-check is what makes lookups and removes linearizable across the
+/// resize boundary. Before promotion, every access to a successor bucket
+/// first holds its source bucket's lock and sees `migrated`, which the
+/// mover sets only after the entries are in place: so the successor
+/// bucket is never read before it is filled, and the source bucket is
+/// never written after it is emptied.
 ///
 /// The thread whose move transitions the *last* unmigrated bucket CASes
 /// the shard's `current` pointer to the successor and **retires the old
@@ -266,8 +274,7 @@ struct Shard<K, V> {
 /// contract, so the map runs unmodified under [`Ebr`], [`Hazard`](cds_reclaim::Hazard)
 /// (blanket-era mode), [`Leak`](cds_reclaim::Leak), and `DebugReclaim`. A second resize of
 /// the same shard cannot begin until the first promotes (the trigger only
-/// fires on the table an operation actually inserted into, and operations
-/// insert into the successor while a migration is in flight — the
+/// fires for an insert into a root table that has no successor; the
 /// successor only becomes triggerable once it is `current`), so entries
 /// can never be stranded in a half-dead intermediate table.
 ///
@@ -412,11 +419,10 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
     }
 
     /// Moves old bucket `idx` of `old` into `new` (old bucket `i` splits
-    /// into new buckets `i` and `i + m`). Idempotent: returns `false`
-    /// without effect if the bucket already migrated, `true` if this call
-    /// performed the move. The thread that moves the last bucket promotes
-    /// `new` to the shard's current table and retires `old` through
-    /// `guard`.
+    /// into new buckets `i` and `i + m`). Only the thread that claimed
+    /// `idx` from `old.claim` calls this, once. The thread that moves the
+    /// last bucket promotes `new` to the shard's current table and retires
+    /// `old` through `guard`.
     fn migrate_bucket(
         &self,
         shard: &Shard<K, V>,
@@ -424,7 +430,7 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         new_ptr: Shared<'_, Table<K, V>>,
         idx: usize,
         guard: &R::Guard,
-    ) -> bool {
+    ) {
         // SAFETY: both tables are protected by the caller's blanket guard.
         let old = unsafe { old_ptr.deref() };
         let new = unsafe { new_ptr.deref() };
@@ -433,9 +439,7 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
 
         cds_atomic::stress::yield_point();
         let mut src = old.buckets[idx].lock();
-        if src.migrated {
-            return false;
-        }
+        debug_assert!(!src.migrated);
         cds_atomic::stress::yield_point();
 
         // Split the source run by the new table's extra hash bit, into
@@ -457,8 +461,8 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         if armed(Fault::MigrationGap) {
             // Planted regression: mark the source
             // migrated and release it before the destinations are filled.
-            // A lookup that lands in the gap restarts into the new table
-            // and finds the entries in neither place.
+            // A lookup that lands in the gap follows `next` into the new
+            // table and finds the entries in neither place.
             src.migrated = true;
             drop(src);
             cds_atomic::stress::yield_point();
@@ -483,7 +487,7 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         }
         cds_obs::count(cds_obs::Event::ResizeBucketsMoved);
 
-        // Count the transition exactly once (we own the false→true edge).
+        // Count the move exactly once (the claim made this call unique).
         if old.done.fetch_add(1, Ordering::AcqRel) + 1 == m {
             cds_atomic::stress::yield_point();
             // Every bucket has moved: promote the successor. Operations
@@ -502,12 +506,12 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
                 unsafe { guard.retire(old_ptr) };
             }
         }
-        true
     }
 
-    /// Claims and moves up to [`HELP_BATCH`] buckets of the in-flight
-    /// migration, so resizes complete even if the triggering thread stalls
-    /// and no single operation bears the whole cost.
+    /// Claims the next [`HELP_BATCH`] buckets of the in-flight migration
+    /// with one `fetch_add` and moves them. Every move runs through here,
+    /// so a table migrates in index order, no single operation bears the
+    /// whole cost, and a resize completes even if its trigger stalls.
     fn help_migrate(
         &self,
         shard: &Shard<K, V>,
@@ -518,24 +522,18 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
         // SAFETY: protected by the caller's blanket guard.
         let old = unsafe { old_ptr.deref() };
         let m = old.buckets.len();
-        let mut claimed = false;
-        let mut moved = 0u64;
-        for _ in 0..HELP_BATCH {
-            if old.claim.load(Ordering::Relaxed) >= m {
-                break;
-            }
-            let idx = old.claim.fetch_add(1, Ordering::Relaxed);
-            if idx >= m {
-                break;
-            }
-            claimed = true;
-            if self.migrate_bucket(shard, old_ptr, new_ptr, idx, guard) {
-                moved += 1;
-            }
+        if old.claim.load(Ordering::Relaxed) >= m {
+            return;
         }
-        if claimed {
-            cds_obs::count(cds_obs::Event::ResizeBatchesHelped);
-            cds_obs::add(cds_obs::Event::ResizeBatchOps, moved);
+        let start = old.claim.fetch_add(HELP_BATCH, Ordering::Relaxed);
+        let claimed = start..m.min(start + HELP_BATCH);
+        if claimed.is_empty() {
+            return;
+        }
+        cds_obs::count(cds_obs::Event::ResizeBatchesHelped);
+        cds_obs::add(cds_obs::Event::ResizeBatchOps, claimed.len() as u64);
+        for idx in claimed {
+            self.migrate_bucket(shard, old_ptr, new_ptr, idx, guard);
         }
     }
 
@@ -589,46 +587,45 @@ impl<K: Hash + Eq, V, S: BuildHasher, R: Reclaimer> ResizingMap<K, V, S, R> {
             // table alive even if it is concurrently promoted away.
             let table = unsafe { table_ptr.deref() };
             let next_ptr = table.next.load(Ordering::Acquire, &guard);
-
-            let (target, target_ptr) = if next_ptr.is_null() {
-                (table, table_ptr)
-            } else {
-                // A migration is in flight: move our own source bucket
-                // first (idempotent), help a bounded batch, then operate
-                // on the successor.
-                let idx = hash as usize & table.mask();
-                if self.migrate_bucket(shard, table_ptr, next_ptr, idx, &guard) {
-                    // Own-bucket moves count toward batch ops so that
-                    // buckets-moved == Σ batch sizes holds exactly.
-                    cds_obs::add(cds_obs::Event::ResizeBatchOps, 1);
-                }
+            if !next_ptr.is_null() {
+                // A migration is in flight: move the next claimed buckets.
                 self.help_migrate(shard, table_ptr, next_ptr, &guard);
-                // SAFETY: protected by the blanket guard.
-                (unsafe { next_ptr.deref() }, next_ptr)
-            };
+            }
 
-            let idx = hash as usize & target.mask();
-            let mut bucket = target.buckets[idx].lock();
+            let mut target = table;
+            let mut bucket = table.buckets[hash as usize & table.mask()].lock();
             cds_atomic::stress::yield_point();
             if bucket.migrated {
-                // We locked a stale generation (its entries already moved
-                // on): restart from the shard root.
+                // Our bucket has moved on (so `next` is set): its entries
+                // are in the successor's bucket, which we lock only after
+                // releasing this one.
                 drop(bucket);
-                backoff.spin();
-                continue;
+                // SAFETY: a migrated bucket's table has a successor, which
+                // the blanket guard keeps alive.
+                target = unsafe { table.next.load(Ordering::Acquire, &guard).deref() };
+                bucket = target.buckets[hash as usize & target.mask()].lock();
+                cds_atomic::stress::yield_point();
+                if bucket.migrated {
+                    // The successor is itself migrating, so it was
+                    // promoted: restart from the shard root.
+                    drop(bucket);
+                    backoff.spin();
+                    continue;
+                }
             }
             let (out, wants_resize) = f(&mut bucket, shard);
             drop(bucket);
 
-            // The trigger only fires for the shard's root table (a
-            // successor becomes triggerable once promoted): this caps the
-            // chain at two tables and rules out stranded entries.
+            // The trigger only fires for the shard's root table with no
+            // successor (a successor becomes triggerable once promoted):
+            // this caps the chain at two tables and rules out stranded
+            // entries.
             if wants_resize
-                && next_ptr.is_null()
-                && target.next.load(Ordering::Acquire, &guard).is_null()
-                && shard.size.load(Ordering::Relaxed) > MAX_LOAD_FACTOR * target.buckets.len()
+                && ptr::eq(target, table)
+                && table.next.load(Ordering::Acquire, &guard).is_null()
+                && shard.size.load(Ordering::Relaxed) > MAX_LOAD_FACTOR * table.buckets.len()
             {
-                self.install_next(target_ptr, &guard);
+                self.install_next(table_ptr, &guard);
             }
             return out;
         }
@@ -869,6 +866,75 @@ mod tests {
         fn build_hasher(&self) -> ByteSum {
             ByteSum::default()
         }
+    }
+
+    /// Hashes a `u64` to itself, so a key's bucket is its low bits.
+    #[derive(Clone, Default)]
+    struct Identity;
+
+    #[derive(Default)]
+    struct Id(u64);
+
+    impl Hasher for Id {
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = self.0 << 8 | u64::from(b);
+            }
+        }
+        fn write_u64(&mut self, n: u64) {
+            self.0 = n;
+        }
+        fn finish(&self) -> u64 {
+            self.0
+        }
+    }
+
+    impl BuildHasher for Identity {
+        type Hasher = Id;
+        fn build_hasher(&self) -> Id {
+            Id::default()
+        }
+    }
+
+    /// The `migrated` flags of a one-shard map's root table, which must
+    /// have a successor installed.
+    fn migrated_flags(m: &ResizingMap<u64, u64, Identity>) -> Vec<bool> {
+        let guard = Ebr::enter_blanket();
+        // SAFETY: `current` is never null; the guard keeps it alive.
+        let table = unsafe { m.shards[0].current.load(Ordering::Acquire, &guard).deref() };
+        assert!(!table.next.load(Ordering::Acquire, &guard).is_null());
+        table.buckets.iter().map(|b| b.lock().migrated).collect()
+    }
+
+    #[test]
+    fn a_table_migrates_in_bucket_order() {
+        const BUCKETS: u64 = 16;
+        let m = ResizingMap::with_config_and_hasher(1, BUCKETS as usize, Identity);
+        // One past the load factor: the last insert installs the successor.
+        let keys = BUCKETS * MAX_LOAD_FACTOR as u64 + 1;
+        for k in 0..keys {
+            assert!(m.insert(k, k));
+        }
+        assert_eq!(migrated_flags(&m), [false; BUCKETS as usize]);
+        // Three lookups of keys in buckets 13..16 move buckets 0..6, and
+        // none of their own.
+        let k = 3;
+        for key in BUCKETS - k..BUCKETS {
+            assert_eq!(m.get(&key), Some(key));
+        }
+        let prefix = |n: u64| (0..BUCKETS).map(|b| b < n).collect::<Vec<_>>();
+        assert_eq!(migrated_flags(&m), prefix(2 * k));
+        // An insert into bucket 15, which has not moved, lands in the old
+        // table while it moves buckets 6 and 7.
+        let late = BUCKETS - 1 + BUCKETS * 4;
+        assert!(m.insert(late, late));
+        assert_eq!(migrated_flags(&m), prefix(2 * k + 2));
+        assert_eq!(m.doublings(), 0);
+        for key in (0..keys).chain([late]) {
+            assert_eq!(m.get(&key), Some(key), "key {key}");
+        }
+        assert_eq!(m.doublings(), 1, "the lookups finish the migration");
+        assert_eq!(m.len() as u64, keys + 1);
     }
 
     #[test]

@@ -140,10 +140,10 @@ events! {
     FcOpsCombined => "fc_ops_combined", Sum;
 
     // --- cds-map resizing: cooperative incremental migration. A "batch"
-    // is one helping pass (or one migrate-own-bucket call); its size is
-    // recorded by the *caller* while each actually-performed move is
-    // recorded inside the move itself, so
-    // `resize_buckets_moved == resize_batch_ops` cross-checks the two.
+    // is one helping pass's claimed range; its size is recorded at the
+    // claim while each actually-performed move is recorded inside the
+    // move itself, so `resize_buckets_moved == resize_batch_ops`
+    // cross-checks the two.
     ResizeBatchesHelped => "resize_batches_helped", Sum;
     ResizeBatchOps => "resize_batch_ops", Sum;
     ResizeBucketsMoved => "resize_buckets_moved", Sum;

@@ -164,9 +164,9 @@ fn elimination_hits_pair_and_are_bounded_by_op_counts() {
 }
 
 /// `buckets_moved == Σ batch sizes`: `migrate_bucket` counts each actual
-/// move, while the callers (help batches and own-bucket moves) sum the
-/// returned booleans into the batch-ops counter — a genuine cross-call-
-/// site conservation check, exercised under all four backends.
+/// move, while `help_migrate` adds each claimed range's size to the
+/// batch-ops counter — a cross-call-site check that every claimed bucket
+/// moved exactly once, exercised under all four backends.
 #[test]
 fn buckets_moved_equals_sum_of_batch_sizes_under_every_backend() {
     let _g = serial();

@@ -113,6 +113,18 @@ impl<T> Node<T> {
     }
 }
 
+/// A node that `insert` has not published yet: freed with its key when
+/// the insert finds the key present or unwinds (a panicking `Ord::cmp`),
+/// forgotten once the node is linked.
+struct Unpublished<T>(*mut Node<T>);
+
+impl<T> Drop for Unpublished<T> {
+    fn drop(&mut self) {
+        // SAFETY: from `Node::alloc`, and never reachable by anyone else.
+        unsafe { Node::<T>::dealloc(self.0.cast()) };
+    }
+}
+
 /// The **lock-free skiplist** (Fraser 2004, as presented by Herlihy &
 /// Shavit ch. 14).
 ///
@@ -437,9 +449,10 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
         let backoff = Backoff::new();
         let height = random_level() + 1;
         let (node, size) = Node::alloc(Bound::Finite(value), height);
+        let unpublished = Unpublished(node);
         // SAFETY: the key is never written again and lives as long as the
         // node, which is ours until published and then protected by the
-        // guard; it is not used after the duplicate path frees the node.
+        // guard; it is not used after `unpublished` frees the node.
         let key = unsafe { &*node }
             .key
             .finite()
@@ -449,8 +462,6 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
             cds_atomic::stress::yield_point();
             let (found, preds, succs) = self.find(key, &guard);
             if found {
-                // SAFETY: never published.
-                unsafe { Node::<T>::dealloc(node.cast()) };
                 return false;
             }
             for (l, &succ) in succs.iter().enumerate().take(height) {
@@ -466,7 +477,10 @@ impl<T: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<T> for LockFreeSkipList<T
                 Ordering::Relaxed,
                 &guard,
             ) {
-                Ok(_) => break staged,
+                Ok(_) => {
+                    std::mem::forget(unpublished);
+                    break staged;
+                }
                 Err(_) => backoff.spin(),
             }
         };
@@ -738,6 +752,53 @@ mod tests {
         }
         drop(s);
         assert_eq!(dropped() as u64, 2 * KEYS, "then every key in the set");
+    }
+
+    /// Counts its drops like `Counted`; the first `cmp` after `armed` is
+    /// set panics.
+    struct Touchy(u64, Arc<AtomicUsize>, Arc<cds_atomic::AtomicBool>);
+
+    impl Drop for Touchy {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl PartialEq for Touchy {
+        fn eq(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Touchy {}
+
+    impl PartialOrd for Touchy {
+        fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Touchy {
+        fn cmp(&self, other: &Self) -> CmpOrdering {
+            assert!(!self.2.swap(false, Ordering::SeqCst), "planted cmp panic");
+            self.0.cmp(&other.0)
+        }
+    }
+
+    #[test]
+    fn insert_frees_its_node_and_key_when_cmp_panics() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let armed = Arc::new(cds_atomic::AtomicBool::new(false));
+        let key = |k| Touchy(k, Arc::clone(&drops), Arc::clone(&armed));
+        let s = LockFreeSkipList::new();
+        assert!(s.insert(key(1)));
+        armed.store(true, Ordering::SeqCst);
+        let insert = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.insert(key(2))));
+        assert!(insert.is_err(), "the planted panic unwinds out of insert");
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "the unpublished key");
+        assert!(s.insert(key(3)), "the set still works");
+        drop(s);
+        assert_eq!(drops.load(Ordering::SeqCst), 3, "then every key in the set");
     }
 
     /// A backend that frees nothing and stamps every guard entry and every

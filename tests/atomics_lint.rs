@@ -25,7 +25,9 @@
 //! The allowlists live in `tests/atomics_allowlist.txt` and
 //! `tests/std_locks_allowlist.txt` (one repo-relative path per line, `#`
 //! comments giving the reason). Entries must exist and must still break
-//! the rule, so the lists cannot rot.
+//! the rule, so the lists cannot rot. An entry may end in a count, the
+//! number of lines of the file that break the rule, so the sites there
+//! cannot grow either.
 
 use std::path::{Path, PathBuf};
 
@@ -63,10 +65,14 @@ fn lint(file: &str, allowlist: &str, hits: impl Fn(&str) -> Vec<usize>, fix: &st
         sources.len()
     );
 
-    let allow: Vec<&str> = allowlist
+    let allow: Vec<(&str, Option<usize>)> = allowlist
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| match l.split_once(' ') {
+            Some((path, count)) => (path, Some(count.trim().parse().expect("a line count"))),
+            None => (l, None),
+        })
         .collect();
     let mut used = vec![false; allow.len()];
     let mut violations = Vec::new();
@@ -77,8 +83,16 @@ fn lint(file: &str, allowlist: &str, hits: impl Fn(&str) -> Vec<usize>, fix: &st
             .to_string_lossy()
             .replace('\\', "/");
         let lines = hits(&std::fs::read_to_string(path).expect("source readable"));
-        match allow.iter().position(|a| *a == rel) {
-            Some(idx) if !lines.is_empty() => used[idx] = true,
+        match allow.iter().position(|(a, _)| *a == rel) {
+            Some(idx) if !lines.is_empty() => {
+                used[idx] = true;
+                if let Some(count) = allow[idx].1.filter(|&count| count != lines.len()) {
+                    violations.push(format!(
+                        "{rel}: breaks the rule on lines {lines:?}, but {file} allows {count} \
+                         — {fix}, or change the count"
+                    ));
+                }
+            }
             Some(_) => violations.push(format!(
                 "{rel}: allowlisted but no longer breaks the rule — remove it from {file}"
             )),
@@ -87,7 +101,7 @@ fn lint(file: &str, allowlist: &str, hits: impl Fn(&str) -> Vec<usize>, fix: &st
             })),
         }
     }
-    for (entry, used) in allow.iter().zip(used) {
+    for ((entry, _), used) in allow.iter().zip(used) {
         if !used {
             violations.push(format!(
                 "{file} names `{entry}`, which does not exist or was never matched — stale entry"
@@ -204,20 +218,35 @@ fn instrument_switches_stay_in_their_crates() {
     );
 }
 
-/// The files that may seed randomness from the clock or the OS: none.
+/// The files that may seed randomness from the clock or the OS, with
+/// their counts of sites: a structure that draws from the clock cannot be
+/// explored.
 const AMBIENT_RANDOMNESS_ALLOWED: &str = "\
-# Empty: a structure that draws from the clock cannot be explored.
+# The hashed structures key their hasher from OS entropy, so a seed does
+# not replay their schedule in another process, until their constructors
+# take a seeded hasher (ROADMAP item 10). The counts keep the sites from
+# growing.
+crates/map/src/bucketed.rs 1
+crates/map/src/resizing.rs 3
+crates/map/src/split_ordered.rs 2
+crates/map/src/striped.rs 2
 ";
 
 /// Lines that seed randomness from the ambient world: the clock, or the
-/// OS entropy that `from_entropy` and `thread_rng` read.
+/// OS entropy that `from_entropy`, `thread_rng` and `RandomState::new`
+/// read.
 fn ambient_randomness_lines(content: &str) -> Vec<usize> {
     (1..)
         .zip(code_lines(content))
         .filter(|(_, code)| {
-            ["SystemTime", "from_entropy", "thread_rng"]
-                .iter()
-                .any(|name| code.contains(name))
+            [
+                "SystemTime",
+                "from_entropy",
+                "thread_rng",
+                "RandomState::new",
+            ]
+            .iter()
+            .any(|name| code.contains(name))
         })
         .map(|(line, _)| line)
         .collect()
@@ -300,9 +329,13 @@ fn ident(text: &str) -> &str {
     &text[..end]
 }
 
-/// `(trait, type)` for every `impl<..> Trait<..> for Type` of a roster
-/// trait in `content`, outside its `#[cfg(test)] mod`.
-fn roster_trait_impls(content: &str) -> Vec<(&'static str, String)> {
+/// The reclamation backends, `Ebr` (the default) first.
+const BACKENDS: [&str; 4] = ["Ebr", "Hazard", "DebugReclaim", "Leak"];
+
+/// `(trait, type, generic)` for every `impl<..> Trait<..> for Type` of a
+/// roster trait in `content`, outside its `#[cfg(test)] mod`; `generic`
+/// says whether the impl is generic over a `Reclaimer`.
+fn roster_trait_impls(content: &str) -> Vec<(&'static str, String, bool)> {
     let code = code_lines(content).collect::<Vec<_>>().join("\n");
     let code = code.split("#[cfg(test)]\nmod ").next().unwrap_or("");
     let mut impls = Vec::new();
@@ -318,16 +351,30 @@ fn roster_trait_impls(content: &str) -> Vec<(&'static str, String)> {
         let rest = &header[named.len()..];
         if rest.starts_with('<') || rest.starts_with(' ') {
             if let Some(target) = rest.split_once(" for ").map(|(_, t)| ident(t.trim_start())) {
-                impls.push((trait_name, target.to_string()));
+                let header = &code[at..at + code[at..].find('{').unwrap_or(0)];
+                impls.push((trait_name, target.to_string(), header.contains("Reclaimer")));
             }
         }
     }
     impls
 }
 
+/// The backend a roster row that names a type builds it on, given the
+/// row's text after the type's path: the `cds_reclaim` type among its
+/// generic arguments, or `Ebr`, the default, when it names none.
+fn row_backend(row: &str) -> &str {
+    let args = row.strip_prefix("::").filter(|a| a.starts_with('<'));
+    let args = args.map_or("", |a| balanced(a, '<', '>'));
+    args.match_indices("cds_reclaim::")
+        .map(|(i, m)| ident(&args[i + m.len()..]))
+        .last()
+        .unwrap_or("Ebr")
+}
+
 /// Every implementation of an abstract type runs every check of its type:
 /// each `impl Concurrent… for X` in `crates/<c>/src` must be named as
-/// `cds_<c>::X` in that trait's roster in `tests/common/rosters.rs`.
+/// `cds_<c>::X` in that trait's roster in `tests/common/rosters.rs`, and
+/// once under each backend when the impl is generic over a `Reclaimer`.
 #[test]
 fn every_implementation_is_on_its_roster() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -343,7 +390,7 @@ fn every_implementation_is_on_its_roster() {
         }
         for path in sources {
             let content = std::fs::read_to_string(&path).expect("source readable");
-            for (trait_name, target) in roster_trait_impls(&content) {
+            for (trait_name, target, generic) in roster_trait_impls(&content) {
                 found += 1;
                 let (_, roster) = ROSTERS.iter().find(|(t, _)| *t == trait_name).unwrap();
                 let at = rosters
@@ -351,15 +398,26 @@ fn every_implementation_is_on_its_roster() {
                     .unwrap_or_else(|| panic!("no `{roster}!` roster"));
                 let body = balanced(&rosters[at..], '{', '}');
                 let named = format!("{krate}::{target}");
-                let listed = body
+                let rows: Vec<&str> = body
                     .match_indices(&named)
-                    .any(|(i, _)| ident(&body[i + named.len()..]).is_empty());
-                if !listed {
+                    .map(|(i, _)| &body[i + named.len()..])
+                    .filter(|row| ident(row).is_empty())
+                    .collect();
+                let path = path.strip_prefix(root).unwrap().display();
+                if rows.is_empty() {
                     missing.push(format!(
-                        "{}: `{target}` implements {trait_name} but `{roster}!` does not name \
-                         `{named}`",
-                        path.strip_prefix(root).unwrap().display()
+                        "{path}: `{target}` implements {trait_name} but `{roster}!` does not \
+                         name `{named}`"
                     ));
+                } else if generic {
+                    for backend in BACKENDS {
+                        if !rows.iter().any(|row| row_backend(row) == backend) {
+                            missing.push(format!(
+                                "{path}: `{target}` is generic over `Reclaimer` but `{roster}!` \
+                                 has no `{named}` row on `{backend}`"
+                            ));
+                        }
+                    }
                 }
             }
         }
@@ -380,15 +438,33 @@ fn roster_trait_impls_reads_generic_and_where_headers() {
     let src = "impl<T: Ord> ConcurrentSet<T> for CoarseList<T> {}\n\
                impl<K, V, S> ConcurrentMap<K, V> for Striped<K, V, S>\nwhere\n    K: Eq,\n{}\n\
                impl ConcurrentCounter for LockCounter {}\n\
+               impl<T, R: Reclaimer> ConcurrentQueue<T> for Ms<T, R> {}\n\
+               impl<K, V, R> ConcurrentMap<K, V> for Split<K, V, R>\nwhere\n    R: Reclaimer,\n{}\n\
                impl<T> Default for CoarseList<T> {}\n\
                #[cfg(test)]\nmod tests {\n    impl ConcurrentCounter for Toy {}\n}\n";
     let want = [
-        ("ConcurrentSet", "CoarseList"),
-        ("ConcurrentMap", "Striped"),
-        ("ConcurrentCounter", "LockCounter"),
+        ("ConcurrentSet", "CoarseList", false),
+        ("ConcurrentMap", "Striped", false),
+        ("ConcurrentCounter", "LockCounter", false),
+        ("ConcurrentQueue", "Ms", true),
+        ("ConcurrentMap", "Split", true),
     ]
-    .map(|(t, x)| (t, x.to_string()));
+    .map(|(t, x, generic)| (t, x.to_string(), generic));
     assert_eq!(roster_trait_impls(src), want);
+}
+
+#[test]
+fn row_backend_reads_the_reclaimer_argument() {
+    assert_eq!(row_backend("::<$t>::default $(, $arg)*);"), "Ebr");
+    assert_eq!(row_backend("::default $(, $arg)*);"), "Ebr");
+    assert_eq!(
+        row_backend("::<$t, cds_reclaim::Hazard>::default $(, $arg)*);"),
+        "Hazard"
+    );
+    assert_eq!(
+        row_backend("::<$k, $v, std::hash::RandomState, cds_reclaim::Leak>::with_reclaimer"),
+        "Leak"
+    );
 }
 
 #[test]

@@ -15,11 +15,12 @@ use cds_core::{
     ConcurrentStack,
 };
 use cds_lincheck::specs::{
-    CounterOp, EventcountOp, EventcountRes, MapOp, MapRes, PqOp, PqRes, QueueOp, QueueRes, SetOp,
-    StackOp, StackRes,
+    CounterOp, EventcountOp, EventcountRes, MapOp, MapRes, MapSpec, PqOp, PqRes, QueueOp, QueueRes,
+    QueueSpec, SetOp, SetSpec, StackOp, StackRes, StackSpec,
 };
-use cds_lincheck::stress::StressOptions;
+use cds_lincheck::stress::{stress, StressOptions};
 use cds_obs::{Event, Snapshot};
+use cds_reclaim::{DebugReclaim, Ebr, Hazard, Reclaimer};
 use cds_sync::{Parked, Parker};
 
 /// Serializes tests of one binary that share process-wide state (the
@@ -29,6 +30,19 @@ use cds_sync::{Parked, Parker};
 pub fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Drains every process-wide reclamation backend that frees — the
+/// default epoch collector, the hazard domain and the debug quarantine —
+/// so deferred destructors run before a suite audits drops or the heap.
+/// It frees what the calling thread retired and what exited threads
+/// left behind.
+pub fn quiesce_reclaimers() {
+    for _ in 0..8 {
+        Ebr::collect();
+    }
+    Hazard::collect();
+    DebugReclaim::collect();
 }
 
 /// Determinism check for two runs of one seeded schedule: panics naming
@@ -102,6 +116,86 @@ pub fn gen_counter(rng: &mut SplitMix64, _t: usize) -> CounterOp {
     } else {
         CounterOp::Get
     }
+}
+
+/// Three keys, so inserts, removes and lookups meet. `Len` is not
+/// generated: the split-ordered map's len is only quiescently consistent.
+pub fn gen_map(rng: &mut SplitMix64, _t: usize) -> MapOp<u64, u64> {
+    let k = rng.below(3);
+    match rng.below(3) {
+        0 => MapOp::Insert(k, rng.below(100)),
+        1 => MapOp::Remove(k),
+        _ => MapOp::Get(k),
+    }
+}
+
+/// Insert-heavy map workload over a small key range, including the two
+/// operations that only make sense across a resize boundary:
+/// `contains_key` (must see through a half-migrated bucket) and `len`
+/// (the map-wide counter must be linearizable mid-migration).
+pub fn gen_resize_map(rng: &mut SplitMix64, _t: usize) -> MapOp<u64, u64> {
+    let k = rng.below(12);
+    match rng.below(8) {
+        0..=3 => MapOp::Insert(k, rng.below(100)),
+        4 => MapOp::Remove(k),
+        5 => MapOp::Get(k),
+        6 => MapOp::ContainsKey(k),
+        _ => MapOp::Len,
+    }
+}
+
+/// Scheduled rounds of one stack from `seed`, under the [`serial`] lock:
+/// a `DebugReclaim` row shares the debug backend's process-wide
+/// quarantine with the binary's other tests.
+pub fn stress_stack<S: ConcurrentStack<u64>>(seed: u64, make: impl Fn() -> S) {
+    let _g = serial();
+    stress(
+        StackSpec::<u64>::default(),
+        &opts(seed),
+        make,
+        gen_stack,
+        exec_stack,
+    )
+    .unwrap_or_else(|f| panic!("{} stack not linearizable: {f:?}", S::NAME));
+}
+
+/// [`stress_stack`] for a queue.
+pub fn stress_queue<Q: ConcurrentQueue<u64>>(seed: u64, make: impl Fn() -> Q) {
+    let _g = serial();
+    stress(
+        QueueSpec::<u64>::default(),
+        &opts(seed),
+        make,
+        gen_queue,
+        exec_queue,
+    )
+    .unwrap_or_else(|f| panic!("{} queue not linearizable: {f:?}", Q::NAME));
+}
+
+/// [`stress_stack`] for a set.
+pub fn stress_set<S: ConcurrentSet<u64>>(seed: u64, make: impl Fn() -> S) {
+    let _g = serial();
+    stress(
+        SetSpec::<u64>::default(),
+        &opts(seed),
+        make,
+        gen_set,
+        exec_set,
+    )
+    .unwrap_or_else(|f| panic!("{} set not linearizable: {f:?}", S::NAME));
+}
+
+/// [`stress_stack`] for a map, over the keys of [`gen_map`].
+pub fn stress_map<M: ConcurrentMap<u64, u64>>(seed: u64, make: impl Fn() -> M) {
+    let _g = serial();
+    stress(
+        MapSpec::<u64, u64>::default(),
+        &opts(seed),
+        make,
+        gen_map,
+        exec_map,
+    )
+    .unwrap_or_else(|f| panic!("{} map not linearizable: {f:?}", M::NAME));
 }
 
 /// Runs one `StackSpec` operation against any `u64` stack.

@@ -28,7 +28,7 @@ use cds_atomic::stress as sched;
 use cds_atomic::stress::StressConfig;
 use cds_exec::{ExecConfig, Executor};
 use cds_obs::{Event, Snapshot};
-use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
+use cds_reclaim::{Ebr, Reclaimer};
 use common::serial;
 
 const THREADS: usize = 3;
@@ -98,10 +98,7 @@ fn scheduled_fork_join_conserves_on_every_backend() {
         }
     }
 
-    case::<Ebr>(0xe8ec0);
-    case::<Hazard>(0xe8ec1);
-    case::<Leak>(0xe8ec2);
-    case::<DebugReclaim>(0xe8ec3);
+    backends!(case, 0xe8ec0);
 }
 
 /// A capacity-1 injector request (rounded up to the 2-slot minimum —

@@ -1,19 +1,27 @@
-//! Cross-backend lincheck matrix: every lock-free structure instantiated
-//! under every reclamation backend — epoch-based ([`cds_reclaim::Ebr`]),
-//! hazard pointers ([`cds_reclaim::Hazard`]), the leaking floor
-//! ([`cds_reclaim::Leak`]), and the use-after-retire checker
-//! ([`cds_reclaim::DebugReclaim`]) — and run through the deterministic
-//! scheduled-stress harness with pinned seeds.
+//! Every lock-free structure under every reclamation backend —
+//! epoch-based ([`cds_reclaim::Ebr`]), hazard pointers
+//! ([`cds_reclaim::Hazard`]), the leaking floor ([`cds_reclaim::Leak`]) and
+//! the use-after-retire checker ([`cds_reclaim::DebugReclaim`]) — through
+//! [`backends!`], one test per structure with its own pinned seeds, and
+//! the planted use-after-retire of a bucket array that `DebugReclaim` must
+//! catch.
 //!
-//! Two distinct properties ride on one run. Linearizability of each
-//! recorded window proves the *algorithm* is backend-independent (the
-//! `Reclaimer` abstraction did not change behavior). `DebugReclaim`
-//! checks the *retire discipline* at two points only: a second retire of
-//! one node, and a `protect`/`protect_ptr` of a node retired before the
-//! protecting guard began. Either panics with both thread ids, which the
-//! harness reports with the round seed for replay. `HarrisMichaelList`,
+//! The roster types' cells run the scheduled rounds of
+//! `tests/schedules.rs` (`common::stress_stack` and its siblings) from
+//! seeds of their own, so they add schedules to the roster rows there
+//! rather than repeat them; the resizing map's cell runs the one-shard,
+//! one-bucket geometry that migrates inside every window. The channels and
+//! the Chase–Lev deque have no `ConcurrentQueue` API, so no roster row:
+//! this is their only backend matrix.
+//!
+//! Two properties ride on one run. Linearizability of each recorded window
+//! shows the *algorithm* is backend-independent. `DebugReclaim` checks
+//! the *retire discipline* at two points: a second retire of one node, and
+//! a `protect`/`protect_ptr` of a node retired before the protecting guard
+//! began. Either panics with both thread ids, which the harness reports
+//! with the round seed for replay. `HarrisMichaelList`,
 //! `SplitOrderedHashMap`, `LockFreeSkipList`, `LockFreeBst` and
-//! `ResizingMap` call neither `protect` nor `protect_ptr`, so their
+//! `ResizingMap` take a blanket guard and call neither protect, so their
 //! `DebugReclaim` cells check for double retire only.
 //!
 //! These tests build with the `stress` feature live, so every
@@ -22,7 +30,7 @@
 //! `cds_lincheck::stress::replay` (or `CDS_STRESS_SEED=<seed>`)
 //! reproduces deterministically.
 //!
-//! `DebugReclaim`'s quarantine is process-wide, so its cells take the
+//! `DebugReclaim`'s quarantine is process-wide, so every cell takes the
 //! [`serial`] lock: the bucket-array test's `retired_backlog() == 0` audit
 //! would otherwise count a sibling cell's not-yet-collected nodes.
 
@@ -31,116 +39,21 @@ mod common;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 
-use cds_core::ConcurrentSet;
-use cds_lincheck::specs::{
-    ChanOp, ChanRes, ChannelSpec, MapOp, MapSpec, QueueSpec, SetSpec, StackSpec,
-};
+use cds_lincheck::specs::{ChanOp, ChanRes, ChannelSpec, MapSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_queue::Steal;
-use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-use common::{exec_map, exec_queue, exec_set, exec_stack, gen_queue, gen_set, gen_stack, serial};
+use cds_reclaim::{DebugReclaim, Reclaimer};
+use common::{
+    exec_map, gen_resize_map, serial, stress_map, stress_queue, stress_set, stress_stack,
+};
 
 /// Eight rounds from one pinned seed per (structure, backend) cell, so
-/// every cell of the matrix replays independently.
-fn cell_opts<R: Reclaimer>(base: u64) -> StressOptions {
-    let backend_tag = R::NAME
-        .bytes()
-        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+/// every cell replays independently.
+fn cell_opts(seed: u64) -> StressOptions {
     StressOptions {
         rounds: 8,
-        ..common::opts(base ^ (backend_tag << 16))
+        ..common::opts(seed)
     }
-}
-
-fn stress_stack_on<R: Reclaimer>(base: u64) {
-    stress(
-        StackSpec::<u64>::default(),
-        &cell_opts::<R>(base),
-        cds_stack::TreiberStack::<u64, R>::with_reclaimer,
-        gen_stack,
-        exec_stack,
-    )
-    .unwrap_or_else(|f| panic!("treiber stack under {} not linearizable: {f:?}", R::NAME));
-}
-
-fn stress_queue_on<R: Reclaimer>(base: u64) {
-    stress(
-        QueueSpec::<u64>::default(),
-        &cell_opts::<R>(base),
-        cds_queue::MsQueue::<u64, R>::with_reclaimer,
-        gen_queue,
-        exec_queue,
-    )
-    .unwrap_or_else(|f| panic!("ms queue under {} not linearizable: {f:?}", R::NAME));
-}
-
-fn stress_set_on<S, R>(base: u64, setup: fn() -> S, what: &str)
-where
-    S: ConcurrentSet<u64> + Sync,
-    R: Reclaimer,
-{
-    stress(
-        SetSpec::<u64>::default(),
-        &cell_opts::<R>(base),
-        setup,
-        gen_set,
-        exec_set,
-    )
-    .unwrap_or_else(|f| panic!("{what} under {} not linearizable: {f:?}", R::NAME));
-}
-
-fn stress_map_on<R: Reclaimer>(base: u64) {
-    stress(
-        MapSpec::<u64, u64>::default(),
-        &cell_opts::<R>(base),
-        cds_map::SplitOrderedHashMap::<u64, u64, RandomState, R>::with_reclaimer,
-        |rng, _t| {
-            let k = rng.below(3);
-            match rng.below(3) {
-                0 => MapOp::Insert(k, rng.below(100)),
-                1 => MapOp::Remove(k),
-                _ => MapOp::Get(k),
-            }
-        },
-        // `Len` is not generated: the split-ordered map's len is only
-        // quiescently consistent.
-        exec_map,
-    )
-    .unwrap_or_else(|f| {
-        panic!(
-            "split-ordered map under {} not linearizable: {f:?}",
-            R::NAME
-        )
-    });
-}
-
-/// ResizingMap cell: tiny geometry (one shard, one initial bucket) so the
-/// cooperative migration protocol — install, helping, promotion, and the
-/// **retire of the old bucket array** through `R`'s guard — all run inside
-/// every 48-op window, under every backend. The generator exercises the
-/// two resize-boundary operations (`contains_key`, `len`) alongside the
-/// usual insert/remove/get mix.
-fn stress_resizing_map_on<R: Reclaimer>(base: u64) {
-    stress(
-        MapSpec::<u64, u64>::default(),
-        &StressOptions {
-            ops_per_thread: 16, // enough inserts per window to force doublings
-            ..cell_opts::<R>(base)
-        },
-        || cds_map::ResizingMap::<u64, u64, RandomState, R>::with_config(1, 1),
-        |rng, _t| {
-            let k = rng.below(12);
-            match rng.below(8) {
-                0..=3 => MapOp::Insert(k, rng.below(100)),
-                4 => MapOp::Remove(k),
-                5 => MapOp::ContainsKey(k),
-                6 => MapOp::Len,
-                _ => MapOp::Get(k),
-            }
-        },
-        exec_map,
-    )
-    .unwrap_or_else(|f| panic!("resizing map under {} not linearizable: {f:?}", R::NAME));
 }
 
 /// Channel cells: the spec result an operation maps to. Shared by both
@@ -175,10 +88,10 @@ fn chan_exec<R: Reclaimer>(ch: &cds_chan::Channel<u32, R>, op: &ChanOp) -> ChanR
 /// Bounded-channel cell: a 2-slot ring so `Full` results are real, with
 /// close mixed into every stream so windows straddle the two-phase close
 /// (disconnected sends racing drain-then-`Closed` receives).
-fn stress_chan_bounded_on<R: Reclaimer>(base: u64) {
+fn stress_chan_bounded_on<R: Reclaimer>(seed: u64) {
     stress(
         ChannelSpec::bounded(2),
-        &cell_opts::<R>(base),
+        &cell_opts(seed),
         || cds_chan::Channel::<u32, R>::bounded_with_reclaimer(2),
         |rng, t| match rng.below(8) {
             0..=2 => ChanOp::TrySend(((t as u32) << 8) | rng.below(16) as u32),
@@ -194,10 +107,10 @@ fn stress_chan_bounded_on<R: Reclaimer>(base: u64) {
 /// Unbounded-channel cell: blocking `Send` (which never parks on the
 /// Michael–Scott buffer) races `TryRecv` and `Close`, exercising the
 /// in-flight send window against the close path under every backend.
-fn stress_chan_unbounded_on<R: Reclaimer>(base: u64) {
+fn stress_chan_unbounded_on<R: Reclaimer>(seed: u64) {
     stress(
         ChannelSpec::unbounded(),
-        &cell_opts::<R>(base),
+        &cell_opts(seed),
         cds_chan::Channel::<u32, R>::unbounded_with_reclaimer,
         |rng, t| match rng.below(8) {
             0..=2 => ChanOp::Send(((t as u32) << 8) | rng.below(16) as u32),
@@ -220,10 +133,10 @@ fn stress_chan_unbounded_on<R: Reclaimer>(base: u64) {
 /// pushes a known value set and pops, stealers race `steal`, and every
 /// value must surface exactly once — no loss, no duplication, no invented
 /// values — deterministically seeded per backend.
-fn chase_lev_on<R: Reclaimer>(base: u64) {
+fn chase_lev_on<R: Reclaimer>(seed: u64) {
     const STEALERS: u64 = 3;
     const PUSHES: u64 = 2_000;
-    let seed = cell_opts::<R>(base).seed;
+    let seed = common::opts(seed).seed;
     let (worker, stealer) = cds_queue::ChaseLevDeque::<u64, R>::with_reclaimer();
     let mut popped: Vec<u64> = Vec::new();
     let mut stolen: Vec<Vec<u64>> = Vec::new();
@@ -286,113 +199,96 @@ fn chase_lev_on<R: Reclaimer>(base: u64) {
 
 #[test]
 fn treiber_stack_under_every_backend() {
-    stress_stack_on::<Ebr>(0x3a7a1c0);
-    stress_stack_on::<Hazard>(0x3a7a1c0);
-    stress_stack_on::<Leak>(0x3a7a1c0);
-    let _g = serial();
-    stress_stack_on::<DebugReclaim>(0x3a7a1c0);
+    fn cell<R: Reclaimer>(seed: u64) {
+        stress_stack(seed, cds_stack::TreiberStack::<u64, R>::with_reclaimer);
+    }
+    backends!(cell, 0x3a7a1c00);
 }
 
 #[test]
 fn ms_queue_under_every_backend() {
-    stress_queue_on::<Ebr>(0x3a7a1c1);
-    stress_queue_on::<Hazard>(0x3a7a1c1);
-    stress_queue_on::<Leak>(0x3a7a1c1);
-    let _g = serial();
-    stress_queue_on::<DebugReclaim>(0x3a7a1c1);
+    fn cell<R: Reclaimer>(seed: u64) {
+        stress_queue(seed, cds_queue::MsQueue::<u64, R>::with_reclaimer);
+    }
+    backends!(cell, 0x3a7a1c10);
 }
 
 #[test]
 fn harris_michael_list_under_every_backend() {
-    fn one<R: Reclaimer>() {
-        stress_set_on::<_, R>(
-            0x3a7a1c2,
-            cds_list::HarrisMichaelList::<u64, R>::with_reclaimer,
-            "harris-michael list",
-        );
+    fn cell<R: Reclaimer>(seed: u64) {
+        stress_set(seed, cds_list::HarrisMichaelList::<u64, R>::with_reclaimer);
     }
-    one::<Ebr>();
-    one::<Hazard>();
-    one::<Leak>();
-    let _g = serial();
-    one::<DebugReclaim>();
+    backends!(cell, 0x3a7a1c20);
 }
 
 #[test]
 fn split_ordered_map_under_every_backend() {
-    stress_map_on::<Ebr>(0x3a7a1c3);
-    stress_map_on::<Hazard>(0x3a7a1c3);
-    stress_map_on::<Leak>(0x3a7a1c3);
-    let _g = serial();
-    stress_map_on::<DebugReclaim>(0x3a7a1c3);
+    fn cell<R: Reclaimer>(seed: u64) {
+        stress_map(
+            seed,
+            cds_map::SplitOrderedHashMap::<u64, u64, RandomState, R>::with_reclaimer,
+        );
+    }
+    backends!(cell, 0x3a7a1c30);
 }
 
 #[test]
 fn lock_free_skiplist_under_every_backend() {
-    fn one<R: Reclaimer>() {
-        stress_set_on::<_, R>(
-            0x3a7a1c4,
+    fn cell<R: Reclaimer>(seed: u64) {
+        stress_set(
+            seed,
             cds_skiplist::LockFreeSkipList::<u64, R>::with_reclaimer,
-            "lock-free skiplist",
         );
     }
-    one::<Ebr>();
-    one::<Hazard>();
-    one::<Leak>();
-    let _g = serial();
-    one::<DebugReclaim>();
+    backends!(cell, 0x3a7a1c40);
 }
 
 #[test]
 fn ellen_bst_under_every_backend() {
-    fn one<R: Reclaimer>() {
-        stress_set_on::<_, R>(
-            0x3a7a1c5,
-            cds_tree::LockFreeBst::<u64, R>::with_reclaimer,
-            "ellen bst",
-        );
+    fn cell<R: Reclaimer>(seed: u64) {
+        stress_set(seed, cds_tree::LockFreeBst::<u64, R>::with_reclaimer);
     }
-    one::<Ebr>();
-    one::<Hazard>();
-    one::<Leak>();
-    let _g = serial();
-    one::<DebugReclaim>();
+    backends!(cell, 0x3a7a1c50);
+}
+
+/// One shard, one initial bucket and 16 operations per thread, so the
+/// cooperative migration (install, helping, promotion, and the retire of
+/// the old bucket array through `R`'s guard) runs inside every window.
+#[test]
+fn resizing_map_under_every_backend() {
+    fn cell<R: Reclaimer>(seed: u64) {
+        let _g = serial();
+        stress(
+            MapSpec::<u64, u64>::default(),
+            &StressOptions {
+                ops_per_thread: 16,
+                ..cell_opts(seed)
+            },
+            || cds_map::ResizingMap::<u64, u64, RandomState, R>::with_config(1, 1),
+            gen_resize_map,
+            exec_map,
+        )
+        .unwrap_or_else(|f| panic!("resizing map under {} not linearizable: {f:?}", R::NAME));
+    }
+    backends!(cell, 0x3a7a1c70);
 }
 
 #[test]
 fn chase_lev_deque_under_every_backend() {
-    chase_lev_on::<Ebr>(0x3a7a1c6);
-    chase_lev_on::<Hazard>(0x3a7a1c6);
-    chase_lev_on::<Leak>(0x3a7a1c6);
     let _g = serial();
-    chase_lev_on::<DebugReclaim>(0x3a7a1c6);
-}
-
-#[test]
-fn resizing_map_under_every_backend() {
-    stress_resizing_map_on::<Ebr>(0x3a7a1c7);
-    stress_resizing_map_on::<Hazard>(0x3a7a1c7);
-    stress_resizing_map_on::<Leak>(0x3a7a1c7);
-    let _g = serial();
-    stress_resizing_map_on::<DebugReclaim>(0x3a7a1c7);
+    backends!(chase_lev_on, 0x3a7a1c60);
 }
 
 #[test]
 fn bounded_channel_under_every_backend() {
-    stress_chan_bounded_on::<Ebr>(0x3a7a1c8);
-    stress_chan_bounded_on::<Hazard>(0x3a7a1c8);
-    stress_chan_bounded_on::<Leak>(0x3a7a1c8);
     let _g = serial();
-    stress_chan_bounded_on::<DebugReclaim>(0x3a7a1c8);
+    backends!(stress_chan_bounded_on, 0x3a7a1c80);
 }
 
 #[test]
 fn unbounded_channel_under_every_backend() {
-    stress_chan_unbounded_on::<Ebr>(0x3a7a1c9);
-    stress_chan_unbounded_on::<Hazard>(0x3a7a1c9);
-    stress_chan_unbounded_on::<Leak>(0x3a7a1c9);
     let _g = serial();
-    stress_chan_unbounded_on::<DebugReclaim>(0x3a7a1c9);
+    backends!(stress_chan_unbounded_on, 0x3a7a1c90);
 }
 
 /// Plants the resize bug the retire contract exists to rule out — keeping

@@ -27,11 +27,11 @@ use std::hash::{BuildHasher, Hasher};
 
 use cds_core::ConcurrentMap;
 use cds_lincheck::prop::{forall_vec, Config, Prng};
-use cds_lincheck::specs::{MapOp, MapSpec, SetOp, SetSpec};
+use cds_lincheck::specs::{MapSpec, SetOp, SetSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_map::{BucketedHashSet, ResizingMap, StripedHashMap};
-use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
-use common::{exec_map, exec_set};
+use cds_reclaim::{Ebr, Reclaimer};
+use common::{exec_map, exec_set, gen_resize_map};
 
 /// Sixteen ops per worker — three workers fill a 48-op window, enough
 /// inserts over a one-bucket shard to force at least one doubling per
@@ -41,21 +41,6 @@ fn window_opts(seed: u64) -> StressOptions {
         ops_per_thread: 16,
         rounds: 8,
         ..common::opts(seed)
-    }
-}
-
-/// Insert-heavy map workload over a small key range, including the two
-/// operations that only make sense across a resize boundary:
-/// `contains_key` (must see through a half-migrated bucket) and `len`
-/// (the map-wide counter must be linearizable mid-migration).
-fn gen_resize_map(rng: &mut cds_atomic::stress::SplitMix64, _t: usize) -> MapOp<u64, u64> {
-    let k = rng.below(12);
-    match rng.below(8) {
-        0..=3 => MapOp::Insert(k, rng.below(100)),
-        4 => MapOp::Remove(k),
-        5 => MapOp::Get(k),
-        6 => MapOp::ContainsKey(k),
-        _ => MapOp::Len,
     }
 }
 
@@ -255,19 +240,11 @@ fn shards_stay_balanced_under_uniform_keys() {
     }
 }
 
-/// The resize matrix cell the CI job gates on: the cooperative migration
-/// linearizes under all four reclamation backends, each cell with its own
-/// pinned seed (same convention as `tests/reclaim_matrix.rs`).
+/// The resize cell the CI job gates on: the cooperative migration
+/// linearizes under all four reclamation backends, in the one-shard,
+/// one-bucket geometry that migrates inside every window, each backend
+/// with its own pinned seed.
 #[test]
 fn scheduled_resizing_map_under_every_backend() {
-    fn cell_seed<R: Reclaimer>(base: u64) -> u64 {
-        let tag = R::NAME
-            .bytes()
-            .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-        base ^ (tag << 16)
-    }
-    stress_resizing_on::<Ebr>(cell_seed::<Ebr>(0x4e512e5));
-    stress_resizing_on::<Hazard>(cell_seed::<Hazard>(0x4e512e5));
-    stress_resizing_on::<Leak>(cell_seed::<Leak>(0x4e512e5));
-    stress_resizing_on::<DebugReclaim>(cell_seed::<DebugReclaim>(0x4e512e5));
+    backends!(stress_resizing_on, 0x4e512e50);
 }

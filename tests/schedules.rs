@@ -7,59 +7,31 @@
 //! preemption point. Each test runs seeded rounds via
 //! `cds_lincheck::stress::stress`; a failure prints a round seed that
 //! [`cds_lincheck::stress::replay`] reproduces deterministically.
+//!
+//! The roster tests run every implementation under every reclamation
+//! backend its roster lists, so these rounds are also the
+//! structure × backend matrix: linearizability of each window shows the
+//! algorithm does not depend on its backend, and the `DebugReclaim` rows
+//! check the retire discipline. Those rows share the debug backend's
+//! process-wide quarantine with the planted use-after-retire test below,
+//! whose `retired_backlog() == 0` audit would count their nodes, so every
+//! roster row and that test take the [`serial`] lock.
 
 mod common;
 
 use std::time::{Duration, Instant};
 
-use cds_core::{
-    ConcurrentCounter, ConcurrentMap, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentSet,
-    ConcurrentStack,
-};
+use cds_core::{ConcurrentCounter, ConcurrentPriorityQueue, ConcurrentQueue, ConcurrentStack};
 use cds_lincheck::faults::{crash_worker, with_contention_storm, StormOptions};
 use cds_lincheck::specs::{
-    CounterOp, CounterSpec, MapOp, MapSpec, PqSpec, QueueOp, QueueRes, QueueSpec, SetSpec, StackOp,
-    StackRes, StackSpec,
+    CounterOp, CounterSpec, PqSpec, QueueOp, QueueRes, QueueSpec, StackOp, StackRes, StackSpec,
 };
 use cds_lincheck::stress::stress;
 use cds_lincheck::{check_linearizable, Recorder};
 use common::{
-    exec_counter, exec_map, exec_pq, exec_queue, exec_set, exec_stack, gen_counter, gen_pq,
-    gen_queue, gen_set, gen_stack, opts,
+    exec_counter, exec_pq, gen_counter, gen_pq, opts, serial, stress_map, stress_queue, stress_set,
+    stress_stack,
 };
-
-fn stress_stack<S: ConcurrentStack<u64>>(seed: u64, make: impl Fn() -> S) {
-    stress(
-        StackSpec::<u64>::default(),
-        &opts(seed),
-        make,
-        gen_stack,
-        exec_stack,
-    )
-    .unwrap_or_else(|f| panic!("{} stack not linearizable: {f:?}", S::NAME));
-}
-
-fn stress_queue<Q: ConcurrentQueue<u64>>(seed: u64, make: impl Fn() -> Q) {
-    stress(
-        QueueSpec::<u64>::default(),
-        &opts(seed),
-        make,
-        gen_queue,
-        exec_queue,
-    )
-    .unwrap_or_else(|f| panic!("{} queue not linearizable: {f:?}", Q::NAME));
-}
-
-fn stress_set<S: ConcurrentSet<u64>>(seed: u64, make: impl Fn() -> S) {
-    stress(
-        SetSpec::<u64>::default(),
-        &opts(seed),
-        make,
-        gen_set,
-        exec_set,
-    )
-    .unwrap_or_else(|f| panic!("{} set not linearizable: {f:?}", S::NAME));
-}
 
 #[test]
 fn scheduled_stacks_are_linearizable() {
@@ -84,25 +56,6 @@ fn scheduled_skiplists_and_trees_are_linearizable() {
 
 #[test]
 fn scheduled_maps_are_linearizable() {
-    fn stress_map<M: ConcurrentMap<u64, u64>>(seed: u64, make: impl Fn() -> M) {
-        stress(
-            MapSpec::<u64, u64>::default(),
-            &opts(seed),
-            make,
-            |rng, _t| {
-                let k = rng.below(3);
-                match rng.below(3) {
-                    0 => MapOp::Insert(k, rng.below(100)),
-                    1 => MapOp::Remove(k),
-                    _ => MapOp::Get(k),
-                }
-            },
-            // `Len` is not generated: the split-ordered map's len is only
-            // quiescently consistent.
-            exec_map,
-        )
-        .unwrap_or_else(|f| panic!("{} map not linearizable: {f:?}", M::NAME));
-    }
     maps!(u64, u64, stress_map);
     sets!(hashed: u64, stress_set);
 }
@@ -521,6 +474,8 @@ fn debug_reclaim_catches_and_shrinks_injected_use_after_retire() {
     use cds_reclaim::epoch::{Atomic, Owned, Shared};
     use cds_reclaim::{DebugGuard, DebugReclaim, ReclaimGuard, Reclaimer};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let _g = serial();
 
     #[derive(Debug, Clone, Copy)]
     enum Op {

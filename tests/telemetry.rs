@@ -17,7 +17,7 @@ mod common;
 use cds_lincheck::specs::{MapOp, MapSpec, StackSpec};
 use cds_lincheck::stress::{stress, StressOptions};
 use cds_obs::{Event, Snapshot};
-use cds_reclaim::{DebugReclaim, Ebr, Hazard, Leak, Reclaimer};
+use cds_reclaim::{DebugReclaim, Leak, Reclaimer};
 use common::{exec_map, exec_stack, gen_stack, serial};
 
 /// Four rounds per churn: conservation must hold for any schedule, so a
@@ -100,20 +100,9 @@ fn split_ordered_churn<R: Reclaimer>(seed: u64) {
 /// violation means a count was added outside that one seam.
 #[test]
 fn cas_counts_are_conserved_under_every_backend() {
-    let _g = serial();
-    let runs: [(fn(u64), u64); 8] = [
-        (stack_churn::<Ebr>, 0xca50),
-        (stack_churn::<Hazard>, 0xca51),
-        (stack_churn::<Leak>, 0xca52),
-        (stack_churn::<DebugReclaim>, 0xca53),
-        (split_ordered_churn::<Ebr>, 0xca54),
-        (split_ordered_churn::<Hazard>, 0xca55),
-        (split_ordered_churn::<Leak>, 0xca56),
-        (split_ordered_churn::<DebugReclaim>, 0xca57),
-    ];
-    for (run, seed) in runs {
+    fn conserved(seed: u64, churn: fn(u64)) {
         let base = Snapshot::take();
-        run(seed);
+        churn(seed);
         let d = Snapshot::take().delta(&base);
         assert_eq!(
             d.get(Event::CasSuccess) + d.get(Event::CasFailure),
@@ -127,6 +116,15 @@ fn cas_counts_are_conserved_under_every_backend() {
             );
         }
     }
+    fn stack<R: Reclaimer>(seed: u64) {
+        conserved(seed, stack_churn::<R>);
+    }
+    fn split_ordered<R: Reclaimer>(seed: u64) {
+        conserved(seed, split_ordered_churn::<R>);
+    }
+    let _g = serial();
+    backends!(stack, 0xca50);
+    backends!(split_ordered, 0xca54);
 }
 
 /// Every elimination transfers one value from one push to one pop, so at
@@ -169,16 +167,9 @@ fn elimination_hits_pair_and_are_bounded_by_op_counts() {
 /// moved exactly once, exercised under all four backends.
 #[test]
 fn buckets_moved_equals_sum_of_batch_sizes_under_every_backend() {
-    let _g = serial();
-    let runs: [(fn(u64), u64); 4] = [
-        (resize_churn::<Ebr>, 0xb0c0),
-        (resize_churn::<Hazard>, 0xb0c1),
-        (resize_churn::<Leak>, 0xb0c2),
-        (resize_churn::<DebugReclaim>, 0xb0c3),
-    ];
-    for (run, seed) in runs {
+    fn balanced<R: Reclaimer>(seed: u64) {
         let base = Snapshot::take();
-        run(seed);
+        resize_churn::<R>(seed);
         let d = Snapshot::take().delta(&base);
         assert_eq!(
             d.get(Event::ResizeBucketsMoved),
@@ -196,6 +187,8 @@ fn buckets_moved_equals_sum_of_batch_sizes_under_every_backend() {
             );
         }
     }
+    let _g = serial();
+    backends!(balanced, 0xb0c0);
 }
 
 /// The reclamation ledger never frees what was not retired: checked on
@@ -205,10 +198,7 @@ fn buckets_moved_equals_sum_of_batch_sizes_under_every_backend() {
 #[test]
 fn frees_never_exceed_retires() {
     let _g = serial();
-    stack_churn::<Ebr>(0xf4ee0);
-    stack_churn::<Hazard>(0xf4ee1);
-    stack_churn::<Leak>(0xf4ee2);
-    stack_churn::<DebugReclaim>(0xf4ee3);
+    backends!(stack_churn, 0xf4ee0);
     DebugReclaim::collect();
     let s = Snapshot::take();
     assert!(s.get(Event::FreedEbr) <= s.get(Event::RetiredEbr));

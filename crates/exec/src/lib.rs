@@ -28,7 +28,7 @@
 //!   [`Executor::spawn`] allocates nothing and the worker frees nothing.
 //!   Any other closure is boxed, and the one-word box goes into the words.
 //!   Three words is the request/reply pipeline's closure: an `Arc` and a
-//!   16-byte request. A task plus the ring's 8-byte stamp fits one 64-byte
+//!   16-byte request. The injector gives each task plus its stamp a 64-byte
 //!   line. On the gate's `rr_light` (2 vCPUs, ten alternating 20 s pairs
 //!   against a boxed task), `ops_per_s` went from 1.19 M to 1.47 M
 //!   (medians, +24 %, ahead in 10 of 10, parent quartile spread 60 k),

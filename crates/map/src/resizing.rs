@@ -803,6 +803,18 @@ mod tests {
         assert_eq!(size_of::<Mutex<Bucket<u64, u64>>>(), 104);
     }
 
+    /// The lock word comes first, then the spill header, the flags and the
+    /// first inline slot, all within the mutex's first 64 bytes.
+    #[test]
+    fn the_first_inline_slot_ends_within_64_bytes() {
+        let mut bucket = Mutex::new(Bucket::<u64, u64>::new());
+        let base = &bucket as *const _ as usize;
+        let data = bucket.get_mut() as *const _ as usize - base;
+        assert_eq!(data, 8, "the bucket does not follow the lock word");
+        let end = bucket.get_mut().inline.as_ptr() as usize - base + size_of::<(u64, u64)>();
+        assert!(end <= 64, "the first slot ends at byte {end}");
+    }
+
     /// A bucket behaves as one `Vec` of its inline slots then its spill,
     /// with `String` payloads so that a lost or doubled entry is a leak
     /// or a double free.

@@ -7,6 +7,13 @@ use cds_atomic::stress::{armed, Fault};
 use cds_core::ConcurrentQueue;
 use cds_sync::{Backoff, CachePadded};
 
+/// One ring entry, on a 64-byte line of its own (`align(64)` rounds its
+/// size up to a multiple of 64): a consumer reading one slot never pulls
+/// in the line its producer is writing one slot ahead. 64, not the 128 of
+/// `CachePadded`: on the gate benchmark (2 vCPUs) 128-byte slots served
+/// `rr_light` no faster and raised `direct_transport`'s p99 latency, at
+/// twice the memory.
+#[repr(align(64))]
 struct Slot<T> {
     /// Ticket machinery: a slot is writable when `sequence == pos` and
     /// readable when `sequence == pos + 1`.
@@ -19,10 +26,15 @@ struct Slot<T> {
 /// A power-of-two ring of slots, each carrying a *sequence number* that
 /// encodes whose turn the slot is: producers and consumers claim positions
 /// with a fetch-style CAS on their own cursor and then synchronize with the
-/// slot's sequence, so a producer and a consumer operating on different
-/// slots never touch the same cache line. No allocation happens after
-/// construction — the reason bounded queues dominate in latency-sensitive
-/// systems.
+/// slot's sequence. No allocation happens after construction — the reason
+/// bounded queues dominate in latency-sensitive systems.
+///
+/// Every slot (stamp plus value) is aligned to a 64-byte cache line of its
+/// own, so a producer and a consumer operating on different slots never
+/// touch the same line. The cost is memory: a slot takes 64 bytes, or the
+/// next multiple of 64 for a value larger than 56 bytes. A 1 024-slot
+/// `u64` ring takes 64 KiB instead of 16, and the executor's 256-slot
+/// injector of five-word tasks 16 KiB instead of 12.
 ///
 /// The [`ConcurrentQueue`] impl spins when the queue is full; use
 /// [`try_enqueue`](BoundedQueue::try_enqueue) /
@@ -467,5 +479,57 @@ mod tests {
             }
         }
         assert_eq!(drops.load(Ordering::SeqCst), 5);
+    }
+
+    /// Each slot starts a 64-byte line and no two slots share one, for a
+    /// `u64`, a 16-byte payload and a five-word payload (the size of a
+    /// `cds-exec` task, the injector's element).
+    #[test]
+    fn every_slot_has_a_cache_line_of_its_own() {
+        use std::mem::{align_of, size_of};
+        fn check<T>() {
+            let name = std::any::type_name::<T>();
+            assert!(align_of::<Slot<T>>() >= 64, "{name}: slot not line-aligned");
+            let q: BoundedQueue<T> = BoundedQueue::with_capacity(8);
+            for pair in q.buffer.windows(2) {
+                let last_byte = &pair[0] as *const Slot<T> as usize + size_of::<Slot<T>>() - 1;
+                let next = &pair[1] as *const Slot<T> as usize;
+                assert!(last_byte / 64 < next / 64, "{name}: two slots share a line");
+            }
+        }
+        check::<u64>();
+        check::<[u64; 2]>();
+        check::<[usize; 5]>();
+    }
+
+    /// `String` payloads through three laps of a four-slot ring, then a
+    /// drop with three values still in it, straddling the wrap: each
+    /// payload is dropped exactly once (under AddressSanitizer a slot read
+    /// twice or read uninitialised aborts).
+    #[test]
+    fn string_payloads_survive_laps_and_drop_once() {
+        struct D(Arc<Counter>, String);
+        impl Drop for D {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(Counter::new(0));
+        {
+            let q = BoundedQueue::with_capacity(4);
+            for i in 0..12 {
+                q.try_enqueue(D(Arc::clone(&drops), i.to_string()))
+                    .ok()
+                    .unwrap();
+                assert_eq!(q.try_dequeue().unwrap().1, i.to_string());
+            }
+            for i in 0..3 {
+                q.try_enqueue(D(Arc::clone(&drops), i.to_string()))
+                    .ok()
+                    .unwrap();
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 12);
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 15);
     }
 }

@@ -19,7 +19,13 @@ use crate::RawLock;
 /// shared.lock().push(3);
 /// assert_eq!(&*shared.lock(), &[1, 2, 3]);
 /// ```
+///
+/// The lock word comes first (`repr(C)`), so locking and then reading the
+/// first fields of `T` touches one contiguous run of bytes. `ResizingMap`
+/// lays out its buckets for that: a hit in the first inline slot reads the
+/// first 56 bytes of the lock.
 #[derive(Default)]
+#[repr(C)]
 pub struct Lock<L: RawLock, T> {
     raw: L,
     data: UnsafeCell<T>,
@@ -181,6 +187,14 @@ mod tests {
         if cds_obs::enabled() {
             assert!(parks() > parks_before, "no waiter parked");
         }
+    }
+
+    #[test]
+    fn lock_word_sits_at_offset_zero() {
+        use std::mem::offset_of;
+        assert_eq!(offset_of!(Mutex<[u64; 12]>, raw), 0);
+        assert_eq!(offset_of!(Mutex<[u64; 12]>, data), 8);
+        assert_eq!(offset_of!(Lock<TicketLock, [u8; 3]>, raw), 0);
     }
 
     #[test]

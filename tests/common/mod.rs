@@ -5,8 +5,9 @@
 
 mod rosters;
 
-use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
+use std::io::Write;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, Once};
+use std::time::{Duration, Instant};
 
 use cds_atomic::stress::SplitMix64;
 use cds_atomic::{AtomicBool, Ordering};
@@ -30,6 +31,97 @@ use cds_sync::{Parked, Parker};
 pub fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// How long one roster row may run: many times the slowest row, so only a
+/// row that stopped making progress reaches it.
+const ROW_DEADLINE: Duration = Duration::from_secs(120);
+
+/// The roster rows in flight, with the next row id.
+static WATCHED: Mutex<(u64, Vec<Watched>)> = Mutex::new((0, Vec::new()));
+
+struct Watched {
+    id: u64,
+    name: String,
+    seed: u64,
+    since: Instant,
+}
+
+fn watched() -> MutexGuard<'static, (u64, Vec<Watched>)> {
+    WATCHED.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One roster row under the watchdog, until the guard drops. A row that
+/// runs past [`ROW_DEADLINE`] (a thread spinning on a full bounded ring,
+/// a lost wakeup) prints its name and seed and aborts the process, so a
+/// hung suite names the row instead of running silently until it is
+/// killed.
+pub struct Watch(u64);
+
+impl Watch {
+    /// Watches the row of the type `make` builds.
+    pub fn row<S>(seed: u64, _make: &impl Fn() -> S) -> Self {
+        Self::named(std::any::type_name::<S>().to_string(), seed)
+    }
+
+    /// Watches a row that no roster type names (`backends!`).
+    pub fn named(name: String, seed: u64) -> Self {
+        static MONITOR: Once = Once::new();
+        MONITOR.call_once(|| {
+            // The monitor thread is running before the first row starts,
+            // so its start-up never lands inside a row that counts
+            // allocations (`tests/heap_balance.rs`). It is never joined:
+            // it lives as long as the test binary.
+            let started = Arc::new(Barrier::new(2));
+            let seen = Arc::clone(&started);
+            std::thread::Builder::new()
+                .name("roster-watchdog".into())
+                .spawn(move || {
+                    seen.wait();
+                    monitor_rows()
+                })
+                .expect("spawn the roster watchdog");
+            started.wait();
+        });
+        let mut rows = watched();
+        let id = rows.0;
+        rows.0 += 1;
+        rows.1.push(Watched {
+            id,
+            name,
+            seed,
+            since: Instant::now(),
+        });
+        Watch(id)
+    }
+}
+
+impl Drop for Watch {
+    fn drop(&mut self) {
+        watched().1.retain(|w| w.id != self.0);
+    }
+}
+
+fn monitor_rows() -> ! {
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+        if let Some(w) = watched()
+            .1
+            .iter()
+            .find(|w| w.since.elapsed() > ROW_DEADLINE)
+        {
+            // Straight to stderr: `eprintln!` would go into the capture
+            // buffer of the test that started this thread.
+            let _ = writeln!(
+                std::io::stderr(),
+                "roster row {} (seed {:#x}) still running after {} s: aborting",
+                w.name,
+                w.seed,
+                ROW_DEADLINE.as_secs()
+            );
+            std::process::abort();
+        }
+    }
 }
 
 /// Drains every process-wide reclamation backend that frees — the

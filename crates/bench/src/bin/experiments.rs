@@ -9,17 +9,20 @@
 //! cargo run -p cds-bench --release --bin experiments -- render BENCH_experiments.json
 //! ```
 //!
-//! Every measured cell is recorded as a [`Sample`] —
-//! throughput plus p50/p90/p99/p99.9 sampled latency, and the cell's
-//! `cds-obs` counter delta when the `telemetry` feature is compiled in.
+//! Every measured cell is recorded as a [`Sample`] — the median and
+//! spread of its timed rounds' throughput, p50/p90/p99/p99.9 sampled
+//! latency, and the cell's `cds-obs` counter delta when the `telemetry`
+//! feature is compiled in. `--quick` picks the smaller operation counts;
+//! the method (`cds_bench::ROUNDS` timed rounds after one warm-up round)
+//! is the same at both scales.
 //! When the run ends, the report document (see `cds_bench::report` for the
 //! schema) is checked and printed through [`report::render`]: one
 //! Markdown table per experiment, rows = implementations, columns =
 //! thread counts (for ratio sweeps, one table per read ratio), numbers in
-//! million operations per second. `--json <path>` also writes the
-//! document. `render <path>` prints the same tables from a written
-//! document, and `check <path>` validates one, exiting non-zero on schema
-//! violations or missing experiments.
+//! million operations per second with the rounds' spread. `--json <path>`
+//! also writes the document. `render <path>` prints the same tables from a
+//! written document, and `check <path>` validates one, exiting non-zero on
+//! schema violations or missing experiments.
 
 use std::sync::Arc;
 
@@ -27,21 +30,32 @@ use cds_bench::json::Json;
 use cds_bench::report::{self, TelemetryRecord};
 use cds_bench::{
     counter_run, lock_run, map_run, pq_run, queue_run, set_run, stack_run, Report, RunStats,
-    Sample, Warmup, Workload,
+    Sample, Workload,
 };
 use cds_sync::RawLock;
 
 const THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];
 
+/// Operations per round of a cell, summed over its threads: `list_ops`
+/// for the list-based E4 and E10, `ops` for the rest.
 struct Scale {
     ops: usize,
     list_ops: usize,
 }
 
-/// Shared run state: workload scale, warmup policy, and the sample sink.
+const QUICK: Scale = Scale {
+    ops: 40_000,
+    list_ops: 8_000,
+};
+
+const FULL: Scale = Scale {
+    ops: 400_000,
+    list_ops: 40_000,
+};
+
+/// Shared run state: workload scale and the sample sink.
 struct Ctx {
     scale: Scale,
-    warm: Warmup,
     report: Report,
 }
 
@@ -50,19 +64,19 @@ impl Ctx {
     /// first so per-cell peaks (max-kind events) do not accumulate across
     /// cells; no worker threads are live between cells, so the reset
     /// cannot race a recorder. With telemetry compiled in, the sample
-    /// carries the nonzero counter deltas, which span prefill, warmup and
-    /// the timed run.
+    /// carries the nonzero counter deltas, which span every round's
+    /// prefill and operations, the warm-up round's included.
     fn measure(
         &mut self,
         experiment: &str,
         label: &str,
         reclaimer: Option<&str>,
         w: Workload,
-        run: impl FnOnce(Workload, Warmup) -> RunStats,
+        run: impl FnOnce(Workload) -> RunStats,
     ) {
         cds_obs::reset();
         let base = cds_obs::Snapshot::take();
-        let stats = run(w, self.warm);
+        let stats = run(w);
         let mut sample = Sample::from_stats(experiment, label, &w, &stats);
         if let Some(r) = reclaimer {
             sample = sample.with_reclaimer(r);
@@ -82,14 +96,13 @@ impl Ctx {
 }
 
 /// Measures each `(name, constructor)` row at every workload in `$cells`,
-/// each cell on a fresh structure driven by the family's run helper.
+/// each round of a cell on a fresh structure driven by the family's run
+/// helper.
 macro_rules! sweep {
     ($ctx:expr, $experiment:expr, $cells:expr, $run:path, [$(($name:expr, $ctor:expr)),* $(,)?]) => {
         $(
             for &w in $cells {
-                $ctx.measure($experiment, $name, None, w, |w, warm| {
-                    $run(Arc::new($ctor), w, warm)
-                });
+                $ctx.measure($experiment, $name, None, w, |w| $run(|| Arc::new($ctor), w));
             }
         )*
     };
@@ -273,11 +286,9 @@ fn e9_locks(ctx: &mut Ctx) {
 
     fn bench_raw<L: RawLock + 'static>(ctx: &mut Ctx, cells: &[Workload], name: &str) {
         for &w in cells {
-            ctx.measure("e9", name, None, w, |w, warm| {
-                let lock = Arc::new(cds_sync::Lock::<L, u64>::new(0));
-                lock_run(w.threads, w.ops_per_thread, warm, move || {
-                    *lock.lock() += 1;
-                })
+            ctx.measure("e9", name, None, w, |w| {
+                let make = || Arc::new(cds_sync::Lock::<L, u64>::new(0));
+                lock_run(make, w, |lock| *lock.lock() += 1)
             });
         }
     }
@@ -291,11 +302,9 @@ fn e9_locks(ctx: &mut Ctx) {
 
     // The outside baseline: the standard library's blocking mutex.
     for &w in &cells {
-        ctx.measure("e9", "std::sync::Mutex", None, w, |w, warm| {
-            let lock = Arc::new(std::sync::Mutex::new(0u64));
-            lock_run(w.threads, w.ops_per_thread, warm, move || {
-                *lock.lock().unwrap() += 1;
-            })
+        ctx.measure("e9", "std::sync::Mutex", None, w, |w| {
+            let make = || Arc::new(std::sync::Mutex::new(0u64));
+            lock_run(make, w, |lock| *lock.lock().unwrap() += 1)
         });
     }
 }
@@ -311,11 +320,10 @@ fn e10_reclamation(ctx: &mut Ctx) {
     // belong to the gate's `direct_transport` workload.
     fn list_rows<R: Reclaimer>(ctx: &mut Ctx, cells: &[Workload]) {
         for &w in cells {
-            ctx.measure("e10", "harris-michael", Some(R::NAME), w, |w, warm| {
+            ctx.measure("e10", "harris-michael", Some(R::NAME), w, |w| {
                 set_run(
-                    Arc::new(cds_list::HarrisMichaelList::<u64, R>::with_reclaimer()),
+                    || Arc::new(cds_list::HarrisMichaelList::<u64, R>::with_reclaimer()),
                     w,
-                    warm,
                 )
             });
         }
@@ -349,11 +357,46 @@ fn e10_reclamation(ctx: &mut Ctx) {
     );
 }
 
-fn e11_resize(ctx: &mut Ctx) {
-    use cds_reclaim::Ebr;
-    use std::hash::RandomState;
-    type Resizing = cds_map::ResizingMap<u64, u64, RandomState, Ebr>;
+type Resizing = cds_map::ResizingMap<u64, u64, std::hash::RandomState, cds_reclaim::Ebr>;
 
+/// E11's cells: an insert-heavy mix (20% reads / 70% inserts / 10%
+/// removes) with no prefill, so the doublings happen under load,
+/// interleaved with the measured operations rather than in a setup phase.
+/// ~13k resident keys over 8 shards trigger growth past 4 entries per
+/// bucket until each shard holds 512 buckets: 6 doublings per shard from
+/// the 8-bucket start, 48 per round.
+fn e11_cells(ops: usize) -> Vec<Workload> {
+    thread_cells(|t| Workload {
+        threads: t,
+        ops_per_thread: ops / t,
+        key_range: 16_384,
+        read_pct: 20,
+        insert_pct: 70,
+        prefill: 0,
+    })
+}
+
+/// One cell of E11's growing row, every round on a map born at 8 shards ×
+/// 8 buckets. Returns the cell's stats and the doublings each timed
+/// round's map made.
+fn e11_growing(w: Workload) -> (RunStats, Vec<usize>) {
+    let mut doublings = Vec::new();
+    let mut last: Option<Arc<Resizing>> = None;
+    let make = || {
+        // The previous round has ended: read its map, then let it go.
+        doublings.extend(last.take().map(|m| m.doublings()));
+        let map = Arc::new(Resizing::with_config(8, 8));
+        last = Some(Arc::clone(&map));
+        map
+    };
+    let stats = map_run(make, w);
+    doublings.extend(last.map(|m| m.doublings()));
+    // The first map was the warm-up round's.
+    doublings.remove(0);
+    (stats, doublings)
+}
+
+fn e11_resize(ctx: &mut Ctx) {
     // Resize sweep: a growth workload that starts from a deliberately
     // small table and inserts enough distinct keys that every shard must
     // double at least three times while the benchmark threads keep
@@ -368,28 +411,12 @@ fn e11_resize(ctx: &mut Ctx) {
     //                          matched final capacity so it never takes
     //                          its all-stripe resize: the fixed-capacity
     //                          baseline of the acceptance bound.
-    //
-    // The mix is insert-heavy (20% reads / 70% inserts / 10% removes)
-    // with no prefill, so the doublings happen under load, interleaved
-    // with the measured operations rather than in a setup phase.
-    let ops = ctx.scale.ops;
-    let cells = thread_cells(|t| Workload {
-        threads: t,
-        ops_per_thread: ops / t,
-        key_range: 16_384,
-        read_pct: 20,
-        insert_pct: 70,
-        prefill: 0,
-    });
-    // ~13k resident keys over 8 shards trigger growth past 4 entries per
-    // bucket until each shard holds 512 buckets: 6 doublings per shard
-    // from the 8-bucket start.
-    let mut max_doublings = 0usize;
+    let cells = e11_cells(ctx.scale.ops);
+    let mut fewest = usize::MAX;
     for &w in &cells {
-        ctx.measure("e11", "resizing", None, w, |w, warm| {
-            let growing = Arc::new(Resizing::with_config(8, 8));
-            let stats = map_run(Arc::clone(&growing), w, warm);
-            max_doublings = max_doublings.max(growing.doublings());
+        ctx.measure("e11", "resizing", None, w, |w| {
+            let (stats, doublings) = e11_growing(w);
+            fewest = doublings.into_iter().fold(fewest, usize::min);
             stats
         });
     }
@@ -404,7 +431,7 @@ fn e11_resize(ctx: &mut Ctx) {
         ]
     );
     ctx.report
-        .push_extra("e11_resizing_doublings", max_doublings as f64);
+        .push_extra("e11_resizing_doublings", fewest as f64);
 }
 
 fn load(path: &str) -> Result<Json, String> {
@@ -505,26 +532,9 @@ fn main() {
     let run_all = wanted.is_empty() || wanted.iter().any(|a| a == "all");
     let want = |id: &str| run_all || wanted.iter().any(|a| a == id);
 
-    let scale = if quick {
-        Scale {
-            ops: 40_000,
-            list_ops: 8_000,
-        }
-    } else {
-        Scale {
-            ops: 400_000,
-            list_ops: 40_000,
-        }
-    };
-    let warm = if quick {
-        Warmup::quick()
-    } else {
-        Warmup::standard()
-    };
     let mut ctx = Ctx {
-        scale,
-        warm,
-        report: Report::new(if quick { "quick" } else { "full" }, warm),
+        scale: if quick { QUICK } else { FULL },
+        report: Report::new(if quick { "quick" } else { "full" }),
     };
 
     type Experiment = fn(&mut Ctx);
@@ -568,5 +578,24 @@ fn main() {
             "wrote {path}: schema v{}, {samples} samples",
             report::SCHEMA_VERSION
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn e11_doublings_happen_inside_timed_rounds() {
+        let w = e11_cells(QUICK.ops)[1];
+        // Setup, construction and the cell's prefill, leaves the map at
+        // 8 × 8 buckets: all growth is left to the round.
+        let map = Resizing::with_config(8, 8);
+        cds_bench::prefill_map(&map, &w);
+        assert_eq!((map.capacity(), map.doublings()), (64, 0));
+        // One map per timed round, apart from the warm-up's, and each
+        // made all 48 doublings while its round was timed.
+        let (_, doublings) = e11_growing(w);
+        assert_eq!(doublings, [48; cds_bench::ROUNDS]);
     }
 }

@@ -3,24 +3,30 @@
 //! This crate regenerates the evaluation tables of DESIGN.md (experiments
 //! E1–E12) and emits the machine-readable `BENCH_experiments.json`
 //! measurement file: workload generators, a thread-sweep driver with
-//! per-thread latency histograms, warmup with steady-state detection, and
-//! the per-family run helpers the
+//! per-thread latency histograms, and the per-family run helpers the
 //! [`experiments`](../src/bin/experiments.rs) binary drives:
 //!
 //! ```text
 //! cargo run -p cds-bench --release --bin experiments -- all --quick --json BENCH_experiments.json
 //! ```
 //!
-//! Methodology (standard for the literature): prefill the structure with
-//! `min(prefill, key_range)` distinct keys, run warmup iterations until the
-//! throughput's coefficient of variation over the last few iterations drops
-//! below a threshold (steady state), then run a fixed operation count per
-//! thread of a randomized operation mix drawn from a per-thread SplitMix64
-//! stream. Threads synchronize on a barrier so ramp-up is excluded, and the
-//! workload span is `max(end) − min(start)` across workers. Throughput is
-//! million operations per second; latency percentiles come from per-thread
-//! log-bucketed histograms ([`LatencyHistogram`]) recorded for one op in
-//! [`LATENCY_SAMPLE_EVERY`] and merged after the run.
+//! Methodology, the gate's (`benchmark/`): each cell runs one unrecorded
+//! warm-up round, then [`ROUNDS`] timed rounds. Every round runs on a
+//! structure built and prefilled afresh with `min(prefill, key_range)`
+//! distinct keys, and replays the same fixed operation count per thread of
+//! a randomized operation mix drawn from pinned per-thread SplitMix64
+//! streams. Threads synchronize on a barrier so ramp-up is excluded, and a
+//! round's span is `max(end) − min(start)` across workers. Throughput is
+//! the median of the rounds' million operations per second, reported with
+//! the rounds' spread ([`RunStats::mops_spread`]); latency percentiles
+//! come from per-thread log-bucketed histograms ([`LatencyHistogram`])
+//! recorded for one op in [`LATENCY_SAMPLE_EVERY`] and merged over the
+//! timed rounds.
+//!
+//! Every run helper takes `make`, which builds one empty structure and is
+//! called once per round. It returns an `Arc` so that a caller can keep
+//! each instance and read it after the run: E11 counts the doublings of
+//! each map a timed round grew.
 
 #![warn(missing_docs)]
 
@@ -44,13 +50,15 @@ pub use report::{Report, Sample};
 /// Seed of the prefill key stream (pinned; recorded in the JSON report).
 pub const PREFILL_SEED: u64 = 42;
 
-/// Per-thread op-stream seeds are `THREAD_SEED_BASE + thread_index`
-/// (pinned; recorded in the JSON report).
+/// Per-thread op-stream seeds are `THREAD_SEED_BASE + thread_index`, the
+/// same in every round (pinned; recorded in the JSON report).
 pub const THREAD_SEED_BASE: u64 = 1;
 
-/// Warmup iterations offset their per-thread seeds by this constant (plus a
-/// per-iteration stride) so the timed run replays a fresh, pinned stream.
-pub const WARMUP_SEED_OFFSET: u64 = 0x5eed_0000;
+/// Timed rounds per cell. The gate runs five groups and reads their
+/// spread by rank from the 2nd and 4th of five values; the survey does the
+/// same, so one slow round moves neither its median nor its spread much,
+/// and its figures compare with the gate's.
+pub const ROUNDS: usize = 5;
 
 /// One operation in [`LATENCY_SAMPLE_EVERY`] is individually timed into the
 /// latency histogram; the rest run back-to-back so the two `Instant::now()`
@@ -76,18 +84,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// A small default for quick runs and unit tests.
-    pub fn small(threads: usize) -> Self {
-        Workload {
-            threads,
-            ops_per_thread: 10_000,
-            key_range: 1024,
-            read_pct: 50,
-            insert_pct: 25,
-            prefill: 512,
-        }
-    }
-
     /// A keyless workload (counters, locks): only `threads` and
     /// `ops_per_thread` are meaningful.
     pub fn ops_only(threads: usize, ops_per_thread: usize) -> Self {
@@ -189,195 +185,129 @@ impl OpStream {
     }
 }
 
-/// Warmup policy: run untimed iterations of the workload until the
-/// throughput is steady (coefficient of variation over the last
-/// [`window`](Warmup::window) iterations below
-/// [`cov_threshold`](Warmup::cov_threshold)) or
-/// [`max_iters`](Warmup::max_iters) is reached.
-#[derive(Debug, Clone, Copy)]
-pub struct Warmup {
-    /// Upper bound on warmup iterations (0 disables warmup).
-    pub max_iters: usize,
-    /// Number of trailing iterations the CoV is computed over.
-    pub window: usize,
-    /// Steady state is declared when `stddev/mean <= cov_threshold`.
-    pub cov_threshold: f64,
-    /// Each warmup iteration runs `ops_per_thread / ops_divisor` ops.
-    pub ops_divisor: usize,
-}
-
-impl Warmup {
-    /// The full-run policy: up to 5 iterations, CoV ≤ 5% over the last 3.
-    pub fn standard() -> Self {
-        Warmup {
-            max_iters: 5,
-            window: 3,
-            cov_threshold: 0.05,
-            ops_divisor: 4,
-        }
-    }
-
-    /// The `--quick` policy: at most 2 short iterations, CoV ≤ 10%.
-    pub fn quick() -> Self {
-        Warmup {
-            max_iters: 2,
-            window: 2,
-            cov_threshold: 0.10,
-            ops_divisor: 8,
-        }
-    }
-
-    /// No warmup at all.
-    pub fn none() -> Self {
-        Warmup {
-            max_iters: 0,
-            window: 0,
-            cov_threshold: 0.0,
-            ops_divisor: 1,
-        }
-    }
-}
-
-/// Steady-state test: CoV of the last `warm.window` throughput samples.
-fn steady(history: &[f64], warm: &Warmup) -> bool {
-    if warm.window == 0 || history.len() < warm.window {
-        return false;
-    }
-    let tail = &history[history.len() - warm.window..];
-    let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-    if mean <= 0.0 {
-        return false;
-    }
-    let var = tail.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / tail.len() as f64;
-    var.sqrt() / mean <= warm.cov_threshold
-}
-
-/// The result of one measured run: throughput plus the merged per-thread
-/// latency histogram.
+/// The result of one cell: throughput over its timed rounds plus their
+/// merged latency histogram.
 #[derive(Debug, Clone)]
 pub struct RunStats {
-    /// Throughput in million operations per second.
+    /// Median throughput over the timed rounds, million operations per
+    /// second.
     pub mops: f64,
-    /// Wall-clock span of the timed section, seconds.
+    /// How far the timed rounds' throughputs disagree: the distance between
+    /// their lower and upper quartile (by rank: the 2nd and 4th of five
+    /// values) as a share of the median — the gate's `run.rep_spread`
+    /// formula.
+    pub mops_spread: f64,
+    /// Wall-clock span of the timed rounds together, seconds.
     pub duration_s: f64,
-    /// Total timed operations across all threads.
+    /// Timed operations across all threads and rounds.
     pub total_ops: usize,
-    /// Warmup iterations executed before the timed run.
-    pub warmup_iters: usize,
-    /// Merged sampled-latency histogram (see [`LATENCY_SAMPLE_EVERY`]).
+    /// Sampled-latency histogram merged over the timed rounds (see
+    /// [`LATENCY_SAMPLE_EVERY`]).
     pub hist: LatencyHistogram,
 }
 
-/// Spawns `threads` workers, each with private state from `init`, and runs
-/// `ops_per_thread` calls of `op` per worker after a start barrier.
-/// Returns `(span_seconds, total_ops, merged_histogram)`.
-fn run_sampled<St, Init, Op>(
-    threads: usize,
-    ops_per_thread: usize,
-    init: Init,
-    op: Op,
-) -> (f64, usize, LatencyHistogram)
+/// Median and spread (see [`RunStats::mops_spread`]) of the rounds'
+/// throughputs.
+fn median_and_spread(mut rates: [f64; ROUNDS]) -> (f64, f64) {
+    rates.sort_by(f64::total_cmp);
+    let median = rates[ROUNDS / 2];
+    let quartiles = rates[ROUNDS - 1 - ROUNDS / 4] - rates[ROUNDS / 4];
+    (median, quartiles / median)
+}
+
+/// Runs one round on `structure`: `w.threads` workers, each calling `op`
+/// `w.ops_per_thread` times with its pinned op stream after a start
+/// barrier. Returns the round's span in seconds and the merged histogram.
+fn round<D, Op>(w: &Workload, structure: &D, op: &Op) -> (f64, LatencyHistogram)
 where
-    St: Send + 'static,
-    Init: Fn(usize) -> St + Send + Sync + 'static,
-    Op: Fn(&mut St) + Send + Sync + 'static,
+    D: Sync,
+    Op: Fn(&D, &mut OpStream) + Sync,
 {
-    let init = Arc::new(init);
-    let op = Arc::new(op);
-    let barrier = Arc::new(Barrier::new(threads));
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let init = Arc::clone(&init);
-            let op = Arc::clone(&op);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut state = init(t);
-                let mut hist = LatencyHistogram::new();
-                barrier.wait();
-                // Workers report their own (start, end): on an
-                // oversubscribed host the coordinating thread may not be
-                // rescheduled until workers finish, so any centrally
-                // measured clock mis-counts. The workload span is
-                // max(end) − min(start) across workers.
-                let start = Instant::now();
-                let mut remaining = ops_per_thread;
-                while remaining > 0 {
-                    let t0 = Instant::now();
-                    op(&mut state);
-                    hist.record(t0.elapsed().as_nanos() as u64);
-                    remaining -= 1;
-                    let untimed = remaining.min(LATENCY_SAMPLE_EVERY - 1);
-                    for _ in 0..untimed {
-                        op(&mut state);
+    let barrier = Barrier::new(w.threads);
+    let outcomes: Vec<(Instant, Instant, LatencyHistogram)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..w.threads)
+            .map(|t| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut stream = OpStream::new(THREAD_SEED_BASE + t as u64, w);
+                    let mut hist = LatencyHistogram::new();
+                    barrier.wait();
+                    // Workers report their own (start, end): on an
+                    // oversubscribed host the coordinating thread may not be
+                    // rescheduled until workers finish, so any centrally
+                    // measured clock mis-counts. The round's span is
+                    // max(end) − min(start) across workers.
+                    let start = Instant::now();
+                    let mut remaining = w.ops_per_thread;
+                    while remaining > 0 {
+                        let t0 = Instant::now();
+                        op(structure, &mut stream);
+                        hist.record(t0.elapsed().as_nanos() as u64);
+                        remaining -= 1;
+                        let untimed = remaining.min(LATENCY_SAMPLE_EVERY - 1);
+                        for _ in 0..untimed {
+                            op(structure, &mut stream);
+                        }
+                        remaining -= untimed;
                     }
-                    remaining -= untimed;
-                }
-                (start, Instant::now(), hist)
+                    (start, Instant::now(), hist)
+                })
             })
-        })
-        .collect();
-    let outcomes: Vec<(Instant, Instant, LatencyHistogram)> =
-        handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let first_start = outcomes
-        .iter()
-        .map(|(s, _, _)| *s)
-        .min()
-        .expect("non-empty");
-    let last_end = outcomes
-        .iter()
-        .map(|(_, e, _)| *e)
-        .max()
-        .expect("non-empty");
-    let span = last_end.duration_since(first_start).as_secs_f64();
+            .collect();
+        // An explicit join also waits for each worker's thread-local
+        // destructors (the reclaimers' hand-over), which the scope's own
+        // end does not: the next round starts with no worker left.
+        workers
+            .into_iter()
+            .map(|h| h.join().expect("benchmark worker panicked"))
+            .collect()
+    });
+    let first_start = outcomes.iter().map(|o| o.0).min().expect("non-empty");
+    let last_end = outcomes.iter().map(|o| o.1).max().expect("non-empty");
     let mut merged = LatencyHistogram::new();
     for (_, _, h) in &outcomes {
         merged.merge(h);
     }
-    (span, threads * ops_per_thread, merged)
+    (last_end.duration_since(first_start).as_secs_f64(), merged)
 }
 
-/// Shared measurement path: warmup iterations (steady-state detected via
-/// `warm`) followed by one timed run. `init` receives `(thread, seed
-/// offset)` — the offset is nonzero during warmup so the timed run replays
-/// pristine pinned streams.
-fn measured_run<St, Init, Op>(w: Workload, warm: Warmup, init: Init, op: Op) -> RunStats
+/// The measurement path of every cell: one unrecorded warm-up round, then
+/// [`ROUNDS`] timed rounds. Each round, the warm-up's included, runs on a
+/// structure `make` builds afresh and `prefill` fills, so no timed round
+/// inherits another round's state (E11's maps grow inside the round that
+/// times them).
+fn measured_run<S, R, Op>(
+    w: Workload,
+    mut make: impl FnMut() -> Arc<S>,
+    prefill: impl Fn(&S, &Workload) -> R,
+    op: Op,
+) -> RunStats
 where
-    St: Send + 'static,
-    Init: Fn(usize, u64) -> St + Send + Sync + 'static,
-    Op: Fn(&mut St) + Send + Sync + 'static,
+    S: Send + Sync,
+    Op: Fn(&S, &mut OpStream) + Sync,
 {
-    let init = Arc::new(init);
-    let op = Arc::new(op);
-    let mut history = Vec::new();
-    let mut warmup_iters = 0usize;
-    for i in 0..warm.max_iters {
-        let offset = WARMUP_SEED_OFFSET + (i as u64) * 0x1_0000;
-        let warm_ops = (w.ops_per_thread / warm.ops_divisor.max(1)).max(1);
-        let init2 = Arc::clone(&init);
-        let op2 = Arc::clone(&op);
-        let (span, ops, _) = run_sampled(
-            w.threads,
-            warm_ops,
-            move |t| init2(t, offset),
-            move |s| op2(s),
-        );
-        warmup_iters += 1;
-        history.push(ops as f64 / span / 1e6);
-        if steady(&history, &warm) {
-            break;
-        }
+    let mut fresh = || {
+        let structure = make();
+        prefill(&structure, &w);
+        structure
+    };
+    round(&w, &*fresh(), &op);
+    let round_ops = w.threads * w.ops_per_thread;
+    let mut rates = [0.0; ROUNDS];
+    let mut duration_s = 0.0;
+    let mut hist = LatencyHistogram::new();
+    for rate in &mut rates {
+        let (span, round_hist) = round(&w, &*fresh(), &op);
+        *rate = round_ops as f64 / span / 1e6;
+        duration_s += span;
+        hist.merge(&round_hist);
     }
-    let (span, total_ops, hist) = run_sampled(
-        w.threads,
-        w.ops_per_thread,
-        move |t| init(t, 0),
-        move |s| op(s),
-    );
+    let (mops, mops_spread) = median_and_spread(rates);
     RunStats {
-        mops: total_ops as f64 / span / 1e6,
-        duration_s: span,
-        total_ops,
-        warmup_iters,
+        mops,
+        mops_spread,
+        duration_s,
+        total_ops: ROUNDS * round_ops,
         hist,
     }
 }
@@ -468,135 +398,102 @@ where
 }
 
 /// Runs a read/insert/remove mix against a set.
-pub fn set_run<S>(set: Arc<S>, w: Workload, warm: Warmup) -> RunStats
+pub fn set_run<S>(make: impl FnMut() -> Arc<S>, w: Workload) -> RunStats
 where
-    S: ConcurrentSet<u64> + 'static,
+    S: ConcurrentSet<u64>,
 {
-    prefill_set(&*set, &w);
-    let set2 = Arc::clone(&set);
-    measured_run(
-        w,
-        warm,
-        move |t, offset| OpStream::new(THREAD_SEED_BASE + t as u64 + offset, &w),
-        move |stream: &mut OpStream| match stream.next_op() {
-            MixedOp::Read(k) => {
-                std::hint::black_box(set2.contains(&k));
-            }
-            MixedOp::Insert(k) => {
-                std::hint::black_box(set2.insert(k));
-            }
-            MixedOp::Remove(k) => {
-                std::hint::black_box(set2.remove(&k));
-            }
-        },
-    )
+    measured_run(w, make, prefill_set, |set, stream| match stream.next_op() {
+        MixedOp::Read(k) => {
+            std::hint::black_box(set.contains(&k));
+        }
+        MixedOp::Insert(k) => {
+            std::hint::black_box(set.insert(k));
+        }
+        MixedOp::Remove(k) => {
+            std::hint::black_box(set.remove(&k));
+        }
+    })
 }
 
 /// Runs a get/insert/remove mix against a map.
-pub fn map_run<M>(map: Arc<M>, w: Workload, warm: Warmup) -> RunStats
+pub fn map_run<M>(make: impl FnMut() -> Arc<M>, w: Workload) -> RunStats
 where
-    M: ConcurrentMap<u64, u64> + 'static,
+    M: ConcurrentMap<u64, u64>,
 {
-    prefill_map(&*map, &w);
-    let map2 = Arc::clone(&map);
-    measured_run(
-        w,
-        warm,
-        move |t, offset| OpStream::new(THREAD_SEED_BASE + t as u64 + offset, &w),
-        move |stream: &mut OpStream| match stream.next_op() {
-            MixedOp::Read(k) => {
-                std::hint::black_box(map2.get(&k));
-            }
-            MixedOp::Insert(k) => {
-                std::hint::black_box(map2.insert(k, k));
-            }
-            MixedOp::Remove(k) => {
-                std::hint::black_box(map2.remove(&k));
-            }
-        },
-    )
+    measured_run(w, make, prefill_map, |map, stream| match stream.next_op() {
+        MixedOp::Read(k) => {
+            std::hint::black_box(map.get(&k));
+        }
+        MixedOp::Insert(k) => {
+            std::hint::black_box(map.insert(k, k));
+        }
+        MixedOp::Remove(k) => {
+            std::hint::black_box(map.remove(&k));
+        }
+    })
 }
 
 /// Runs a 50/50 push/pop mix against a stack.
-pub fn stack_run<S>(stack: Arc<S>, w: Workload, warm: Warmup) -> RunStats
+pub fn stack_run<S>(make: impl FnMut() -> Arc<S>, w: Workload) -> RunStats
 where
-    S: ConcurrentStack<u64> + 'static,
+    S: ConcurrentStack<u64>,
 {
-    prefill_stack(&*stack, &w);
-    let stack2 = Arc::clone(&stack);
-    measured_run(
-        w,
-        warm,
-        move |t, offset| OpStream::new(THREAD_SEED_BASE + t as u64 + offset, &w),
-        move |stream: &mut OpStream| {
-            if stream.coin() {
-                stack2.push(stream.next_key());
-            } else {
-                std::hint::black_box(stack2.pop());
-            }
-        },
-    )
+    measured_run(w, make, prefill_stack, |stack, stream| {
+        if stream.coin() {
+            stack.push(stream.next_key());
+        } else {
+            std::hint::black_box(stack.pop());
+        }
+    })
 }
 
 /// Runs a 50/50 enqueue/dequeue mix against a queue.
-pub fn queue_run<Q>(queue: Arc<Q>, w: Workload, warm: Warmup) -> RunStats
+pub fn queue_run<Q>(make: impl FnMut() -> Arc<Q>, w: Workload) -> RunStats
 where
-    Q: ConcurrentQueue<u64> + 'static,
+    Q: ConcurrentQueue<u64>,
 {
-    prefill_queue(&*queue, &w);
-    let queue2 = Arc::clone(&queue);
-    measured_run(
-        w,
-        warm,
-        move |t, offset| OpStream::new(THREAD_SEED_BASE + t as u64 + offset, &w),
-        move |stream: &mut OpStream| {
-            if stream.coin() {
-                queue2.enqueue(stream.next_key());
-            } else {
-                std::hint::black_box(queue2.dequeue());
-            }
-        },
-    )
+    measured_run(w, make, prefill_queue, |queue, stream| {
+        if stream.coin() {
+            queue.enqueue(stream.next_key());
+        } else {
+            std::hint::black_box(queue.dequeue());
+        }
+    })
 }
 
 /// Runs increment-only traffic against a counter.
-pub fn counter_run<C>(counter: Arc<C>, w: Workload, warm: Warmup) -> RunStats
+pub fn counter_run<C>(make: impl FnMut() -> Arc<C>, w: Workload) -> RunStats
 where
-    C: ConcurrentCounter + 'static,
+    C: ConcurrentCounter,
 {
-    let counter2 = Arc::clone(&counter);
-    measured_run(w, warm, |_, _| (), move |_: &mut ()| counter2.increment())
+    measured_run(w, make, |_, _| (), |counter, _| counter.increment())
 }
 
 /// Runs a 50/50 insert/remove-min mix against a priority queue.
-pub fn pq_run<P>(pq: Arc<P>, w: Workload, warm: Warmup) -> RunStats
+pub fn pq_run<P>(make: impl FnMut() -> Arc<P>, w: Workload) -> RunStats
 where
-    P: ConcurrentPriorityQueue<u64> + 'static,
+    P: ConcurrentPriorityQueue<u64>,
 {
-    prefill_pq(&*pq, &w);
-    let pq2 = Arc::clone(&pq);
-    measured_run(
-        w,
-        warm,
-        move |t, offset| OpStream::new(THREAD_SEED_BASE + t as u64 + offset, &w),
-        move |stream: &mut OpStream| {
-            if stream.coin() {
-                std::hint::black_box(pq2.insert(stream.next_key()));
-            } else {
-                std::hint::black_box(pq2.remove_min());
-            }
-        },
-    )
+    measured_run(w, make, prefill_pq, |pq, stream| {
+        if stream.coin() {
+            std::hint::black_box(pq.insert(stream.next_key()));
+        } else {
+            std::hint::black_box(pq.remove_min());
+        }
+    })
 }
 
-/// Lock acquisition: `threads` threads repeatedly run `lock_incr` (exactly
-/// one lock-protected increment each call).
-pub fn lock_run<F>(threads: usize, ops_per_thread: usize, warm: Warmup, lock_incr: F) -> RunStats
+/// Lock acquisition: every operation is one call of `lock_incr`, exactly
+/// one lock-protected increment on the round's lock.
+pub fn lock_run<L>(
+    make: impl FnMut() -> Arc<L>,
+    w: Workload,
+    lock_incr: impl Fn(&L) + Sync,
+) -> RunStats
 where
-    F: Fn() + Send + Sync + 'static,
+    L: Send + Sync,
 {
-    let w = Workload::ops_only(threads, ops_per_thread);
-    measured_run(w, warm, |_, _| (), move |_: &mut ()| lock_incr())
+    measured_run(w, make, |_, _| (), |lock, _| lock_incr(lock))
 }
 
 #[cfg(test)]
@@ -606,9 +503,7 @@ mod tests {
     #[test]
     fn coin_is_roughly_fair() {
         // Over 100k draws both faces must land in a clearly-fair band.
-        let mut w = Workload::small(1);
-        w.key_range = 1024;
-        let mut s = OpStream::new(9, &w);
+        let mut s = OpStream::new(9, &Workload::ops_only(1, 0));
         let heads = (0..100_000).filter(|_| s.coin()).count();
         assert!(
             (45_000..=55_000).contains(&heads),
@@ -617,19 +512,19 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_detects_flat_and_rejects_noisy() {
-        let warm = Warmup::standard();
-        assert!(steady(&[10.0, 10.1, 9.9], &warm));
-        assert!(!steady(&[10.0, 20.0, 5.0], &warm));
-        assert!(!steady(&[10.0], &warm)); // not enough samples yet
-        assert!(!steady(&[10.0, 10.0, 10.0], &Warmup::none()));
+    fn spread_is_the_quartile_distance_over_the_median() {
+        // Ranks 2 and 4 of five, whatever order the rounds finished in:
+        // the outliers 1 and 100 move neither figure.
+        let (median, spread) = median_and_spread([100.0, 4.0, 1.0, 5.0, 6.0]);
+        assert_eq!(median, 5.0);
+        assert_eq!(spread, (6.0 - 4.0) / 5.0);
+        assert_eq!(median_and_spread([7.0; ROUNDS]), (7.0, 0.0));
     }
 
     #[test]
     fn set_run_reports_positive_rate() {
-        let set = Arc::new(cds_list::LazyList::new());
         let stats = set_run(
-            set,
+            || Arc::new(cds_list::LazyList::new()),
             Workload {
                 threads: 2,
                 ops_per_thread: 1_000,
@@ -638,41 +533,41 @@ mod tests {
                 insert_pct: 25,
                 prefill: 32,
             },
-            Warmup::none(),
         );
         assert!(stats.mops > 0.0);
+        assert!(stats.mops_spread.is_finite() && stats.mops_spread >= 0.0);
     }
 
     #[test]
     fn counter_run_counts_everything() {
-        let c = Arc::new(cds_counter::AtomicCounter::new());
-        let stats = counter_run(Arc::clone(&c), Workload::ops_only(2, 5_000), Warmup::none());
+        let mut made = Vec::new();
+        let stats = counter_run(
+            || {
+                let c = Arc::new(cds_counter::AtomicCounter::new());
+                made.push(Arc::clone(&c));
+                c
+            },
+            Workload::ops_only(2, 5_000),
+        );
         assert!(stats.mops > 0.0);
-        use cds_core::ConcurrentCounter;
-        assert_eq!(c.get(), 10_000);
+        // The warm-up's counter and one per timed round, each holding
+        // exactly its own round's increments.
+        assert_eq!(made.len(), ROUNDS + 1);
+        for c in &made {
+            assert_eq!(c.get(), 10_000);
+        }
     }
 
     #[test]
     fn run_stats_carry_a_populated_histogram() {
-        let c = Arc::new(cds_counter::AtomicCounter::new());
-        let stats = counter_run(Arc::clone(&c), Workload::ops_only(2, 4_000), Warmup::none());
-        assert_eq!(stats.total_ops, 8_000);
-        // One op in LATENCY_SAMPLE_EVERY is timed.
-        assert_eq!(stats.hist.count(), (8_000 / LATENCY_SAMPLE_EVERY) as u64);
+        let make = || Arc::new(cds_counter::AtomicCounter::new());
+        let stats = counter_run(make, Workload::ops_only(2, 4_000));
+        assert_eq!(stats.total_ops, ROUNDS * 8_000);
+        // One op in LATENCY_SAMPLE_EVERY is timed, in timed rounds only.
+        assert_eq!(
+            stats.hist.count(),
+            (ROUNDS * 8_000 / LATENCY_SAMPLE_EVERY) as u64
+        );
         assert!(stats.mops > 0.0 && stats.duration_s > 0.0);
-        assert_eq!(stats.warmup_iters, 0);
-    }
-
-    #[test]
-    fn warmup_runs_and_is_counted() {
-        let c = Arc::new(cds_counter::AtomicCounter::new());
-        let warm = Warmup {
-            max_iters: 3,
-            window: 2,
-            cov_threshold: 1.0, // anything is "steady": stops at window
-            ops_divisor: 10,
-        };
-        let stats = counter_run(Arc::clone(&c), Workload::ops_only(1, 1_000), warm);
-        assert_eq!(stats.warmup_iters, 2);
     }
 }

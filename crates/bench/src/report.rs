@@ -6,51 +6,41 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 7,
+//!   "schema_version": 8,
 //!   "generated_by": "cds-bench experiments",
 //!   "mode": "quick" | "full",
 //!   "host": { "hardware_threads": 8, "os": "linux", "arch": "x86_64",
 //!             "rustc": "rustc 1.89.0 ..." },
-//!   "seeds": { "prefill": 42, "thread_base": 1, "warmup_offset": 1589837824 },
+//!   "seeds": { "prefill": 42, "thread_base": 1 },
 //!   "latency_sample_every": 8,
-//!   "warmup": { "max_iters": 5, "window": 3, "cov_threshold": 0.05 },
+//!   "rounds": 5,
 //!   "extras": { "e10_hazard_garbage_after_100k_churn": 32,
 //!               "e11_resizing_doublings": 48,
 //!               "telemetry_enabled": 0 },
 //!   "samples": [ { "experiment": "e1", "impl": "atomic", "threads": 2,
 //!                  "read_pct": 0, "insert_pct": 0, "key_range": 0,
-//!                  "prefill": 0, "ops": 40000, "mops": 12.3,
-//!                  "duration_s": 0.0032, "warmup_iters": 3,
+//!                  "prefill": 0, "ops": 200000, "mops": 12.3,
+//!                  "mops_spread": 0.04, "duration_s": 0.016,
 //!                  "p50_ns": 105, "p90_ns": 130, "p99_ns": 410,
 //!                  "p999_ns": 2100 }, ... ]
 //! }
 //! ```
 //!
-//! Version 2 adds an optional `"reclaimer"` string to each sample — the
-//! reclamation backend the structure was instantiated with (`"ebr"`,
-//! `"hazard"`, `"leak"`, `"debug"`). E10 samples must carry it; the
-//! backend sweep is validated by [`validate_e10_backends`].
-//!
-//! Version 3 adds experiment `e11` (the resize sweep) to the required
-//! coverage set together with the `e11_resizing_doublings` extra;
-//! [`validate_e11_resize`] checks that the sweep compared the resizable
-//! map against the fixed-capacity striped baseline and that the map
-//! actually grew (at least three bucket-array doublings).
-//!
-//! Version 4 adds the `telemetry_enabled` extra and an optional
-//! per-sample `"telemetry"` object — the delta of the `cds-obs` event
-//! counters across the cell's run (warmup iterations included, so ratio
-//! metrics such as CAS-failure rate are the meaningful reading), keyed by
-//! event name (only nonzero counters are recorded). The record is present
-//! only when the bench binary was built with the `telemetry` feature, and
-//! [`validate_schema`] checks CAS conservation
-//! (`cas_attempts == cas_success + cas_failure`) inside every record.
-//!
-//! Version 7 narrows the required coverage to `e1`–`e11`: the executor
-//! and channel sweeps (v5's e13, v6's e14) and E12's own cells are gone.
-//! E12 is now derived from the E2/E3/E9 samples' records, and
-//! [`validate_telemetry`] requires `telemetry_enabled` on every document
-//! and a record on every sample when it is 1.
+//! Each sample is one cell measured over `rounds` timed rounds (after one
+//! unrecorded warm-up round), each on a freshly built structure: `mops`
+//! is the rounds' median and `mops_spread` the distance between their
+//! quartiles as a share of it; `ops` and `duration_s` cover all timed
+//! rounds. E10 samples carry a `"reclaimer"` string, the backend the
+//! structure ran with, checked by [`validate_e10_backends`]. The
+//! `e11_resizing_doublings` extra is the fewest bucket-array doublings
+//! any timed round of the E11 growing map made, checked by
+//! [`validate_e11_resize`]. A binary built with the `telemetry` feature
+//! sets `telemetry_enabled` and gives every sample a `"telemetry"` object:
+//! the nonzero `cds-obs` counter deltas across the cell's prefills and
+//! rounds, warm-up included, so ratios such as the CAS-failure rate are
+//! the meaningful reading. [`validate_schema`] checks CAS conservation
+//! (`cas_attempts == cas_success + cas_failure`) inside every record, and
+//! [`validate_telemetry`] the records' presence.
 //!
 //! Latency percentiles are bucket midpoints from the merged per-thread
 //! [`LatencyHistogram`](crate::LatencyHistogram)s (≤3% relative bucket
@@ -59,13 +49,10 @@
 //! timestamping cost does not poison the throughput figures.
 
 use crate::json::Json;
-use crate::{
-    RunStats, Warmup, Workload, LATENCY_SAMPLE_EVERY, PREFILL_SEED, THREAD_SEED_BASE,
-    WARMUP_SEED_OFFSET,
-};
+use crate::{RunStats, Workload, LATENCY_SAMPLE_EVERY, PREFILL_SEED, ROUNDS, THREAD_SEED_BASE};
 
 /// Version stamped into (and required from) every emitted document.
-pub const SCHEMA_VERSION: u64 = 7;
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// The experiments a complete report must cover, in print order, each
 /// with the title [`render`] puts over its table.
@@ -142,8 +129,8 @@ const E12: [Derived; 2] = [
     },
 ];
 
-/// Per-cell contention telemetry (schema v4): the delta of the global
-/// `cds-obs` event counters across the cell's run (warmup included —
+/// Per-cell contention telemetry: the delta of the global `cds-obs` event
+/// counters across the cell's prefills and rounds (warm-up included —
 /// ratio metrics like failures-per-attempt are window-invariant), keyed
 /// by event name. Only nonzero counters are stored, in `cds-obs`
 /// declaration order. Present only on documents produced by a bench
@@ -213,14 +200,15 @@ pub struct Sample {
     /// Prefill element count requested (post-clamp value is
     /// `min(prefill, key_range)` for keyed structures).
     pub prefill: usize,
-    /// Total timed operations across all threads.
+    /// Timed operations across all threads and rounds.
     pub ops: usize,
-    /// Throughput in million operations per second.
+    /// Median throughput over the timed rounds, million operations per
+    /// second.
     pub mops: f64,
-    /// Wall-clock duration of the timed section, seconds.
+    /// The rounds' spread: quartile distance as a share of `mops`.
+    pub mops_spread: f64,
+    /// Wall-clock duration of the timed rounds together, seconds.
     pub duration_s: f64,
-    /// Warmup iterations executed before steady state was declared.
-    pub warmup_iters: usize,
     /// Median sampled latency, nanoseconds.
     pub p50_ns: u64,
     /// 90th percentile sampled latency, nanoseconds.
@@ -246,8 +234,8 @@ impl Sample {
             prefill: w.prefill,
             ops: stats.total_ops,
             mops: stats.mops,
+            mops_spread: stats.mops_spread,
             duration_s: stats.duration_s,
-            warmup_iters: stats.warmup_iters,
             p50_ns: stats.hist.percentile(50.0),
             p90_ns: stats.hist.percentile(90.0),
             p99_ns: stats.hist.percentile(99.0),
@@ -286,8 +274,8 @@ impl Sample {
             ("prefill".into(), Json::Num(self.prefill as f64)),
             ("ops".into(), Json::Num(self.ops as f64)),
             ("mops".into(), Json::Num(self.mops)),
+            ("mops_spread".into(), Json::Num(self.mops_spread)),
             ("duration_s".into(), Json::Num(self.duration_s)),
-            ("warmup_iters".into(), Json::Num(self.warmup_iters as f64)),
             ("p50_ns".into(), Json::Num(self.p50_ns as f64)),
             ("p90_ns".into(), Json::Num(self.p90_ns as f64)),
             ("p99_ns".into(), Json::Num(self.p99_ns as f64)),
@@ -348,8 +336,8 @@ impl Sample {
             prefill: u64_field("prefill")? as usize,
             ops: u64_field("ops")? as usize,
             mops: f64_field("mops")?,
+            mops_spread: f64_field("mops_spread")?,
             duration_s: f64_field("duration_s")?,
-            warmup_iters: u64_field("warmup_iters")? as usize,
             p50_ns: u64_field("p50_ns")?,
             p90_ns: u64_field("p90_ns")?,
             p99_ns: u64_field("p99_ns")?,
@@ -364,8 +352,6 @@ impl Sample {
 pub struct Report {
     /// `"quick"` or `"full"`.
     pub mode: String,
-    /// Warmup policy the run used (stamped into the document).
-    pub warmup: Warmup,
     /// All measured cells, in run order.
     pub samples: Vec<Sample>,
     /// Scalar side-channel measurements (e.g. the E10 HP garbage bound).
@@ -374,10 +360,9 @@ pub struct Report {
 
 impl Report {
     /// Creates an empty report for the given mode.
-    pub fn new(mode: &str, warmup: Warmup) -> Self {
+    pub fn new(mode: &str) -> Self {
         Report {
             mode: mode.to_string(),
-            warmup,
             samples: Vec::new(),
             extras: Vec::new(),
         }
@@ -411,12 +396,6 @@ impl Report {
         let seeds = Json::Obj(vec![
             ("prefill".into(), Json::Num(PREFILL_SEED as f64)),
             ("thread_base".into(), Json::Num(THREAD_SEED_BASE as f64)),
-            ("warmup_offset".into(), Json::Num(WARMUP_SEED_OFFSET as f64)),
-        ]);
-        let warmup = Json::Obj(vec![
-            ("max_iters".into(), Json::Num(self.warmup.max_iters as f64)),
-            ("window".into(), Json::Num(self.warmup.window as f64)),
-            ("cov_threshold".into(), Json::Num(self.warmup.cov_threshold)),
         ]);
         Json::Obj(vec![
             ("schema_version".into(), Json::Num(SCHEMA_VERSION as f64)),
@@ -431,7 +410,7 @@ impl Report {
                 "latency_sample_every".into(),
                 Json::Num(LATENCY_SAMPLE_EVERY as f64),
             ),
-            ("warmup".into(), warmup),
+            ("rounds".into(), Json::Num(ROUNDS as f64)),
             (
                 "extras".into(),
                 Json::Obj(
@@ -487,7 +466,7 @@ pub fn validate_schema(doc: &Json) -> Result<Vec<Sample>, String> {
             .ok_or_else(|| format!("missing host.{key}"))?;
     }
     let seeds = doc.get("seeds").ok_or("missing seeds object")?;
-    for key in ["prefill", "thread_base", "warmup_offset"] {
+    for key in ["prefill", "thread_base"] {
         seeds
             .get(key)
             .and_then(Json::as_u64)
@@ -496,9 +475,11 @@ pub fn validate_schema(doc: &Json) -> Result<Vec<Sample>, String> {
     doc.get("mode")
         .and_then(Json::as_str)
         .ok_or("missing mode")?;
-    doc.get("latency_sample_every")
-        .and_then(Json::as_u64)
-        .ok_or("missing latency_sample_every")?;
+    for key in ["latency_sample_every", "rounds"] {
+        doc.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing {key}"))?;
+    }
     let raw = doc
         .get("samples")
         .and_then(Json::as_array)
@@ -514,6 +495,12 @@ pub fn validate_schema(doc: &Json) -> Result<Vec<Sample>, String> {
         }
         if !(s.mops.is_finite() && s.mops > 0.0) {
             return Err(format!("sample {i}: non-positive mops {}", s.mops));
+        }
+        if !(s.mops_spread.is_finite() && s.mops_spread >= 0.0) {
+            return Err(format!(
+                "sample {i}: mops_spread {} is not a finite share >= 0",
+                s.mops_spread
+            ));
         }
         if s.threads == 0 || s.ops == 0 {
             return Err(format!("sample {i}: zero threads or ops"));
@@ -576,7 +563,8 @@ pub fn validate_e10_backends(samples: &[Sample]) -> Result<(), String> {
 /// Checks the E11 resize sweep: both implementations in [`E11_IMPLS`]
 /// must appear among the `e11` samples, and the document's
 /// `e11_resizing_doublings` extra must record at least three bucket-array
-/// doublings — the sweep is meaningless if the resizable map never grew.
+/// doublings in every timed round — the sweep is meaningless if the
+/// resizable map never grew while it was timed.
 pub fn validate_e11_resize(doc: &Json, samples: &[Sample]) -> Result<(), String> {
     let missing: Vec<&str> = E11_IMPLS
         .iter()
@@ -662,12 +650,17 @@ pub fn validate_coverage(samples: &[Sample]) -> Result<(), String> {
 /// experiment sweeps it), each followed by its `eN_`-prefixed extras,
 /// then the E12 tables for whichever source cells carry telemetry
 /// records. Rows are labelled by reclaimer, else implementation; columns
-/// are thread counts. The document is schema-checked first.
+/// are thread counts, and a column with more threads than the host's
+/// hardware threads is marked `*` (oversubscribed). A measured cell reads
+/// `median ±spread`. The document is schema-checked first.
 pub fn render(doc: &Json) -> Result<String, String> {
     let samples = validate_schema(doc)?;
     let text = |v: Option<&Json>| v.and_then(Json::as_str).unwrap_or_default().to_string();
     let host = doc.get("host");
     let field = |k: &str| host.and_then(|h| h.get(k));
+    let hw = field("hardware_threads")
+        .and_then(Json::as_u64)
+        .unwrap_or(0) as usize;
     let extras: Vec<(&str, f64)> = match doc.get("extras") {
         Some(Json::Obj(fields)) => fields
             .iter()
@@ -684,15 +677,17 @@ pub fn render(doc: &Json) -> Result<String, String> {
 
     let mut out = String::from("# cds experiment tables\n");
     out.push_str(&format!(
-        "\nhost: {} hardware threads, {} {}, {}; mode: {}\n",
-        field("hardware_threads")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
+        "\nhost: {hw} hardware threads, {} {}, {}; mode: {}\n",
         text(field("os")),
         text(field("arch")),
         text(field("rustc")),
         text(doc.get("mode")),
     ));
+    if samples.iter().any(|s| s.threads > hw) {
+        out.push_str(&format!(
+            "\nthr* columns run more threads than the host's {hw} hardware threads (oversubscribed)\n"
+        ));
+    }
     for (k, v) in extras.iter().filter(|(k, _)| owner(k).is_none()) {
         out.push_str(&format!("\n{k}: {v}\n"));
     }
@@ -707,15 +702,16 @@ pub fn render(doc: &Json) -> Result<String, String> {
             } else {
                 title.to_string()
             };
-            let rows: Vec<(&str, usize, f64)> = cells
+            let rows: Vec<(&str, usize, String)> = cells
                 .iter()
                 .filter(|s| s.read_pct == r)
                 .map(|s| {
                     let label = s.reclaimer.as_deref().unwrap_or(&s.impl_name);
-                    (label, s.threads, s.mops)
+                    let value = format!("{:.3} ±{:.0}%", s.mops, 100.0 * s.mops_spread);
+                    (label, s.threads, value)
                 })
                 .collect();
-            table(&mut out, &heading, &rows);
+            table(&mut out, &heading, &rows, hw);
         }
         if !cells.is_empty() {
             for (k, v) in extras.iter().filter(|(k, _)| owner(k) == Some(id)) {
@@ -724,7 +720,7 @@ pub fn render(doc: &Json) -> Result<String, String> {
         }
     }
     for d in &E12 {
-        let rows: Vec<(&str, usize, f64)> = samples
+        let rows: Vec<(&str, usize, String)> = samples
             .iter()
             .filter(|s| d.is_source(s))
             .filter_map(|s| {
@@ -735,31 +731,32 @@ pub fn render(doc: &Json) -> Result<String, String> {
                 } else {
                     d.scale * t.get(d.numerator) as f64 / den as f64
                 };
-                Some((s.impl_name.as_str(), s.threads, ratio))
+                Some((s.impl_name.as_str(), s.threads, format!("{ratio:.3}")))
             })
             .collect();
         if !rows.is_empty() {
-            table(&mut out, d.title, &rows);
+            table(&mut out, d.title, &rows, hw);
         }
     }
     Ok(out)
 }
 
 /// Appends one Markdown table of `(row label, threads, value)` cells:
-/// rows in first-appearance order, columns by ascending thread count.
-fn table(out: &mut String, heading: &str, cells: &[(&str, usize, f64)]) {
+/// rows in first-appearance order, columns by ascending thread count, the
+/// ones above `hw` hardware threads marked `*`.
+fn table(out: &mut String, heading: &str, cells: &[(&str, usize, String)], hw: usize) {
     let mut threads: Vec<usize> = cells.iter().map(|c| c.1).collect();
     threads.sort_unstable();
     threads.dedup();
     let mut labels: Vec<&str> = Vec::new();
-    for &(label, _, _) in cells {
-        if !labels.contains(&label) {
+    for (label, _, _) in cells {
+        if !labels.contains(label) {
             labels.push(label);
         }
     }
     out.push_str(&format!("\n### {heading}\n\n| implementation |"));
-    for t in &threads {
-        out.push_str(&format!(" {t} thr |"));
+    for &t in &threads {
+        out.push_str(&format!(" {t} thr{} |", if t > hw { "*" } else { "" }));
     }
     out.push_str("\n|---|");
     for _ in &threads {
@@ -770,7 +767,7 @@ fn table(out: &mut String, heading: &str, cells: &[(&str, usize, f64)]) {
         out.push_str(&format!("| {label} |"));
         for &t in &threads {
             match cells.iter().find(|c| c.0 == label && c.1 == t) {
-                Some(c) => out.push_str(&format!(" {:.3} |", c.2)),
+                Some(c) => out.push_str(&format!(" {} |", c.2)),
                 None => out.push_str(" – |"),
             }
         }

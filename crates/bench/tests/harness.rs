@@ -11,7 +11,7 @@ use cds_bench::report::{
 };
 use cds_bench::{
     prefill_map, prefill_pq, prefill_set, set_run, LatencyHistogram, MixedOp, OpStream, Report,
-    RunStats, Sample, Warmup, Workload,
+    RunStats, Sample, Workload, LATENCY_SAMPLE_EVERY, ROUNDS,
 };
 use cds_core::{ConcurrentMap, ConcurrentPriorityQueue, ConcurrentSet};
 
@@ -168,8 +168,8 @@ fn fake_sample(experiment: &str, threads: usize) -> Sample {
         prefill: 256,
         ops: 10_000,
         mops: 12.345678,
+        mops_spread: 0.042,
         duration_s: 0.00081,
-        warmup_iters: 3,
         p50_ns: 120,
         p90_ns: 310,
         p99_ns: 1_900,
@@ -203,9 +203,18 @@ fn reparse(report: &Report) -> Json {
     Json::parse(&report.to_json().to_string_pretty()).expect("emitted JSON must parse")
 }
 
+/// `report`'s document as emitted on a host with `hw` hardware threads.
+fn on_host(report: &Report, hw: usize) -> Json {
+    let text = report.to_json().to_string_pretty();
+    let key = "\"hardware_threads\": ";
+    let at = text.find(key).expect("host.hardware_threads emitted") + key.len();
+    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    Json::parse(&format!("{}{hw}{}", &text[..at], &text[end..])).unwrap()
+}
+
 #[test]
 fn emitted_json_round_trips_and_validates() {
-    let mut report = Report::new("quick", Warmup::quick());
+    let mut report = Report::new("quick");
     for (id, _) in EXPERIMENTS {
         report.push(fake_sample(id, 1));
         report.push(fake_sample(id, 8));
@@ -244,7 +253,11 @@ fn emitted_json_round_trips_and_validates() {
     }
     // Document metadata survives too.
     assert_eq!(doc.get("mode").and_then(Json::as_str), Some("quick"));
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(7));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(8));
+    assert_eq!(
+        doc.get("rounds").and_then(Json::as_u64),
+        Some(ROUNDS as u64)
+    );
     assert!(doc
         .get("host")
         .and_then(|h| h.get("hardware_threads"))
@@ -266,7 +279,7 @@ fn emitted_json_round_trips_and_validates() {
 #[test]
 fn schema_validation_rejects_bad_documents() {
     // Missing experiments -> coverage failure.
-    let mut report = Report::new("quick", Warmup::quick());
+    let mut report = Report::new("quick");
     report.push(fake_sample("e1", 1));
     let doc = reparse(&report);
     let samples = validate_schema(&doc).expect("schema itself is fine");
@@ -277,21 +290,21 @@ fn schema_validation_rejects_bad_documents() {
     assert!(validate_schema(&doc).unwrap_err().contains("99"));
 
     // Empty samples.
-    let mut empty = Report::new("quick", Warmup::quick());
+    let mut empty = Report::new("quick");
     empty.extras.clear();
     assert!(validate_schema(&reparse(&empty))
         .unwrap_err()
         .contains("empty"));
 
     // An experiment id outside e1–e11, such as a pre-v7 executor cell.
-    let mut retired = Report::new("quick", Warmup::quick());
+    let mut retired = Report::new("quick");
     retired.push(fake_sample("e13", 1));
     assert!(validate_schema(&reparse(&retired))
         .unwrap_err()
         .contains("unknown experiment"));
 
     // Non-monotone percentiles.
-    let mut bad = Report::new("quick", Warmup::quick());
+    let mut bad = Report::new("quick");
     let mut s = fake_sample("e1", 1);
     s.p50_ns = 10_000;
     s.p90_ns = 5;
@@ -301,7 +314,7 @@ fn schema_validation_rejects_bad_documents() {
         .contains("monotone"));
 
     // An e10 sample without its reclamation-backend tag.
-    let mut untagged = Report::new("quick", Warmup::quick());
+    let mut untagged = Report::new("quick");
     let mut s = fake_sample("e10", 1);
     s.reclaimer = None;
     untagged.push(s);
@@ -310,14 +323,14 @@ fn schema_validation_rejects_bad_documents() {
         .contains("reclaimer"));
 
     // An unknown backend name is rejected outright.
-    let mut unknown = Report::new("quick", Warmup::quick());
+    let mut unknown = Report::new("quick");
     unknown.push(fake_sample("e10", 1).with_reclaimer("qsbr"));
     assert!(validate_schema(&reparse(&unknown))
         .unwrap_err()
         .contains("qsbr"));
 
     // A sweep that skipped a backend fails the e10 coverage check.
-    let mut partial = Report::new("quick", Warmup::quick());
+    let mut partial = Report::new("quick");
     for backend in ["ebr", "hazard", "leak"] {
         partial.push(fake_sample("e10", 1).with_reclaimer(backend));
     }
@@ -327,7 +340,7 @@ fn schema_validation_rejects_bad_documents() {
         .contains("debug"));
 
     // An e11 sweep without the striped baseline fails the resize check.
-    let mut resize = Report::new("quick", Warmup::quick());
+    let mut resize = Report::new("quick");
     resize.push(named("e11", "resizing", 1));
     resize.push_extra("e11_resizing_doublings", 48.0);
     let doc = reparse(&resize);
@@ -350,7 +363,7 @@ fn schema_validation_rejects_bad_documents() {
     // A telemetry record whose CAS counts do not add up is rejected at
     // the schema layer (conservation holds by construction in cds-obs,
     // so a violation means a corrupted document).
-    let mut skewed = Report::new("quick", Warmup::quick());
+    let mut skewed = Report::new("quick");
     let mut t = fake_telemetry();
     t.counters.retain(|(name, _)| name != "cas_failure");
     skewed.push(fake_sample("e1", 1).with_telemetry(t));
@@ -361,7 +374,7 @@ fn schema_validation_rejects_bad_documents() {
 
 #[test]
 fn out_of_range_percentages_are_rejected_not_truncated() {
-    let mut report = Report::new("quick", Warmup::quick());
+    let mut report = Report::new("quick");
     report.push(fake_sample("e4", 1));
     let text = report.to_json().to_string_pretty();
     assert!(text.contains(r#""read_pct": 50"#));
@@ -379,7 +392,7 @@ fn out_of_range_percentages_are_rejected_not_truncated() {
 
 #[test]
 fn validate_telemetry_requires_the_flag_and_every_record() {
-    let mut report = Report::new("quick", Warmup::quick());
+    let mut report = Report::new("quick");
     report.push(fake_sample("e1", 1));
     let doc = reparse(&report);
     let samples = validate_schema(&doc).unwrap();
@@ -412,8 +425,28 @@ fn validate_telemetry_requires_the_flag_and_every_record() {
 }
 
 #[test]
+fn mops_spread_must_be_a_finite_share() {
+    let mut report = Report::new("quick");
+    report.push(fake_sample("e1", 1));
+    let text = report.to_json().to_string_pretty();
+    let field = r#""mops_spread": 0.042,"#;
+    assert!(text.contains(field));
+    validate_schema(&reparse(&report)).expect("the fake sample is valid");
+
+    for (replacement, complaint) in [
+        ("", r#"missing number field "mops_spread""#),
+        (r#""mops_spread": -0.1,"#, "not a finite share"),
+        (r#""mops_spread": 1e999,"#, "not a finite share"),
+    ] {
+        let doc = Json::parse(&text.replace(field, replacement)).unwrap();
+        let err = validate_schema(&doc).unwrap_err();
+        assert!(err.contains(complaint), "{replacement:?}: {err}");
+    }
+}
+
+#[test]
 fn render_prints_one_table_per_cell_group() {
-    let mut report = Report::new("quick", Warmup::quick());
+    let mut report = Report::new("quick");
     for read_pct in [0, 90] {
         for threads in [1, 2] {
             let mut s = named("e4", "lazy", threads);
@@ -431,20 +464,28 @@ fn render_prints_one_table_per_cell_group() {
     report.push(named("e9", "ttas+backoff", 1));
     report.push_extra("telemetry_enabled", 0.0);
 
-    let out = render(&reparse(&report)).expect("valid document renders");
-    // The ratio sweep splits by read_pct; columns are thread counts.
+    let out = render(&on_host(&report, 2)).expect("valid document renders");
+    // The ratio sweep splits by read_pct; columns are thread counts, and
+    // a cell is the rounds' median and spread.
     assert!(out.contains("### E4 — list-based sets (Mops/s) — 0% reads\n"));
     assert!(out.contains("### E4 — list-based sets (Mops/s) — 90% reads\n"));
     assert!(out.contains(
-        "| implementation | 1 thr | 2 thr |\n|---|---|---|\n| lazy | 12.346 | 12.346 |\n"
+        "| implementation | 1 thr | 2 thr |\n|---|---|---|\n| lazy | 12.346 ±4% | 12.346 ±4% |\n"
     ));
     // E10 rows are labelled by backend, its extra follows its table.
     assert!(out.contains(
-        "| ebr | 12.346 |\n| hazard | 12.346 |\n\ne10_hazard_garbage_after_100k_churn: 0\n"
+        "| ebr | 12.346 ±4% |\n| hazard | 12.346 ±4% |\n\ne10_hazard_garbage_after_100k_churn: 0\n"
     ));
     assert!(out.contains("\ntelemetry_enabled: 0\n"));
+    // No column above the host's two hardware threads, no mark.
+    assert!(!out.contains("thr*"), "{out}");
     // No records, no E12.
     assert!(!out.contains("E12"), "{out}");
+
+    // On a one-thread host the 2-thread columns are oversubscribed.
+    let out = render(&on_host(&report, 1)).expect("valid document renders");
+    assert!(out.contains("\nthr* columns run more threads than the host's 1 hardware threads"));
+    assert!(out.contains("| implementation | 1 thr | 2 thr* |\n"));
 
     // With records on the sources, E12 derives its two tables from them.
     report.samples[6] = report.samples[6].clone().with_telemetry(fake_telemetry());
@@ -466,12 +507,17 @@ fn timed_runs_report_consistent_stats() {
         insert_pct: 25,
         prefill: 4_096, // deliberately over key_range: exercises the clamp
     };
-    let stats: RunStats = set_run(Arc::new(cds_list::LazyList::new()), w, Warmup::quick());
-    assert_eq!(stats.total_ops, 4_000);
+    let stats: RunStats = set_run(|| Arc::new(cds_list::LazyList::new()), w);
+    // Every timed round, and only those, counts its 4 000 operations and
+    // their latency samples.
+    assert_eq!(stats.total_ops, ROUNDS * 4_000);
+    assert_eq!(
+        stats.hist.count(),
+        (ROUNDS * 4_000 / LATENCY_SAMPLE_EVERY) as u64
+    );
     assert!(stats.mops > 0.0);
+    assert!(stats.mops_spread.is_finite() && stats.mops_spread >= 0.0);
     assert!(stats.duration_s > 0.0);
-    assert!(stats.warmup_iters >= 1 && stats.warmup_iters <= 2);
-    assert!(stats.hist.count() > 0);
     let sample = Sample::from_stats("e4", "lazy", &w, &stats);
     assert!(sample.p50_ns <= sample.p90_ns && sample.p90_ns <= sample.p99_ns);
 }
